@@ -11,7 +11,8 @@ Modules:
 
 - ``environment``: grids, obstacles, ceilings, risk maps, instance files.
 - ``physics``: air density and per-segment energy.
-- ``solution``: chromosomes, validation, objective evaluation, normalization.
+- ``solution``: chromosomes, validation, the arc-cost table, objective
+  evaluation, normalization.
 - ``operators``: random-walk initialization, crossover, repair, mutation.
 - ``draws``: cheap scalar draws on a numpy Generator's own stream.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
@@ -107,21 +108,21 @@ from .physics import (
     average_density,
     climb_energy,
     segment_energy,
+    traversal_energy,
 )
 from .solution import (
+    ArcCosts,
     Chromosome,
     ChromosomeError,
     CombinedPoint,
     NormBounds,
     ObjectiveVector,
-    SegmentTerm,
     ValidationReport,
     Violation,
-    combine,
+    arc_costs,
     evaluate,
     max_risk_between,
     path_record,
-    segment_terms,
     validate,
 )
 
@@ -130,6 +131,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "AlgoConfig",
+    "ArcCosts",
     "CellData",
     "Chromosome",
     "ChromosomeError",
@@ -160,7 +162,6 @@ __all__ = [
     "OperatorStats",
     "RowCheck",
     "RunResult",
-    "SegmentTerm",
     "SubstitutionReport",
     "TrialSummary",
     "TuneResult",
@@ -168,13 +169,13 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "air_density",
+    "arc_costs",
     "assignment_terms",
     "assignment_values",
     "average_density",
     "build_model",
     "chromosome_arcs",
     "climb_energy",
-    "combine",
     "combined_points",
     "corruption_suite",
     "crossover",
@@ -204,13 +205,13 @@ __all__ = [
     "sample_entry_level",
     "save_instance",
     "segment_energy",
-    "segment_terms",
     "shared_reference",
     "spea2_fitness",
     "spea2_truncate",
     "substitute",
     "table_csv",
     "table_text",
+    "traversal_energy",
     "tune",
     "validate",
 ]

@@ -345,7 +345,11 @@ def _execute_job(payload: dict) -> dict:
             entry["oracle_hv_ratio"] = report["oracle_hv_ratio"]
         return entry
     except Exception as exc:  # noqa: BLE001 - per-run isolation by contract
-        return {"run_id": run_id, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+        return _failed_entry(run_id, exc)
+
+
+def _failed_entry(run_id: str, exc: BaseException) -> dict:
+    return {"run_id": run_id, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _solve_jobs(args: argparse.Namespace) -> list[dict]:
@@ -414,8 +418,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     jobs = _solve_jobs(args)
     out = _require_out(args)
     if args.workers > 1:
+        # One future per job, read in job order: a worker that dies fails
+        # only the jobs it breaks, and the manifest is still written.
+        entries = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            entries = list(pool.map(_execute_job, jobs))
+            futures = [pool.submit(_execute_job, job) for job in jobs]
+            for job, future in zip(jobs, futures):
+                try:
+                    entries.append(future.result())
+                except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+                    entries.append(_failed_entry(job["run_id"], exc))
     else:
         entries = [_execute_job(job) for job in jobs]
     manifest = {

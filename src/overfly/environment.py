@@ -20,6 +20,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .physics import MAX_MODEL_ALTITUDE_M
+
 Cell = tuple[int, int]
 
 # (row delta, col delta) per direction; no westward moves exist.
@@ -69,10 +71,17 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise GridError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if not (self.cell_size_m > 0.0):
-            raise GridError(f"cell_size_m must be positive, got {self.cell_size_m}")
+        if not (0.0 < self.cell_size_m < math.inf):
+            raise GridError(f"cell_size_m must be positive and finite, got {self.cell_size_m}")
         if len(self.levels_m) == 0:
             raise GridError("levels_m must not be empty")
+        for k, h in enumerate(self.levels_m):
+            # Every level pair is costed, so every level must lie where the
+            # air-density model holds.
+            if not (0.0 <= h < MAX_MODEL_ALTITUDE_M):
+                raise GridError(
+                    f"levels_m[{k}] must lie in [0, {MAX_MODEL_ALTITUDE_M:.0f}) m, got {h}"
+                )
         for a, b in zip(self.levels_m, self.levels_m[1:]):
             if not (b > a):
                 raise GridError(f"levels_m must be strictly increasing, got {self.levels_m}")
@@ -135,15 +144,23 @@ class Environment:
             raise GridError(
                 f"risk shape {riskarr.shape} != {shape + (spec.level_count,)}"
             )
-        if np.any(obstacle < 0.0):
-            raise GridError("obstacle heights must be non-negative")
-        if np.any((riskarr < 0.0) | (riskarr > 1.0)):
-            raise GridError("risk values must lie in [0, 1]")
+        # Each test is written so that NaN fails it.
+        for name, arr, ok, rule in (
+            ("obstacle_m", obstacle, (obstacle >= 0.0) & (obstacle < math.inf), "be finite and non-negative"),
+            ("ceiling_m", ceiling, np.isfinite(ceiling), "be finite"),
+            ("risk", riskarr, (riskarr >= 0.0) & (riskarr <= 1.0), "lie in [0, 1]"),
+        ):
+            if not ok.all():
+                where = tuple(int(i) for i in np.argwhere(~ok)[0])
+                raise GridError(f"{name}{list(where)} must {rule}, got {arr[where]}")
         for arr in (obstacle, ceiling, riskarr):
             arr.setflags(write=False)
         self.obstacle_m = obstacle
         self.ceiling_m = ceiling
         self.risk = riskarr
+        # Content hash that agrees with __eq__: adding 0.0 turns -0.0 into
+        # 0.0, and NaN never gets this far.
+        self._hash = hash((spec, *((a + 0.0).tobytes() for a in (obstacle, ceiling, riskarr))))
 
         levels = spec.levels_m
         # Feasible level band per cell: levels within [obstacle, ceiling].
@@ -279,6 +296,9 @@ class Environment:
             and np.array_equal(self.ceiling_m, other.ceiling_m)
             and np.array_equal(self.risk, other.risk)
         )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         s = self.spec
@@ -438,7 +458,13 @@ def _get(mapping: Mapping, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -66,6 +66,13 @@ class AlgoConfig:
 # -- building blocks ---------------------------------------------------------
 
 
+def _dominance(pts: np.ndarray) -> np.ndarray:
+    """``dom[i, j]``: point i dominates point j (minimization)."""
+    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
+    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
+    return le & lt
+
+
 def fast_nondominated_sort(points) -> list[list[int]]:
     """Split points into non-domination fronts (minimization).
 
@@ -78,9 +85,7 @@ def fast_nondominated_sort(points) -> list[list[int]]:
     n = len(pts)
     if n == 0:
         return []
-    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    dom = _dominance(pts)
     counts = dom.sum(axis=0).astype(int)
     alive = np.ones(n, dtype=bool)
     fronts: list[list[int]] = []
@@ -160,9 +165,7 @@ def spea2_fitness(points) -> np.ndarray:
     n = len(pts)
     if n == 0:
         return np.zeros(0)
-    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
-    dom = le & lt
+    dom = _dominance(pts)
     strength = dom.sum(axis=1).astype(float)
     raw = (dom * strength[:, None]).sum(axis=0)
     diff = pts[:, None, :] - pts[None, :, :]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .environment import Cell, Environment
-from .physics import DroneParams, air_density, average_density, segment_energy
-from .solution import Chromosome, ObjectiveVector, max_risk_between
+from .physics import DroneParams, air_density
+from .solution import Chromosome, ObjectiveVector, arc_costs
 
 
 class EnumerationLimitError(RuntimeError):
@@ -124,8 +124,9 @@ def enumerate_front(
     along a fixed path are explored by dynamic programming over the entry
     level per position (exact: each segment's contribution depends only on
     the adjacent pair of levels), keeping per-level non-dominated partial
-    objective triples. Accumulation matches the chromosome evaluator's
-    term order, so member objectives equal ``solution.evaluate`` output.
+    objective triples. Segment terms come from ``solution.arc_costs`` and
+    accumulate in the chromosome evaluator's order, so member objectives
+    equal ``solution.evaluate`` output.
 
     Raises:
         EnumerationLimitError: when a cap would be exceeded (never truncates).
@@ -134,7 +135,7 @@ def enumerate_front(
     check_caps(env, caps)
     spec = env.spec
     goal = spec.goal_cell
-    levels_m = spec.levels_m
+    costs = arc_costs(env, params)
     states = 0
     paths = 0
     # Global front entries: (triple, (cells, level sequence)).
@@ -166,19 +167,11 @@ def enumerate_front(
         for t in range(len(cells) - 1):
             frm, to = cells[t], cells[t + 1]
             lo, hi = env.feasible_levels(to)
-            d = env.distance(frm, to)
-            arc_cost: dict[tuple[int, int], Triple] = {}
-            for la in current:
-                for lb in range(lo, hi + 1):
-                    climb = levels_m[lb] - levels_m[la]
-                    rho = average_density(levels_m[la], levels_m[lb], params)
-                    arc_cost[(la, lb)] = (
-                        math.sqrt(d * d + climb * climb),
-                        segment_energy(d, climb, rho, params),
-                        max_risk_between(env, frm, la, lb)[0],
-                    )
+            geometry = costs.geometry[env.distance(frm, to)]
+            band_risk = costs.risk[frm]
             nxt: dict[int, list[tuple[Triple, tuple[int, ...]]]] = {}
             for la, partials in current.items():
+                arcs, risks = geometry[la], band_risk[la]
                 for triple, seq in partials:
                     for lb in range(lo, hi + 1):
                         states += 1
@@ -186,8 +179,8 @@ def enumerate_front(
                             raise EnumerationLimitError(
                                 f"enumeration exceeded {caps.max_states} level-assignment states"
                             )
-                        inc = arc_cost[(la, lb)]
-                        cand = (triple[0] + inc[0], triple[1] + inc[1], triple[2] + inc[2])
+                        arc = arcs[lb]
+                        cand = (triple[0] + arc[0], triple[1] + arc[1], triple[2] + risks[lb])
                         nxt.setdefault(lb, []).append((cand, seq + (lb,)))
             current = {k: _prune_entries(v) for k, v in nxt.items()}
         for partials in current.values():

@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 from .environment import Cell, Environment
 from .exact import EnumerationCaps, check_caps
-from .physics import DroneParams, air_density
-from .solution import NormBounds
+from .physics import DroneParams
+from .solution import NormBounds, arc_costs
 
 OBJECTIVES = ("z1", "weighted", "epsilon")
 
@@ -309,48 +309,23 @@ def build_model(
 
     # -- objective coefficients ----------------------------------------------
 
-    theta = params.energy_coefficient
-    nu = params.speed_mps
-    rho_start = air_density(h_start, params)
-
-    def first_arc_geometry(j: Cell, k: int) -> tuple[float, float]:
-        d2 = env.distance(start, j)
-        dh = h[k] - h_start
-        dist3 = math.sqrt(dh * dh + d2 * d2)
-        rho = (rho_start + air_density(h[k], params)) / 2.0
-        return dist3, (theta / nu) * math.sqrt((dh * dh + d2 * d2) / rho)
-
-    def product_geometry(i: Cell, j: Cell, k: int, kp: int) -> tuple[float, float]:
-        d2 = env.distance(i, j)
-        dh = h[k] - h[kp]
-        dist3 = math.sqrt(dh * dh + d2 * d2)
-        rho = (air_density(h[kp], params) + air_density(h[k], params)) / 2.0
-        return dist3, (theta / nu) * math.sqrt((dh * dh + d2 * d2) / rho)
-
-    def band_risk(cell: Cell, ka: int, kb: int) -> float:
-        lo, hi = (ka, kb) if ka <= kb else (kb, ka)
-        row = env.risk_at(cell)
-        return max(row[k] for k in range(lo, hi + 1))
-
+    # z1 length, z2 traversal energy (the climb term rides on dp), z3 risk.
+    costs = arc_costs(env, params)
     z1: dict[str, float] = {}
     z2: dict[str, float] = {}
     z3: dict[str, float] = {}
     for j in env.successors(start):
+        geometry = costs.geometry[env.distance(start, j)][spec.start_level]
         for k in level_ids:
-            dist3, energy = first_arc_geometry(j, k)
             name = x_name(start, j, k)
-            z1[name] = z1.get(name, 0.0) + dist3
-            z2[name] = z2.get(name, 0.0) + energy
-            z3[name] = z3.get(name, 0.0) + band_risk(start, spec.start_level, k)
+            z1[name], _, z2[name] = geometry[k]
+            z3[name] = costs.risk[start][spec.start_level][k]
     for g, i, j, k, kp in u_index:
-        dist3, energy = product_geometry(i, j, k, kp)
         name = u_name(g, i, j, k, kp)
-        z1[name] = z1.get(name, 0.0) + dist3
-        z2[name] = z2.get(name, 0.0) + energy
-        z3[name] = z3.get(name, 0.0) + band_risk(i, kp, k)
+        z1[name], _, z2[name] = costs.geometry[env.distance(i, j)][kp][k]
+        z3[name] = costs.risk[i][kp][k]
     for i, j in arcs:
-        name = arc_var("dp", i, j)
-        z2[name] = z2.get(name, 0.0) + params.weight_kg * params.gravity
+        z2[arc_var("dp", i, j)] = params.weight_kg * params.gravity
 
     notes = [
         f"big-M constant: {m_value!r}",

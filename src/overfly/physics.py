@@ -52,8 +52,8 @@ class DroneParams:
             "speed_mps",
             "sea_level_density_kgm3",
         ):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def energy_coefficient(self) -> float:
@@ -94,6 +94,36 @@ def average_density(altitude_a_m: float, altitude_b_m: float, params: DroneParam
     return 0.5 * (air_density(altitude_a_m, params) + air_density(altitude_b_m, params))
 
 
+def traversal_energy(
+    horizontal_m: float,
+    climb_m: float,
+    density_kgm3: float,
+    params: DroneParams,
+) -> float:
+    """Translation energy in joules: :func:`segment_energy` without the climb term."""
+    if horizontal_m < 0.0:
+        raise ValueError(f"horizontal distance must be non-negative, got {horizontal_m}")
+    if not (density_kgm3 > 0.0):
+        raise ValueError(f"air density must be positive, got {density_kgm3}")
+    w = params.weight_kg
+    dist3d = math.sqrt(horizontal_m * horizontal_m + climb_m * climb_m)
+    return (
+        w
+        * math.sqrt(w)
+        * math.sqrt(
+            params.gravity**3
+            / (2.0 * density_kgm3 * params.blade_disc_area_m2 * params.rotor_count)
+        )
+        * dist3d
+        / params.speed_mps
+    )
+
+
+def climb_energy(climb_m: float, params: DroneParams) -> float:
+    """Potential-energy cost of a signed altitude change (zero when descending)."""
+    return params.weight_kg * params.gravity * climb_m if climb_m > 0.0 else 0.0
+
+
 def segment_energy(
     horizontal_m: float,
     climb_m: float,
@@ -110,29 +140,9 @@ def segment_energy(
         params: Drone parameters.
 
     Returns:
-        Translation energy plus, for climbs only, the potential energy
-        ``W * g * climb``.
+        :func:`traversal_energy` plus, for climbs only, the potential energy
+        ``W * g * climb`` (:func:`climb_energy`).
     """
-    if horizontal_m < 0.0:
-        raise ValueError(f"horizontal distance must be non-negative, got {horizontal_m}")
-    if not (density_kgm3 > 0.0):
-        raise ValueError(f"air density must be positive, got {density_kgm3}")
-    w = params.weight_kg
-    dist3d = math.sqrt(horizontal_m * horizontal_m + climb_m * climb_m)
-    translate = (
-        w
-        * math.sqrt(w)
-        * math.sqrt(
-            params.gravity**3
-            / (2.0 * density_kgm3 * params.blade_disc_area_m2 * params.rotor_count)
-        )
-        * dist3d
-        / params.speed_mps
+    return traversal_energy(horizontal_m, climb_m, density_kgm3, params) + climb_energy(
+        climb_m, params
     )
-    climb = w * params.gravity * climb_m if climb_m > 0.0 else 0.0
-    return translate + climb
-
-
-def climb_energy(climb_m: float, params: DroneParams) -> float:
-    """Potential-energy cost of a signed altitude change (zero when descending)."""
-    return params.weight_kg * params.gravity * climb_m if climb_m > 0.0 else 0.0

@@ -10,15 +10,23 @@ Objectives, all minimized:
     * energy: rotor-craft energy model over the segments,
     * risk: sum over segments of the worst risk value the drone sweeps at the
       departing cell between its entry level and the next cell's entry level.
+
+Each segment's terms depend only on its departure cell, its ground distance
+and its two entry levels, so :func:`arc_costs` tabulates them once per world
+and drone. The evaluator, the exact enumerator and the integer-program
+exporter all read that one table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .environment import Cell, Environment
-from .physics import DroneParams, average_density, segment_energy
+from .physics import DroneParams, average_density, segment_energy, traversal_energy
 
 
 class ChromosomeError(ValueError):
@@ -58,22 +66,6 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
-
-
-@dataclass(frozen=True)
-class SegmentTerm:
-    """Per-segment evaluation intermediates, exposed for testing."""
-
-    frm: Cell
-    to: Cell
-    horizontal_m: float
-    climb_m: float          # signed altitude change
-    ascent_m: float         # max(climb, 0)
-    descent_m: float        # max(-climb, 0)
-    length_m: float
-    energy_j: float
-    risk: float
-    risk_level: int         # level index at which the worst risk occurs
 
 
 def validate(ch: Chromosome, env: Environment) -> ValidationReport:
@@ -170,32 +162,41 @@ def max_risk_between(env: Environment, cell: Cell, level_a: int, level_b: int) -
     return best, best_k
 
 
-def segment_terms(ch: Chromosome, env: Environment, params: DroneParams) -> list[SegmentTerm]:
-    """Per-segment evaluation intermediates; assumes a valid candidate."""
+@dataclass(frozen=True)
+class ArcCosts:
+    """Objective terms of every arc of one world, for one drone.
+
+    ``geometry[d][la][lb]`` is (3D length, segment energy, traversal energy)
+    of a move over ground distance ``d`` (the cell edge or the diagonal) from
+    entry level ``la`` to entry level ``lb``; segment energy is traversal
+    energy plus the climb term. ``risk[cell][la][lb]`` is the worst risk at
+    departure cell ``cell`` over the band between the two levels.
+    """
+
+    geometry: Mapping[float, tuple[tuple[tuple[float, float, float], ...], ...]]
+    risk: Mapping[Cell, tuple[tuple[float, ...], ...]]
+
+
+@functools.lru_cache(maxsize=64)
+def arc_costs(env: Environment, params: DroneParams) -> ArcCosts:
+    """The arc-cost table of a world, built once per (world, drone)."""
     levels = env.spec.levels_m
-    out: list[SegmentTerm] = []
-    for t in range(len(ch.cells) - 1):
-        frm, to = ch.cells[t], ch.cells[t + 1]
-        la, lb = ch.entry_levels[t], ch.entry_levels[t + 1]
-        d = env.distance(frm, to)
+    ks = range(env.spec.level_count)
+    distances = sorted({env.distance(cell, nxt) for cell in env.cells() for nxt in env.successors(cell)})
+
+    def arc(d: float, la: int, lb: int) -> tuple[float, float, float]:
         climb = levels[lb] - levels[la]
         rho = average_density(levels[la], levels[lb], params)
-        risk, risk_level = max_risk_between(env, frm, la, lb)
-        out.append(
-            SegmentTerm(
-                frm=frm,
-                to=to,
-                horizontal_m=d,
-                climb_m=climb,
-                ascent_m=climb if climb > 0.0 else 0.0,
-                descent_m=-climb if climb < 0.0 else 0.0,
-                length_m=math.sqrt(d * d + climb * climb),
-                energy_j=segment_energy(d, climb, rho, params),
-                risk=risk,
-                risk_level=risk_level,
-            )
-        )
-    return out
+        energy = (segment_energy(d, climb, rho, params), traversal_energy(d, climb, rho, params))
+        return (math.sqrt(d * d + climb * climb), *energy)
+
+    geometry = {d: tuple(tuple(arc(d, la, lb) for lb in ks) for la in ks) for d in distances}
+    risk = {
+        cell: tuple(tuple(max_risk_between(env, cell, la, lb)[0] for lb in ks) for la in ks)
+        for cell in env.cells()
+    }
+    # Read-only views: every caller shares the memoised table.
+    return ArcCosts(MappingProxyType(geometry), MappingProxyType(risk))
 
 
 def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> ObjectiveVector:
@@ -211,13 +212,18 @@ def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> Objective
             f"invalid candidate ({len(report.violations)} violation(s); "
             f"first: {first.rule} at index {first.index}: {first.detail})"
         )
+    costs = arc_costs(env, params)
+    geometry, band_risk = costs.geometry, costs.risk
+    cells, levels = ch.cells, ch.entry_levels
     length = 0.0
     energy = 0.0
     risk = 0.0
-    for term in segment_terms(ch, env, params):
-        length += term.length_m
-        energy += term.energy_j
-        risk += term.risk
+    for t in range(len(cells) - 1):
+        frm, la, lb = cells[t], levels[t], levels[t + 1]
+        arc = geometry[env.distance(frm, cells[t + 1])][la][lb]
+        length += arc[0]
+        energy += arc[1]
+        risk += band_risk[frm][la][lb]
     return ObjectiveVector(length, energy, risk)
 
 
@@ -246,18 +252,6 @@ class NormBounds:
     def degenerate_energy(self) -> bool:
         return not (self.energy_hi > self.energy_lo)
 
-    def norm_length(self, x: float) -> float:
-        if self.degenerate_length:
-            return 0.0
-        t = (x - self.length_lo) / (self.length_hi - self.length_lo)
-        return min(1.0, max(0.0, t))
-
-    def norm_energy(self, x: float) -> float:
-        if self.degenerate_energy:
-            return 0.0
-        t = (x - self.energy_lo) / (self.energy_hi - self.energy_lo)
-        return min(1.0, max(0.0, t))
-
     def merge(self, other: "NormBounds") -> "NormBounds":
         return NormBounds(
             min(self.length_lo, other.length_lo),
@@ -276,21 +270,6 @@ class CombinedPoint:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.cost, self.risk)
-
-
-def combine(objectives: ObjectiveVector, weight: float, bounds: NormBounds) -> CombinedPoint:
-    """Blend length and energy into one cost; risk passes through.
-
-    ``cost = weight * norm(length) + (1 - weight) * norm(energy)`` with
-    min-max normalization clamped to [0, 1]. Degenerate bounds normalize to
-    0; callers can inspect ``bounds.degenerate_*`` to flag that.
-    """
-    if not (0.0 <= weight <= 1.0):
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    cost = weight * bounds.norm_length(objectives.length_m) + (1.0 - weight) * bounds.norm_energy(
-        objectives.energy_j
-    )
-    return CombinedPoint(cost, objectives.risk)
 
 
 def path_record(ch: Chromosome, env: Environment, objectives: ObjectiveVector) -> dict:

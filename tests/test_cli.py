@@ -1,6 +1,7 @@
 """The overfly command: all subcommands, exit codes, and determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,16 @@ def save_tiny(path, seed=0, rows=3, cols=3, levels=2):
     )
     save_instance(env, path)
     return env
+
+
+_EXECUTE_JOB = cli._execute_job
+
+
+def _job_that_kills_its_worker(payload):
+    """Stands in for ``cli._execute_job``; the worker running i2 dies."""
+    if payload["instance_id"] == "i2":
+        os._exit(1)
+    return _EXECUTE_JOB(payload)
 
 
 def write_solve_config(path, instances, **overrides):
@@ -167,6 +178,24 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(parallel), "--workers", "2"]) == 0
         for front in sorted(serial.glob("*.front.json")):
             assert front.read_bytes() == (parallel / front.name).read_bytes()
+
+    def test_dead_worker_keeps_the_batch(self, tmp_path, capsys, monkeypatch):
+        for i in (1, 2, 3):
+            save_tiny(tmp_path / f"i{i}.json", i)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json", "i2.json", "i3.json"])
+        monkeypatch.setattr(cli, "_execute_job", _job_that_kills_its_worker)
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        jobs = {j["run_id"]: j for j in manifest["jobs"]}
+        assert list(jobs) == [f"i{i}_nsga2_untuned_s0" for i in (1, 2, 3)]
+        assert manifest["total"] == 3 and manifest["failed"] >= 1
+        assert jobs["i2_nsga2_untuned_s0"]["status"] == "failed"
+        assert "BrokenProcessPool" in jobs["i2_nsga2_untuned_s0"]["error"]
+        for job in jobs.values():
+            if job["status"] == "ok":
+                assert (out / job["front"]).exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),

@@ -71,6 +71,51 @@ class TestGridSpec:
         assert spec.start_cell == (0, 2)
 
 
+class TestBoundaryRejectsNonFinite:
+    """Bad numbers are rejected where they enter, with the field named."""
+
+    def test_infinite_cell_size(self):
+        with pytest.raises(GridError, match="cell_size_m"):
+            GridSpec(**spec_kwargs(cell_size_m=math.inf))
+
+    @pytest.mark.parametrize("level", [50_000.0, -1.0, math.nan])
+    def test_level_outside_density_model(self, level):
+        with pytest.raises(GridError, match=r"levels_m\[2\]"):
+            GridSpec(**spec_kwargs(levels_m=(0.0, 10.0, level)))
+
+    def test_nan_risk(self):
+        risk = np.zeros((3, 4, 3))
+        risk[2, 1, 0] = math.nan
+        with pytest.raises(GridError, match=r"risk\[2, 1, 0\]"):
+            build_env(risk=risk)
+
+    def test_nan_obstacle(self):
+        obstacle = np.zeros((3, 4))
+        obstacle[0, 2] = math.nan
+        with pytest.raises(GridError, match=r"obstacle_m\[0, 2\]"):
+            build_env(obstacle=obstacle)
+
+    def test_nan_ceiling(self):
+        ceiling = np.full((3, 4), 20.0)
+        ceiling[2, 2] = math.nan
+        with pytest.raises(GridError, match=r"ceiling_m\[2, 2\]"):
+            build_env(ceiling=ceiling)
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("obstacle_m", "NaN"), ("ceiling_m", "Infinity"), ("ceiling_m", "1" + "0" * 400)],
+        ids=["nan", "infinity", "int-beyond-float"],
+    )
+    def test_non_finite_json_number(self, tmp_path, field, literal):
+        path = tmp_path / "world.json"
+        save_instance(build_env(), path)
+        doc = json.loads(path.read_text())
+        doc["cells"] = [{"cell": [0, 1], field: 1.5}]
+        path.write_text(json.dumps(doc).replace("1.5", literal))
+        with pytest.raises(InstanceFormatError, match=rf"cells\[0\]\.{field}"):
+            load_instance(path)
+
+
 class TestEnvironmentConstruction:
     def test_shape_mismatch_rejected(self):
         spec = GridSpec(**spec_kwargs())
@@ -102,6 +147,12 @@ class TestEnvironmentConstruction:
         obstacle[1, 3] = 100.0
         with pytest.raises(GridError):
             build_env(obstacle=obstacle)
+
+    def test_hash_agrees_with_equality(self):
+        a = build_env(obstacle=np.zeros((3, 4)), risk=0.25)
+        b = build_env(obstacle=np.full((3, 4), -0.0), risk=0.25)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, build_env(risk=0.5)}) == 2
 
     def test_arrays_frozen(self):
         env = build_env()

@@ -13,7 +13,7 @@ from overfly import (
     NormBounds,
     assignment_values,
     build_model,
-    combine,
+    combined_points,
     corruption_suite,
     default_big_m,
     enumerate_front,
@@ -28,6 +28,7 @@ from overfly import (
     substitute,
     validate,
 )
+from overfly.cli import suite_settings
 from overfly.milp import LpRow, MilpModel
 
 from helpers import all_simple_paths, build_env
@@ -274,8 +275,31 @@ class TestObjectiveVariants:
         for m in exact.members:
             values = assignment_values(model, env, m.cells, m.entry_levels)
             got = objective_value(model, values)
-            want = combine(m.objectives, weight, bounds).cost + dropped
+            want = combined_points(m.objectives.as_tuple(), weight, bounds)[0, 0] + dropped
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_terms_agree_with_evaluate_on_exact_members(self):
+        # Weight 1 (0) over unit bounds leaves the length (energy) coefficients
+        # as the objective; the risk_cap row carries the risk coefficients.
+        unit = NormBounds(0.0, 1.0, 0.0, 1.0)
+        for _id, settings, seed in suite_settings(0)[:4]:  # the T1 worlds
+            env = generate(settings, seed)
+            models = [
+                build_model(env, PARAMS, "weighted", weight=1.0, bounds=unit),
+                build_model(env, PARAMS, "weighted", weight=0.0, bounds=unit),
+            ]
+            epsilon = build_model(env, PARAMS, "epsilon", risk_cap=100.0)
+            cap_row = [r for r in epsilon.rows if r.family == "risk_cap"][0]
+            for m in enumerate_front(env, PARAMS).members:
+                assert evaluate(m.chromosome(), env, PARAMS) == m.objectives
+                length, energy = (
+                    objective_value(model, assignment_values(model, env, m.cells, m.entry_levels))
+                    for model in models
+                )
+                values = assignment_values(epsilon, env, m.cells, m.entry_levels)
+                risk = math.fsum(c * values[n] for n, c in cap_row.coeffs)
+                for got, want in zip((length, energy, risk), m.objectives.as_tuple()):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_epsilon_adds_risk_cap_row(self):
         env = tiny_env()

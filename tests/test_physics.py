@@ -37,6 +37,10 @@ class TestDroneParams:
         with pytest.raises(ValueError):
             DroneParams(**{field: 0})
 
+    def test_infinite_value_rejected(self):
+        with pytest.raises(ValueError, match="speed_mps"):
+            DroneParams(speed_mps=math.inf)
+
     def test_energy_coefficient_oracle(self):
         assert ORACLE.energy_coefficient == pytest.approx(math.sqrt(250.0), rel=1e-15)
 

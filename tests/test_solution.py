@@ -8,18 +8,25 @@ import pytest
 from overfly import (
     Chromosome,
     ChromosomeError,
+    CombinedPoint,
     DroneParams,
     NormBounds,
     ObjectiveVector,
+    arc_costs,
     average_density,
-    combine,
+    climb_energy,
+    combined_points,
     evaluate,
+    generate,
+    load_instance,
     max_risk_between,
     path_record,
+    save_instance,
     segment_energy,
-    segment_terms,
+    traversal_energy,
     validate,
 )
+from overfly.cli import suite_settings
 
 from helpers import build_env
 
@@ -192,11 +199,13 @@ class TestEvaluate:
             entry_levels=(0, 1, 2, 1),
             weight=0.5,
         )
-        terms = segment_terms(ch, env, PARAMS)
+        costs = arc_costs(env, PARAMS)
+        steps = list(zip(ch.cells, ch.cells[1:], ch.entry_levels, ch.entry_levels[1:]))
+        arcs = [costs.geometry[env.distance(a, b)][la][lb] for a, b, la, lb in steps]
         vec = evaluate(ch, env, PARAMS)
-        assert vec.length_m == pytest.approx(sum(t.length_m for t in terms), rel=1e-15)
-        assert vec.energy_j == pytest.approx(sum(t.energy_j for t in terms), rel=1e-15)
-        assert vec.risk == pytest.approx(sum(t.risk for t in terms), rel=1e-15)
+        assert vec.length_m == pytest.approx(sum(arc[0] for arc in arcs), rel=1e-15)
+        assert vec.energy_j == pytest.approx(sum(arc[1] for arc in arcs), rel=1e-15)
+        assert vec.risk == pytest.approx(sum(costs.risk[a][la][lb] for a, _b, la, lb in steps), rel=1e-15)
 
     def test_diagonal_moves_use_diagonal_ground_distance(self):
         env = build_env()
@@ -212,13 +221,12 @@ class TestEvaluate:
             evaluate(ch, env, PARAMS)
 
     def test_segment_term_fields(self):
-        env = build_env()
-        ch = Chromosome(cells=((1, 0), (1, 1), (1, 2), (1, 3)),
-                        entry_levels=(0, 2, 1, 1), weight=0.5)
-        terms = segment_terms(ch, env, PARAMS)
-        assert terms[0].climb_m == 20.0 and terms[0].ascent_m == 20.0 and terms[0].descent_m == 0.0
-        assert terms[1].climb_m == -10.0 and terms[1].ascent_m == 0.0 and terms[1].descent_m == 10.0
-        assert terms[2].climb_m == 0.0 and terms[2].length_m == 10.0
+        env = build_env()  # levels 0, 10 and 20 m; 10 m cells
+        edge = arc_costs(env, PARAMS).geometry[10.0]
+        up, down, flat = edge[0][2], edge[2][1], edge[1][1]  # climb 20, descend 10, hold
+        assert up[0] == math.sqrt(10.0**2 + 20.0**2) and flat[0] == 10.0
+        assert up[1] == up[2] + climb_energy(20.0, PARAMS)  # segment = traversal + climb
+        assert down[1] == down[2] and flat[1] == flat[2]  # descending adds nothing back
 
 
 class TestNormBounds:
@@ -228,18 +236,19 @@ class TestNormBounds:
         assert (b.length_lo, b.length_hi) == (1.0, 3.0)
         assert (b.energy_lo, b.energy_hi) == (4.0, 10.0)
 
+    # Weight 1 keeps only the normalized length in the cost, weight 0 only
+    # the normalized energy.
     def test_normalization_and_clamping(self):
         b = NormBounds(length_lo=10.0, length_hi=20.0, energy_lo=0.0, energy_hi=100.0)
-        assert b.norm_length(15.0) == 0.5
-        assert b.norm_length(5.0) == 0.0
-        assert b.norm_length(25.0) == 1.0
-        assert b.norm_energy(100.0) == 1.0
+        lengths = combined_points([(15.0, 0.0, 0.0), (5.0, 0.0, 0.0), (25.0, 0.0, 0.0)], 1.0, b)
+        assert lengths[:, 0].tolist() == [0.5, 0.0, 1.0]
+        assert combined_points((0.0, 100.0, 0.0), 0.0, b)[0, 0] == 1.0
 
     def test_degenerate_normalizes_to_zero(self):
         b = NormBounds(length_lo=5.0, length_hi=5.0, energy_lo=1.0, energy_hi=2.0)
         assert b.degenerate_length and not b.degenerate_energy
-        assert b.norm_length(5.0) == 0.0
-        assert b.norm_length(99.0) == 0.0
+        lengths = combined_points([(5.0, 1.0, 0.0), (99.0, 1.0, 0.0)], 1.0, b)
+        assert lengths[:, 0].tolist() == [0.0, 0.0]
 
     def test_merge_widens(self):
         a = NormBounds(0.0, 10.0, 5.0, 6.0)
@@ -252,24 +261,55 @@ class TestCombine:
     def test_weighted_blend_oracle(self):
         # norm length 0.4, norm energy 0.8, weight 0.25 -> 0.1 + 0.6 = 0.7
         b = NormBounds(0.0, 1.0, 0.0, 1.0)
-        point = combine(ObjectiveVector(0.4, 0.8, 0.55), 0.25, b)
-        assert point.cost == pytest.approx(0.7, rel=1e-15)
-        assert point.risk == 0.55
+        cost, risk = combined_points(ObjectiveVector(0.4, 0.8, 0.55).as_tuple(), 0.25, b)[0]
+        assert cost == pytest.approx(0.7, rel=1e-15)
+        assert risk == 0.55
 
     def test_weight_extremes(self):
         b = NormBounds(0.0, 1.0, 0.0, 1.0)
-        vec = ObjectiveVector(0.3, 0.9, 0.0)
-        assert combine(vec, 1.0, b).cost == pytest.approx(0.3)
-        assert combine(vec, 0.0, b).cost == pytest.approx(0.9)
-
-    def test_bad_weight_rejected(self):
-        b = NormBounds(0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            combine(ObjectiveVector(0.0, 0.0, 0.0), 1.5, b)
+        vec = ObjectiveVector(0.3, 0.9, 0.0).as_tuple()
+        assert combined_points(vec, 1.0, b)[0, 0] == pytest.approx(0.3)
+        assert combined_points(vec, 0.0, b)[0, 0] == pytest.approx(0.9)
 
     def test_as_tuple(self):
         b = NormBounds(0.0, 1.0, 0.0, 1.0)
-        assert combine(ObjectiveVector(0.5, 0.5, 0.2), 0.5, b).as_tuple() == (0.5, 0.2)
+        cost, risk = combined_points(ObjectiveVector(0.5, 0.5, 0.2).as_tuple(), 0.5, b)[0]
+        assert CombinedPoint(float(cost), float(risk)).as_tuple() == (0.5, 0.2)
+
+
+class TestArcCosts:
+    def test_entries_equal_the_terms_they_replace(self):
+        # Every world of one generated suite, T1 (4x4x3) to T5 (12x12x5).
+        for _id, settings, seed in suite_settings(0):
+            env = generate(settings, seed)
+            costs = arc_costs(env, PARAMS)
+            levels = env.spec.levels_m
+            ks = range(env.spec.level_count)
+            cell, diag = env.spec.cell_size_m, env.distance((0, 0), (1, 1))
+            assert sorted(costs.geometry) == [cell, diag]
+            for d, rows in costs.geometry.items():
+                for la in ks:
+                    for lb in ks:
+                        climb = levels[lb] - levels[la]
+                        rho = average_density(levels[la], levels[lb], PARAMS)
+                        assert rows[la][lb] == (
+                            math.sqrt(d * d + climb * climb),
+                            segment_energy(d, climb, rho, PARAMS),
+                            traversal_energy(d, climb, rho, PARAMS),
+                        )
+            assert sorted(costs.risk) == sorted(env.cells())
+            for c in env.cells():
+                for la in ks:
+                    for lb in ks:
+                        assert costs.risk[c][la][lb] == max_risk_between(env, c, la, lb)[0]
+
+    def test_one_table_per_world_and_drone(self, tmp_path):
+        env = build_env(risk=0.3)
+        save_instance(env, tmp_path / "w.json")
+        loaded = load_instance(tmp_path / "w.json")
+        assert loaded is not env and loaded == env and hash(loaded) == hash(env)
+        assert arc_costs(loaded, PARAMS) is arc_costs(env, PARAMS)
+        assert arc_costs(env, DroneParams(speed_mps=5.0)) is not arc_costs(env, PARAMS)
 
 
 class TestPathRecord:
