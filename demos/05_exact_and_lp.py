@@ -1,8 +1,8 @@
-"""Exhaustive ground truth and the linear-program export.
+"""Exact ground truth and the linear-program export.
 
-Small worlds admit two independent sources of truth: an exhaustive
-enumerator that walks every simple path with every feasible level
-assignment, and an exported mixed-integer linear program whose rows any
+Small worlds admit two independent sources of truth: the exact Pareto front
+over every simple path with every feasible level assignment, found by label
+setting, and an exported mixed-integer linear program whose rows any
 feasible assignment must satisfy. Both double-check the evaluators and each
 other.
 """
@@ -26,11 +26,11 @@ env = generate(
 )
 print(env)
 
-# -- exhaustive front -----------------------------------------------------------
+# -- exact front ----------------------------------------------------------------
 
 front = enumerate_front(env, params)
-print(f"\nexhaustive search: {front.paths_enumerated} simple paths, "
-      f"{front.states_processed} states, {len(front.members)} non-dominated routes")
+print(f"\nlabel setting: {front.paths_enumerated} simple paths, "
+      f"{front.states_processed} label extensions, {len(front.members)} non-dominated routes")
 for m in front.members[:4]:
     print(f"  {m.objectives.length_m:6.1f} m  {m.objectives.energy_j:7.1f} J  "
           f"risk {m.objectives.risk:.3f}  via {m.cells}")

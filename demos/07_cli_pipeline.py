@@ -59,7 +59,7 @@ assert main(["plot", *fronts, "--out", str(tmp / "plots")]) == 0
 made = sorted(p.name for p in (tmp / "plots").iterdir())
 print("\nplot artifacts:", ", ".join(made[:6]), "...")
 
-# -- 5. self-checks against the exhaustive oracle ------------------------------------------
+# -- 5. self-checks against the exact oracle ------------------------------------------
 
 assert main(["check", str(inst_dir / "T1-1.json")]) == 0
 

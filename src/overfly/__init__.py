@@ -5,7 +5,7 @@ discrete altitude levels, never moving backward along the west-east axis.
 Paths are scored on three objectives — travelled distance, consumed energy
 (altitude-dependent air density, asymmetric climb cost), and accumulated
 ground risk — and searched with evolutionary algorithms whose results can be
-verified against an exhaustive enumerator and an exported integer program.
+verified against an exact label-setting front and an exported integer program.
 
 Modules:
 
@@ -16,9 +16,10 @@ Modules:
 - ``operators``: random-walk initialization, crossover, repair, mutation.
 - ``draws``: cheap scalar draws on a numpy Generator's own stream.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
-- ``exact``: exhaustive small-instance enumeration and a flow checker.
+- ``exact``: the exact small-instance front by label setting and a flow checker.
 - ``milp``: integer-program construction, LP text export, substitution checks.
-- ``metrics``: hypervolume, shared reference points, correlation, tables.
+- ``metrics``: the Pareto filter, hypervolume, shared reference points,
+  correlation, tables.
 - ``plots``: dependency-free SVG scatter/line rendering and CSV output.
 - ``cli``: the ``overfly`` command (gen, solve, tune, table, plot, check,
   lp-export).
@@ -70,6 +71,7 @@ from .metrics import (
     FrontSummary,
     MetricError,
     hypervolume_2d,
+    nondominated,
     pearson,
     relative_hv_table,
     shared_reference,
@@ -195,6 +197,7 @@ __all__ = [
     "max_risk_between",
     "mutate",
     "mutation_test",
+    "nondominated",
     "objective_value",
     "path_record",
     "pearson",

@@ -257,7 +257,7 @@ def _front_payload(
 
 
 def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) -> float:
-    """Run quality against the exhaustive oracle, in [0, 1] (possibly above
+    """Run quality against the exact oracle, in [0, 1] (possibly above
     1 only through float noise).
 
     Both fronts are measured at weight 0.5 with normalization bounds and the
@@ -704,8 +704,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "enumerate",
         len(exact.members) > 0,
         f"{len(exact.members)} member(s), {exact.paths_enumerated} path(s), "
-        f"{exact.states_processed} state(s)",
+        f"{exact.states_processed} label extension(s)",
     )
+    if not exact.members:
+        return 3  # no start-to-goal route: every later check needs a member
 
     bad_validate = sum(
         1 for m in exact.members if not validate(m.chromosome(), env).ok

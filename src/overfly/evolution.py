@@ -24,7 +24,7 @@ import numpy as np
 
 from .draws import Draws
 from .environment import Environment
-from .metrics import hypervolume_2d, shared_reference
+from .metrics import hypervolume_2d, nondominated, shared_reference
 from .operators import OperatorConfig, OperatorStats, crossover, initialize, mutate
 from .physics import DroneParams
 from .solution import (
@@ -364,34 +364,13 @@ def combined_points(triples: np.ndarray, weights, bounds: NormBounds) -> np.ndar
     return np.column_stack([cost, t[:, 2]])
 
 
-class _ParetoArchive:
-    """Cumulative non-dominated set under raw 3-objective dominance."""
-
-    __slots__ = ("vecs", "items")
-
-    def __init__(self) -> None:
-        self.vecs: list[tuple[float, float, float]] = []
-        self.items: list[Chromosome] = []
-
-    def add(self, vec: tuple[float, float, float], item: Chromosome) -> bool:
-        a, b, c = vec
-        for v in self.vecs:
-            if v[0] <= a and v[1] <= b and v[2] <= c:
-                return False  # dominated or duplicate; first copy wins
-        keep_vecs: list[tuple[float, float, float]] = []
-        keep_items: list[Chromosome] = []
-        for v, it in zip(self.vecs, self.items):
-            if not (a <= v[0] and b <= v[1] and c <= v[2]):
-                keep_vecs.append(v)
-                keep_items.append(it)
-        keep_vecs.append(vec)
-        keep_items.append(item)
-        self.vecs = keep_vecs
-        self.items = keep_items
-        return True
-
-    def snapshot(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(self.vecs)
+def _archived(
+    items: list[Chromosome], triples: list[tuple[float, float, float]]
+) -> tuple[list[Chromosome], list[tuple[float, float, float]]]:
+    """Non-dominated subset under raw 3-objective dominance, in input order;
+    the first copy of a duplicated triple wins."""
+    keep = nondominated(triples)
+    return [items[i] for i in keep], [triples[i] for i in keep]
 
 
 def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
@@ -422,12 +401,10 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     pop = [initialize(env, params, draws, opcfg, stats) for _ in range(pop_size)]
     vecs = [evaluate(ch, env, params) for ch in pop]
     evaluations = pop_size
-    archive = _ParetoArchive()
-    for ch, v in zip(pop, vecs):
-        archive.add(v.as_tuple(), ch)
     all_triples: list[tuple[float, float, float]] = [v.as_tuple() for v in vecs]
+    archive, archive_triples = _archived(pop, all_triples)
     snapshots: list[tuple[int, tuple[tuple[float, float, float], ...]]] = [
-        (evaluations, archive.snapshot())
+        (evaluations, tuple(archive_triples))
     ]
 
     ref_dirs = (
@@ -519,9 +496,9 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]
         evaluations += pop_size
-        for ch, v in zip(offspring, child_vecs):
-            archive.add(v.as_tuple(), ch)
-            all_triples.append(v.as_tuple())
+        child_triples = [v.as_tuple() for v in child_vecs]
+        all_triples.extend(child_triples)
+        archive, archive_triples = _archived(archive + offspring, archive_triples + child_triples)
 
         if cfg.algorithm == "spea2":
             pop, vecs = offspring, child_vecs
@@ -538,7 +515,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             vecs = [union_vecs[i] for i in sel]
 
         generations += 1
-        snapshots.append((evaluations, archive.snapshot()))
+        snapshots.append((evaluations, tuple(archive_triples)))
 
     # -- reporting ----------------------------------------------------------
 
@@ -551,8 +528,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         for evals, snap in snapshots
     )
 
-    pool_pop = list(pop) + arch_pop + list(archive.items)
-    pool_vecs = vecs + arch_vecs + [ObjectiveVector(*v) for v in archive.vecs]
+    pool_pop = list(pop) + arch_pop + archive
+    pool_vecs = vecs + arch_vecs + [ObjectiveVector(*v) for v in archive_triples]
     seen: set[tuple] = set()
     uniq_pop: list[Chromosome] = []
     uniq_vecs: list[ObjectiveVector] = []
@@ -577,10 +554,10 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         key=lambda fm: (fm.combined.cost, fm.combined.risk, fm.objectives.length_m, fm.chromosome.cells)
     )
 
-    archive_pts = combined_points(np.asarray(archive.vecs), 0.5, report_bounds)
+    archive_pts = combined_points(np.asarray(archive_triples), 0.5, report_bounds)
     archive_members = [
         FrontMember(ch, ObjectiveVector(*v), CombinedPoint(float(p[0]), float(p[1])))
-        for ch, v, p in zip(archive.items, archive.vecs, archive_pts)
+        for ch, v, p in zip(archive, archive_triples, archive_pts)
     ]
     archive_members.sort(
         key=lambda fm: (fm.objectives.length_m, fm.objectives.energy_j, fm.objectives.risk, fm.chromosome.cells)

@@ -1,7 +1,8 @@
 """Ground truth for tiny instances.
 
-Exhaustive enumeration of every feasible (cell path, entry-level assignment)
-pair yields the true Pareto front in (length, energy, risk); an arc-based
+Multicriteria label setting over the acyclic (cell, run direction, entry
+level) state graph yields the true Pareto front in (length, energy, risk) of
+every feasible (cell path, entry-level assignment) pair; an arc-based
 evaluator recomputes the objectives from the flow form of a candidate,
 independently of the chromosome evaluator. Both exist to check the search
 algorithms and the integer-program exporter, not to scale.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .environment import Cell, Environment
+from .metrics import nondominated
 from .physics import DroneParams, air_density
 from .solution import Chromosome, ObjectiveVector, arc_costs
 
@@ -31,16 +33,15 @@ class FlowError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationCaps:
-    """Size guard for exhaustive enumeration.
+    """Size guard for the exact front.
 
-    ``max_states`` bounds the number of dynamic-programming transitions
-    processed; hitting any cap raises :class:`EnumerationLimitError` rather
-    than returning a partial answer.
+    ``max_states`` bounds the number of label extensions processed; hitting
+    any cap raises :class:`EnumerationLimitError` rather than returning a
+    partial answer.
     """
 
     max_cells: int = 25
     max_levels: int = 4
-    max_path_length: int | None = None
     max_states: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -48,8 +49,6 @@ class EnumerationCaps:
             raise ValueError("max_cells must be >= 2")
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
-        if self.max_path_length is not None and self.max_path_length < 2:
-            raise ValueError("max_path_length must be >= 2 when set")
         if self.max_states < 1:
             raise ValueError("max_states must be >= 1")
 
@@ -90,26 +89,19 @@ def check_caps(env: Environment, caps: EnumerationCaps) -> None:
 
 
 Triple = tuple[float, float, float]
+# A partial path: (objective triple, cells, entry levels).
+Label = tuple[Triple, tuple[Cell, ...], tuple[int, ...]]
+
+# Run directions inside a column: entered from the west (or the start), then
+# running north or running south.
+_ENTERED, _NORTH, _SOUTH = 0, 1, 2
 
 
-def _prune_entries(
-    entries: list[tuple[Triple, tuple[int, ...]]],
-) -> list[tuple[Triple, tuple[int, ...]]]:
-    """Non-dominated subset; one representative (smallest level sequence)
-    per duplicated objective triple."""
-    entries.sort()
-    kept: list[tuple[Triple, tuple[int, ...]]] = []
-    for triple, seq in entries:
-        if kept and kept[-1][0] == triple:
-            continue
-        dominated = False
-        for other, _ in kept:
-            if other[0] <= triple[0] and other[1] <= triple[1] and other[2] <= triple[2]:
-                dominated = True
-                break
-        if not dominated:
-            kept.append((triple, seq))
-    return kept
+def _prune(labels: list[Label]) -> list[Label]:
+    """Non-dominated labels in (triple, cells, levels) order; the smallest
+    (cells, levels) represents a duplicated triple."""
+    labels.sort()
+    return [labels[i] for i in nondominated([lab[0] for lab in labels])]
 
 
 def enumerate_front(
@@ -117,16 +109,19 @@ def enumerate_front(
     params: DroneParams,
     caps: EnumerationCaps | None = None,
 ) -> ExactFront:
-    """Exact tri-objective Pareto front by exhaustive search.
+    """Exact tri-objective Pareto front by multicriteria label setting.
 
-    Depth-first enumeration of all simple cell paths from start to goal,
-    crossed with every feasible entry-level assignment. Level assignments
-    along a fixed path are explored by dynamic programming over the entry
-    level per position (exact: each segment's contribution depends only on
-    the adjacent pair of levels), keeping per-level non-dominated partial
-    objective triples. Segment terms come from ``solution.arc_costs`` and
-    accumulate in the chromosome evaluator's order, so member objectives
-    equal ``solution.evaluate`` output.
+    Moves never go west and revisits are banned, so inside one column a path
+    runs straight north or straight south. The states (cell, run direction,
+    entry level) therefore form an acyclic graph, every continuation depends
+    only on the state, and per-state Pareto labels are exact (Martins 1984).
+    States are settled column by column from the start eastward; inside a
+    column, entered states first, then northward runs bottom-up, then
+    southward runs top-down. Each label sums its ``solution.arc_costs`` terms
+    in path order from zero, as ``solution.evaluate`` does, so member
+    objectives equal the evaluator's output. ``paths_enumerated`` counts the
+    simple start-to-goal cell paths; ``states_processed`` counts label
+    extensions.
 
     Raises:
         EnumerationLimitError: when a cap would be exceeded (never truncates).
@@ -134,87 +129,73 @@ def enumerate_front(
     caps = caps or EnumerationCaps()
     check_caps(env, caps)
     spec = env.spec
-    goal = spec.goal_cell
+    start, goal = spec.start_cell, spec.goal_cell
     costs = arc_costs(env, params)
-    states = 0
-    paths = 0
-    # Global front entries: (triple, (cells, level sequence)).
-    front: list[tuple[Triple, tuple[tuple[Cell, ...], tuple[int, ...]]]] = []
 
-    def merge_global(triple: Triple, cells: tuple[Cell, ...], seq: tuple[int, ...]) -> None:
-        rep = (cells, seq)
-        for other, other_rep in front:
-            if other == triple:
-                if rep < other_rep:
-                    front.remove((other, other_rep))
-                    front.append((triple, rep))
-                return
-            if other[0] <= triple[0] and other[1] <= triple[1] and other[2] <= triple[2]:
-                return
-        front[:] = [
-            (v, r)
-            for v, r in front
-            if not (triple[0] <= v[0] and triple[1] <= v[1] and triple[2] <= v[2])
-        ]
-        front.append((triple, rep))
-
-    def process_path(cells: tuple[Cell, ...]) -> None:
-        nonlocal states, paths
-        paths += 1
-        current: dict[int, list[tuple[Triple, tuple[int, ...]]]] = {
-            spec.start_level: [((0.0, 0.0, 0.0), (spec.start_level,))]
-        }
-        for t in range(len(cells) - 1):
-            frm, to = cells[t], cells[t + 1]
-            lo, hi = env.feasible_levels(to)
-            geometry = costs.geometry[env.distance(frm, to)]
-            band_risk = costs.risk[frm]
-            nxt: dict[int, list[tuple[Triple, tuple[int, ...]]]] = {}
-            for la, partials in current.items():
-                arcs, risks = geometry[la], band_risk[la]
-                for triple, seq in partials:
-                    for lb in range(lo, hi + 1):
-                        states += 1
-                        if states > caps.max_states:
-                            raise EnumerationLimitError(
-                                f"enumeration exceeded {caps.max_states} level-assignment states"
-                            )
-                        arc = arcs[lb]
-                        cand = (triple[0] + arc[0], triple[1] + arc[1], triple[2] + risks[lb])
-                        nxt.setdefault(lb, []).append((cand, seq + (lb,)))
-            current = {k: _prune_entries(v) for k, v in nxt.items()}
-        for partials in current.values():
-            for triple, seq in partials:
-                merge_global(triple, cells, seq)
-
-    path: list[Cell] = [spec.start_cell]
-    on_path = {spec.start_cell}
-
-    def dfs(cell: Cell) -> None:
-        if cell == goal:
-            process_path(tuple(path))
-            return
-        if caps.max_path_length is not None and len(path) >= caps.max_path_length:
-            return
-        for nxt in env.successors(cell):
-            if nxt in on_path or not env.passable(nxt):
+    def moves(cell: Cell, direction: int) -> list[tuple[Cell, int]]:
+        """(next cell, its run direction) pairs open to a path in this state."""
+        out = []
+        for to in env.successors(cell):
+            if not env.passable(to):
                 continue
-            path.append(nxt)
-            on_path.add(nxt)
-            dfs(nxt)
-            path.pop()
-            on_path.remove(nxt)
+            if to[1] != cell[1]:
+                out.append((to, _ENTERED))
+                continue
+            run = _NORTH if to[0] < cell[0] else _SOUTH
+            if direction in (_ENTERED, run):
+                out.append((to, run))
+        return out
 
-    dfs(spec.start_cell)
+    path_counts = {(start, _ENTERED): 1}
+    pending: dict[tuple[Cell, int, int], list[Label]] = {
+        (start, _ENTERED, spec.start_level): [((0.0, 0.0, 0.0), (start,), (spec.start_level,))]
+    }
+    at_goal: list[Label] = []
+    paths = 0
+    states = 0
+    rows = range(spec.rows)
+    for col in range(start[1], spec.cols):
+        order = (
+            [((r, col), _ENTERED) for r in rows]
+            + [((r, col), _NORTH) for r in reversed(rows)]
+            + [((r, col), _SOUTH) for r in rows]
+        )
+        for cell, direction in order:
+            count = path_counts.pop((cell, direction), 0)
+            if not count:
+                continue
+            steps = moves(cell, direction)
+            for step in steps:
+                if step[0] == goal:
+                    paths += count
+                else:
+                    path_counts[step] = path_counts.get(step, 0) + count
+            for la in range(spec.level_count):
+                labels = _prune(pending.pop((cell, direction, la), []))
+                if not labels:
+                    continue
+                risks = costs.risk[cell][la]
+                for to, to_dir in steps:
+                    arcs = costs.geometry[env.distance(cell, to)][la]
+                    lo, hi = env.feasible_levels(to)
+                    states += len(labels) * (hi - lo + 1)
+                    if states > caps.max_states:
+                        raise EnumerationLimitError(
+                            f"enumeration exceeded {caps.max_states} label extensions"
+                        )
+                    for lb in range(lo, hi + 1):
+                        dl, de, dr = arcs[lb][0], arcs[lb][1], risks[lb]
+                        dest = at_goal if to == goal else pending.setdefault((to, to_dir, lb), [])
+                        dest.extend(
+                            ((a + dl, b + de, c + dr), cells + (to,), levels + (lb,))
+                            for (a, b, c), cells, levels in labels
+                        )
 
-    members = [
-        ExactMember(cells=rep[0], entry_levels=rep[1], objectives=ObjectiveVector(*triple))
-        for triple, rep in front
-    ]
-    members.sort(key=lambda m: (m.objectives.as_tuple(), m.cells, m.entry_levels))
-    return ExactFront(
-        members=tuple(members), paths_enumerated=paths, states_processed=states
+    members = tuple(
+        ExactMember(cells=cells, entry_levels=levels, objectives=ObjectiveVector(*triple))
+        for triple, cells, levels in _prune(at_goal)
     )
+    return ExactFront(members=members, paths_enumerated=paths, states_processed=states)
 
 
 def iter_assignments(

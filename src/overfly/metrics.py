@@ -8,7 +8,7 @@ that winners read 100.00.
 
 from __future__ import annotations
 
-import math
+import bisect
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -24,19 +24,40 @@ class MetricError(ValueError):
 Point = tuple[float, float]
 
 
-def _pareto_staircase(points: np.ndarray) -> np.ndarray:
-    """Non-dominated subset of 2D points (minimization), sorted by the first
-    objective ascending; the second objective then strictly decreases.
-    Duplicates collapse to one representative."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    kept: list[np.ndarray] = []
-    best_y = math.inf
-    for idx in order:
-        y = points[idx, 1]
-        if y < best_y:
-            kept.append(points[idx])
-            best_y = y
-    return np.asarray(kept)
+def nondominated(points: Sequence[Sequence[float]]) -> list[int]:
+    """Indices of the points that no other point weakly dominates (minimization).
+
+    Points have 2 or 3 objectives. Each distinct point is kept once, as its
+    earliest copy, and indices come back in input order. After a stable
+    lexicographic sort, whatever dominates a point precedes it, so a point
+    survives when no earlier survivor is at or below it in the last two
+    objectives. Survivors' (second, third) pairs are kept as a staircase
+    (second ascending, third descending) that answers this by bisection
+    (the 3D maxima test of Kung, Luccio and Preparata, JACM 1975).
+    """
+    dims = {len(p) for p in points}
+    if len(dims) > 1 or not dims <= {2, 3}:
+        raise MetricError("nondominated expects points with 2 or 3 objectives each")
+    kept: list[int] = []
+    stair_b: list[float] = []
+    stair_c: list[float] = []
+    previous = None
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        point = points[i]
+        if point == previous:
+            continue
+        previous = point
+        b, c = point[1], point[2] if len(point) == 3 else 0.0
+        j = bisect.bisect_right(stair_b, b)
+        if j and stair_c[j - 1] <= c:
+            continue
+        kept.append(i)
+        end = j
+        while end < len(stair_b) and stair_c[end] >= c:
+            end += 1
+        stair_b[j:end] = [b]
+        stair_c[j:end] = [c]
+    return sorted(kept)
 
 
 def hypervolume_2d(points: Iterable[Point], reference: Point) -> float:
@@ -70,10 +91,11 @@ def hypervolume_2d(points: Iterable[Point], reference: Point) -> float:
     pts = pts[inside]
     if len(pts) == 0:
         return 0.0
-    pts = _pareto_staircase(pts)
+    pts = pts.tolist()
+    front = sorted(pts[i] for i in nondominated(pts))
     area = 0.0
     prev_y = ry
-    for x, y in pts:
+    for x, y in front:
         area += (rx - x) * (prev_y - y)
         prev_y = y
     return float(area)

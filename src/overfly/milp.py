@@ -125,7 +125,6 @@ def build_model(
     bounds: NormBounds | None = None,
     risk_cap: float | None = None,
     big_m: float | None = None,
-    caps: EnumerationCaps | None = None,
 ) -> MilpModel:
     """Assemble every variable family and constraint row for an instance.
 
@@ -145,7 +144,7 @@ def build_model(
     if objective == "epsilon":
         if risk_cap is None or risk_cap < 0.0:
             raise ValueError("epsilon objective requires a nonnegative risk_cap")
-    check_caps(env, caps or EnumerationCaps())
+    check_caps(env, EnumerationCaps())
 
     spec = env.spec
     start, goal = spec.start_cell, spec.goal_cell
@@ -456,7 +455,6 @@ def export_lp(
     bounds: NormBounds | None = None,
     risk_cap: float | None = None,
     big_m: float | None = None,
-    caps: EnumerationCaps | None = None,
 ) -> str:
     """Build and render the model in one step."""
     model = build_model(
@@ -467,7 +465,6 @@ def export_lp(
         bounds=bounds,
         risk_cap=risk_cap,
         big_m=big_m,
-        caps=caps,
     )
     return render_lp(model)
 

@@ -3,11 +3,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from overfly import GeneratorSettings, generate, save_instance
 from overfly.cli import main
 import overfly.cli as cli
+
+from helpers import build_env
 
 
 def save_tiny(path, seed=0, rows=3, cols=3, levels=2):
@@ -307,6 +310,15 @@ class TestCheck:
         save_tiny(tmp_path / "big.json", 1, rows=6, cols=6)
         assert main(["check", str(tmp_path / "big.json")]) == 2
         assert "refusing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [[], ["--samples", "0"]])
+    def test_no_route_fails_enumerate_and_exits_three(self, tmp_path, capsys, samples):
+        wall = np.zeros((3, 3))
+        wall[:, 1] = 100.0  # above the top level: the middle column is impassable
+        save_instance(build_env(rows=3, cols=3, obstacle=wall), tmp_path / "walled.json")
+        assert main(["check", str(tmp_path / "walled.json"), *samples]) == 3
+        out = capsys.readouterr().out
+        assert "check enumerate: FAIL (0 member(s), 0 path(s)" in out
 
     def test_injected_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         save_tiny(tmp_path / "i1.json", 1)

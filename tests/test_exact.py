@@ -46,6 +46,33 @@ def brute_force_front(env, params):
     return sorted(set(front))
 
 
+def hand_built_worlds():
+    """Route shapes the generator rarely draws: start and goal in one column
+    (goal north, goal south), four levels, routes that are all diagonal, and
+    a goal that only a westward move could reach (empty front, no paths)."""
+    rng = np.random.default_rng(11)
+    wall = 100.0  # above every top level: impassable
+
+    def risk(rows, cols, levels):
+        return rng.uniform(0.05, 0.95, (rows, cols, levels))
+
+    diagonal = np.full((3, 3), wall)
+    for cell in ((1, 0), (0, 1), (2, 1), (1, 2)):
+        diagonal[cell] = 0.0
+    four_levels = np.zeros((2, 3))
+    four_levels[0, 1] = 15.0
+    west = np.zeros((3, 2))
+    west[1, 0] = wall
+    return [
+        build_env(rows=4, cols=3, start=(3, 1), goal=(0, 1), risk=risk(4, 3, 3)),
+        build_env(rows=4, cols=3, start=(0, 1), goal=(3, 1), risk=risk(4, 3, 3)),
+        build_env(rows=2, cols=3, levels=(0.0, 10.0, 20.0, 30.0), obstacle=four_levels,
+                  risk=risk(2, 3, 4)),
+        build_env(rows=3, cols=3, obstacle=diagonal, risk=risk(3, 3, 3)),
+        build_env(rows=3, cols=2, start=(2, 0), goal=(0, 0), obstacle=west, risk=risk(3, 2, 3)),
+    ]
+
+
 class TestCaps:
     def test_default_caps(self):
         caps = EnumerationCaps()
@@ -90,12 +117,13 @@ class TestPathCounts:
         assert len(front.members) == 1
 
     def test_matches_test_side_dfs(self):
-        env = generate(
+        generated = generate(
             GeneratorSettings(rows=3, cols=4, obstacle_density=0.25,
                               risk_low=0.1, risk_high=0.9), 3,
         )
-        front = enumerate_front(env, PARAMS)
-        assert front.paths_enumerated == len(all_simple_paths(env))
+        for env in [generated, *hand_built_worlds()]:
+            front = enumerate_front(env, PARAMS)
+            assert front.paths_enumerated == len(all_simple_paths(env))
 
 
 class TestEnumerateFront:
@@ -121,12 +149,15 @@ class TestEnumerateFront:
             assert not (all(x <= y for x, y in zip(a, b)) and a != b)
 
     def test_matches_brute_force_front(self):
-        for seed in range(5):
-            env = generate(
+        generated = [
+            generate(
                 GeneratorSettings(rows=3, cols=3, level_count=2, obstacle_density=0.25,
                                   ceiling_fraction=0.2, risk_low=0.05, risk_high=0.95),
                 seed,
             )
+            for seed in range(5)
+        ]
+        for env in generated + hand_built_worlds():
             expected = brute_force_front(env, PARAMS)
             got = sorted({m.objectives.as_tuple() for m in enumerate_front(env, PARAMS).members})
             assert got == expected

@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from overfly import (
     FrontSummary,
     MetricError,
     hypervolume_2d,
+    nondominated,
     pearson,
     relative_hv_table,
     shared_reference,
@@ -61,6 +63,35 @@ class TestHypervolume:
         pts = [(0.5, 0.5)]
         assert hypervolume_2d(pts, (1.5, 1.5)) == 1.0
         assert hypervolume_2d(pts, (2.5, 2.5)) == 4.0
+
+
+def _brute_force_nondominated(points):
+    """O(n^2) reference: the earliest copy of each point no other point
+    weakly dominates, in input order."""
+    return [
+        i
+        for i, p in enumerate(points)
+        if points.index(p) == i
+        and not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)
+    ]
+
+
+class TestNondominated:
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda dims: st.lists(
+                st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * dims), max_size=30
+            )
+        )
+    )
+    def test_matches_brute_force(self, points):
+        assert nondominated(points) == _brute_force_nondominated(points)
+
+    def test_mixed_or_wrong_dimensions_rejected(self):
+        with pytest.raises(MetricError):
+            nondominated([(1.0, 2.0, 3.0, 4.0)])
+        with pytest.raises(MetricError):
+            nondominated([(1.0, 2.0), (1.0, 2.0, 3.0)])
 
 
 class TestSharedReference:
