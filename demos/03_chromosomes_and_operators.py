@@ -47,8 +47,8 @@ if not report.ok:
 
 # -- initialization --------------------------------------------------------------
 
-a = initialize(env, params, rng, opcfg, stats)
-b = initialize(env, params, rng, opcfg, stats)
+a = initialize(env, rng, opcfg, stats)
+b = initialize(env, rng, opcfg, stats)
 print("\nwalk A:", a.cells)
 print("levels:", a.entry_levels, f"weight {a.weight:.3f}")
 print("walk B:", b.cells)

@@ -79,7 +79,6 @@ from .metrics import (
     table_text,
 )
 from .milp import (
-    Corruption,
     LpRow,
     LpVar,
     MilpModel,
@@ -87,7 +86,6 @@ from .milp import (
     SubstitutionReport,
     assignment_values,
     build_model,
-    corruption_suite,
     default_big_m,
     export_lp,
     mutation_test,
@@ -138,7 +136,6 @@ __all__ = [
     "Chromosome",
     "ChromosomeError",
     "CombinedPoint",
-    "Corruption",
     "DroneParams",
     "EnumerationCaps",
     "EnumerationLimitError",
@@ -179,7 +176,6 @@ __all__ = [
     "chromosome_arcs",
     "climb_energy",
     "combined_points",
-    "corruption_suite",
     "crossover",
     "crowding_distance",
     "default_big_m",

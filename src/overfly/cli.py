@@ -34,10 +34,11 @@ from .evolution import (
     RunResult,
     TunerConfig,
     combined_points,
+    oracle_hv_ratio,
     run,
     tune,
 )
-from .exact import EnumerationCaps, EnumerationLimitError, enumerate_front, chromosome_arcs, evaluate_assignment
+from .exact import EnumerationLimitError, enumerate_front, chromosome_arcs, evaluate_assignment
 from .metrics import (
     FrontSummary,
     hypervolume_2d,
@@ -59,7 +60,7 @@ from .milp import (
 from .operators import OperatorConfig, initialize
 from .physics import DroneParams
 from .plots import Series, render_svg, write_csv
-from .solution import NormBounds, validate
+from .solution import NormBounds, evaluate, validate
 
 import numpy as np
 
@@ -195,17 +196,31 @@ def _derived_tuner_seed(base: int, instance_id: str, algorithm: str) -> int:
 
 
 def _tuner_payload(config: dict, derived_seed: int) -> dict:
+    """The config's ``tuner`` section with ``TunerConfig``'s defaults for
+    missing fields, and the derived seed."""
     tuner = config.get("tuner", {})
+    defaults = TunerConfig()
+
+    def pick(name: str):
+        return tuner.get(name, getattr(defaults, name))
+
     return {
-        "budget": int(tuner.get("budget", 100)),
+        "budget": int(pick("budget")),
         "seed": derived_seed,
-        "crossover_range": tuple(tuner.get("crossover_range", (0.5, 1.0))),
-        "mutation_probability_range": tuple(
-            tuner.get("mutation_probability_range", (0.01, 0.5))
-        ),
-        "mutation_rate_range": tuple(tuner.get("mutation_rate_range", (0.05, 1.0))),
-        "population_sizes": tuple(tuner.get("population_sizes", (20, 40, 60, 80, 100))),
+        "crossover_range": tuple(pick("crossover_range")),
+        "mutation_probability_range": tuple(pick("mutation_probability_range")),
+        "mutation_rate_range": tuple(pick("mutation_rate_range")),
+        "population_sizes": tuple(pick("population_sizes")),
     }
+
+
+_RUN_SIZES = ("population_size", "evaluation_budget", "archive_size", "reference_point_divisions")
+
+
+def _run_sizes(config: dict) -> dict[str, int]:
+    """The config's run sizes, with ``AlgoConfig``'s defaults for the rest."""
+    defaults = AlgoConfig()
+    return {name: int(config.get(name, getattr(defaults, name))) for name in _RUN_SIZES}
 
 
 def _member_payload(member, env: Environment) -> dict:
@@ -254,32 +269,6 @@ def _front_payload(
         "archive": [_member_payload(m, env) for m in result.archive],
         "hv_trace": [[e, hv] for e, hv in result.hv_trace],
     }
-
-
-def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) -> float:
-    """Run quality against the exact oracle, in [0, 1] (possibly above
-    1 only through float noise).
-
-    Both fronts are measured at weight 0.5 with normalization bounds and the
-    reference point taken from the exact front, so the ratio compares like
-    with like.
-    """
-    exact = enumerate_front(env, params)
-    triples = np.asarray([m.objectives.as_tuple() for m in exact.members])
-    bounds = NormBounds.from_vectors([m.objectives for m in exact.members])
-    exact_pts = combined_points(triples, 0.5, bounds)
-    ref = shared_reference([exact_pts])
-    exact_hv = hypervolume_2d(exact_pts, ref)
-    if exact_hv == 0.0:
-        return 1.0
-    run_triples = np.asarray([m.objectives.as_tuple() for m in result.archive])
-    run_pts = combined_points(run_triples, 0.5, bounds)
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        run_hv = hypervolume_2d(run_pts, ref)
-    return run_hv / exact_hv
 
 
 def _execute_job(payload: dict) -> dict:
@@ -377,6 +366,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     operators = asdict(_operators_from(config))
     out = _require_out(args)
     tuner_base = int(config.get("tuner", {}).get("seed", 0))
+    sizes = _run_sizes(config)
     jobs: list[dict] = []
     for inst in instances:
         inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
@@ -395,12 +385,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                             "algorithm": algorithm,
                             "tuned": tuned,
                             "seed": int(seed),
-                            "population_size": int(config.get("population_size", 100)),
-                            "evaluation_budget": int(config.get("evaluation_budget", 10000)),
-                            "archive_size": int(config.get("archive_size", 100)),
-                            "reference_point_divisions": int(
-                                config.get("reference_point_divisions", 99)
-                            ),
+                            **sizes,
                             "operators": operators,
                             "drone": drone,
                             "tuner": _tuner_payload(
@@ -463,15 +448,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             try:
                 env = load_instance(inst_path)
                 base = AlgoConfig(
-                    algorithm=algorithm,
-                    population_size=int(config.get("population_size", 100)),
-                    evaluation_budget=int(config.get("evaluation_budget", 10000)),
-                    archive_size=int(config.get("archive_size", 100)),
-                    reference_point_divisions=int(
-                        config.get("reference_point_divisions", 99)
-                    ),
-                    operators=operators,
-                    seed=0,
+                    algorithm=algorithm, operators=operators, seed=0, **_run_sizes(config)
                 )
                 payload = _tuner_payload(
                     config, _derived_tuner_seed(tuner_base, instance_id, algorithm)
@@ -719,11 +696,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     worst = 0.0
     candidates = [m.chromosome() for m in exact.members]
     for _ in range(args.samples):
-        candidates.append(initialize(env, params, rng))
-    from .solution import evaluate as _evaluate
-
+        candidates.append(initialize(env, rng))
     for ch in candidates:
-        a = _evaluate(ch, env, params)
+        a = evaluate(ch, env, params)
         b = evaluate_assignment(chromosome_arcs(ch), env, params)
         for va, vb in zip(a.as_tuple(), b.as_tuple()):
             denom = max(1.0, abs(va), abs(vb))

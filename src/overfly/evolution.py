@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .draws import Draws
 from .environment import Environment
+from .exact import enumerate_front
 from .metrics import hypervolume_2d, nondominated, shared_reference
 from .operators import OperatorConfig, OperatorStats, crossover, initialize, mutate
 from .physics import DroneParams
@@ -364,6 +366,30 @@ def combined_points(triples: np.ndarray, weights, bounds: NormBounds) -> np.ndar
     return np.column_stack([cost, t[:, 2]])
 
 
+def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) -> float:
+    """Run quality against the exact oracle, in [0, 1] (possibly above
+    1 only through float noise).
+
+    Both fronts are measured at weight 0.5 with normalization bounds and the
+    reference point taken from the exact front, so the ratio compares like
+    with like.
+    """
+    exact = enumerate_front(env, params)
+    triples = np.asarray([m.objectives.as_tuple() for m in exact.members])
+    bounds = NormBounds.from_vectors([m.objectives for m in exact.members])
+    exact_pts = combined_points(triples, 0.5, bounds)
+    ref = shared_reference([exact_pts])
+    exact_hv = hypervolume_2d(exact_pts, ref)
+    if exact_hv == 0.0:
+        return 1.0
+    run_triples = np.asarray([m.objectives.as_tuple() for m in result.archive])
+    run_pts = combined_points(run_triples, 0.5, bounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_hv = hypervolume_2d(run_pts, ref)
+    return run_hv / exact_hv
+
+
 def _archived(
     items: list[Chromosome], triples: list[tuple[float, float, float]]
 ) -> tuple[list[Chromosome], list[tuple[float, float, float]]]:
@@ -398,7 +424,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     # The operators and tournaments draw through ``draws``, which shares
     # ``rng``'s stream at a fraction of the per-call cost.
     draws = Draws(rng)
-    pop = [initialize(env, params, draws, opcfg, stats) for _ in range(pop_size)]
+    pop = [initialize(env, draws, opcfg, stats) for _ in range(pop_size)]
     vecs = [evaluate(ch, env, params) for ch in pop]
     evaluations = pop_size
     all_triples: list[tuple[float, float, float]] = [v.as_tuple() for v in vecs]

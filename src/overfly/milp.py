@@ -5,8 +5,9 @@ writes it in CPLEX-LP text. Row labels use the wire families eq3..eq23 (flow,
 altitude windows, altitude-change definitions, product linearization, and
 ascent/descent splitting), plus add_ub tightening rows and an optional
 risk_cap row. The module also substitutes concrete assignments into every
-row (the exporter's correctness oracle) and manufactures deliberately
-violated assignments for mutation-testing that oracle.
+row (the exporter's correctness oracle) and mutation-tests that oracle: each
+row in turn gets the one-variable change that breaks it, and only that row
+is re-evaluated, by the same row evaluator ``substitute`` uses.
 
 No solver is invoked here; the text is meant for external tools, and the
 exact Pareto front comes from the enumeration module instead.
@@ -15,6 +16,7 @@ exact Pareto front comes from the enumeration module instead.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -497,6 +499,20 @@ class SubstitutionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _lhs(coeffs: Sequence[tuple[str, float]], values: Mapping[str, float]) -> float:
+    """sum(coeff * value) over the terms, with compensated summation."""
+    return math.fsum(c * float(values[n]) for n, c in coeffs)
+
+
+def _slack(row: LpRow, lhs: float) -> float:
+    """Distance of ``lhs`` inside the row's bound; negative when violated."""
+    if row.sense == "<=":
+        return row.rhs - lhs
+    if row.sense == ">=":
+        return lhs - row.rhs
+    return -abs(lhs - row.rhs)
+
+
 def substitute(
     model: MilpModel, values: Mapping[str, float], tol: float = 0.0
 ) -> SubstitutionReport:
@@ -512,29 +528,15 @@ def substitute(
         )
     checks: list[RowCheck] = []
     for row in model.rows:
-        lhs = math.fsum(c * float(values[n]) for n, c in row.coeffs)
-        if row.sense == "<=":
-            slack = row.rhs - lhs
-        elif row.sense == ">=":
-            slack = lhs - row.rhs
-        else:
-            slack = -abs(lhs - row.rhs)
-        checks.append(
-            RowCheck(
-                name=row.name,
-                family=row.family,
-                lhs=lhs,
-                sense=row.sense,
-                rhs=row.rhs,
-                slack=slack,
-                ok=slack >= -tol,
-            )
-        )
+        lhs = _lhs(row.coeffs, values)
+        slack = _slack(row, lhs)
+        # Positional arguments: keywords cost measurably more in this per-row loop.
+        checks.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol))
     return SubstitutionReport(tuple(checks))
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:
-    return math.fsum(c * float(values[n]) for n, c in model.objective)
+    return _lhs(model.objective, values)
 
 
 def assignment_values(
@@ -586,62 +588,38 @@ def assignment_values(
 # -- mutation testing --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Corruption:
-    """A deliberately broken assignment targeting one row."""
-
-    row_name: str
-    family: str
-    description: str
-    values: Mapping[str, float]
-
-
-def violate_row(
-    model: MilpModel, row: LpRow, base: Mapping[str, float]
-) -> dict[str, float]:
-    """Copy of ``base`` adjusted on one variable so that ``row`` fails.
+def violate_row(row: LpRow, base: Mapping[str, float]) -> tuple[str, float]:
+    """The one change to ``base``, as (variable, new value), that makes
+    ``row`` fail.
 
     Picks the row's first nonzero-coefficient variable and pushes the row's
     left-hand side past its bound by a margin of 1 + |rhs|.
     """
-    values = dict(base)
     name, coeff = row.coeffs[0]
-    lhs = math.fsum(c * float(values[n]) for n, c in row.coeffs)
     margin = 1.0 + abs(row.rhs)
-    if row.sense == "<=":
-        target = row.rhs + margin
-    elif row.sense == ">=":
+    target = row.rhs + margin
+    if _slack(row, target) >= 0.0:  # a ">=" row fails below its rhs
         target = row.rhs - margin
-    else:
-        target = row.rhs + margin
-    values[name] = float(values[name]) + (target - lhs) / coeff
-    return values
-
-
-def corruption_suite(model: MilpModel, base: Mapping[str, float]) -> list[Corruption]:
-    """One targeted corruption per emitted row (covers every family)."""
-    return [
-        Corruption(
-            row_name=row.name,
-            family=row.family,
-            description=f"push {row.name} past its bound",
-            values=violate_row(model, row, base),
-        )
-        for row in model.rows
-    ]
+    return name, float(base[name]) + (target - _lhs(row.coeffs, base)) / coeff
 
 
 def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0) -> dict[str, bool]:
-    """For every row family: does some corruption make a row of that family
-    fail substitution? The base assignment itself must pass."""
+    """For every row family: does some row of that family fail once
+    ``violate_row``'s change is applied? The base assignment itself must
+    pass ``substitute``.
+
+    The change touches one variable, and each row is judged on its own
+    result, so only the broken row is re-evaluated, by the same row sum and
+    sense rule as ``substitute``.
+    """
     base_report = substitute(model, base, tol)
     if not base_report.ok:
         first = base_report.failures()[0]
         raise ValueError(f"base assignment already violates {first.name}")
     caught: dict[str, bool] = {family: False for family in model.families()}
-    for corruption in corruption_suite(model, base):
-        report = substitute(model, corruption.values, tol)
-        for check in report.failures():
-            if check.name == corruption.row_name:
-                caught[corruption.family] = True
+    for row in model.rows:
+        name, value = violate_row(row, base)
+        slack = _slack(row, _lhs(row.coeffs, ChainMap({name: value}, base)))
+        if not slack >= -tol:  # substitute's ok flag, negated
+            caught[row.family] = True
     return caught

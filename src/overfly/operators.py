@@ -20,7 +20,6 @@ import numpy as np
 
 from .draws import Draws
 from .environment import Cell, Environment
-from .physics import DroneParams
 from .solution import Chromosome
 
 
@@ -111,7 +110,6 @@ def sample_entry_level(
 
 def initialize(
     env: Environment,
-    params: DroneParams,
     rng: np.random.Generator | Draws,
     config: OperatorConfig | None = None,
     stats: OperatorStats | None = None,
@@ -124,7 +122,6 @@ def initialize(
     Raises:
         InitializationError: when every retry dead-ended.
     """
-    del params  # reserved for biased construction; the walk is purely geometric
     cfg = config if config is not None else OperatorConfig()
     spec = env.spec
     for _ in range(cfg.max_init_retries):

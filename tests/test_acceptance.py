@@ -120,7 +120,7 @@ def test_criterion_02_operator_closure():
         rng = np.random.default_rng(seed)
         pool = []
         for _ in range(200):
-            ch = initialize(env, PARAMS, rng, opcfg)
+            ch = initialize(env, rng, opcfg)
             applications += 1
             failures += not validate(ch, env).ok
             pool.append(ch)
@@ -173,7 +173,7 @@ def test_criterion_03_dual_evaluator_agreement():
         env = generate(settings, 300 + w_idx)
         rng = np.random.default_rng(w_idx)
         for _ in range(250):
-            ch = initialize(env, PARAMS, rng, OperatorConfig())
+            ch = initialize(env, rng, OperatorConfig())
             direct = evaluate(ch, env, PARAMS)
             arcform = evaluate_assignment(chromosome_arcs(ch), env, PARAMS)
             for a, b in zip(direct.as_tuple(), arcform.as_tuple()):
@@ -362,7 +362,7 @@ def test_criterion_07_length_energy_correlation():
     rng = np.random.default_rng(123)
     z1, z2 = [], []
     for _ in range(1000):
-        v = evaluate(initialize(env, PARAMS, rng, OperatorConfig()), env, PARAMS)
+        v = evaluate(initialize(env, rng, OperatorConfig()), env, PARAMS)
         z1.append(v.length_m)
         z2.append(v.energy_j)
     r_multi = pearson(z1, z2)
@@ -371,7 +371,7 @@ def test_criterion_07_length_energy_correlation():
     rng = np.random.default_rng(9)
     z1f, z2f = [], []
     for _ in range(200):
-        v = evaluate(initialize(flat, PARAMS, rng, OperatorConfig()), flat, PARAMS)
+        v = evaluate(initialize(flat, rng, OperatorConfig()), flat, PARAMS)
         z1f.append(v.length_m)
         z2f.append(v.energy_j)
     r_flat = pearson(z1f, z2f)

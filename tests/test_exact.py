@@ -229,7 +229,7 @@ class TestEvaluateAssignment:
 
         rng = np.random.default_rng(0)
         for _ in range(200):
-            ch = initialize(env, PARAMS, rng)
+            ch = initialize(env, rng)
             a = evaluate(ch, env, PARAMS)
             b = evaluate_assignment(chromosome_arcs(ch), env, PARAMS)
             for va, vb in zip(a.as_tuple(), b.as_tuple()):

@@ -14,7 +14,6 @@ from overfly import (
     assignment_values,
     build_model,
     combined_points,
-    corruption_suite,
     default_big_m,
     enumerate_front,
     evaluate,
@@ -29,7 +28,7 @@ from overfly import (
     validate,
 )
 from overfly.cli import suite_settings
-from overfly.milp import LpRow, MilpModel
+from overfly.milp import LpRow, MilpModel, violate_row
 
 from helpers import all_simple_paths, build_env
 
@@ -231,16 +230,49 @@ class TestSubstitution:
 
 
 class TestCorruptions:
+    @staticmethod
+    def full_model_caught(model, base, tol=0.0):
+        """Reference for ``mutation_test``: apply each row's change to a copy
+        of the base and run the full ``substitute`` on it."""
+        caught = {family: False for family in model.families()}
+        for row in model.rows:
+            name, value = violate_row(row, base)
+            values = dict(base)
+            values[name] = value
+            failed = {c.name for c in substitute(model, values, tol).failures()}
+            caught[row.family] |= row.name in failed
+        return caught
+
     def test_every_row_violated_by_its_corruption(self):
         env = tiny_env()
         model = build_model(env, PARAMS, "z1")
         m = enumerate_front(env, PARAMS).members[0]
         base = assignment_values(model, env, m.cells, m.entry_levels)
-        suite = corruption_suite(model, base)
-        assert len(suite) == len(model.rows)
-        for corruption in suite:
-            report = substitute(model, corruption.values)
-            assert any(c.name == corruption.row_name for c in report.failures()), corruption.row_name
+        for row in model.rows:
+            name, value = violate_row(row, base)
+            assert name in {n for n, _ in row.coeffs}
+            values = dict(base)
+            values[name] = value
+            report = substitute(model, values)
+            assert any(c.name == row.name for c in report.failures()), row.name
+        reference = self.full_model_caught(model, base)
+        assert all(reference.values())
+        assert mutation_test(model, base) == reference
+
+    def test_mutation_test_reports_rows_that_cannot_fail(self):
+        env = tiny_env()
+        model = build_model(env, PARAMS, "z1")
+        m = enumerate_front(env, PARAMS).members[0]
+        base = assignment_values(model, env, m.cells, m.entry_levels)
+        # Every change pushes its row by 1 + |rhs|. At tolerance 1.5 rows with
+        # rhs 0 pass and rows such as eq3 (rhs 1) still fail; above the
+        # largest margin no row fails.
+        above_all_margins = 2.0 + max(abs(row.rhs) for row in model.rows)
+        for tol, outcomes in ((1.5, {True, False}), (above_all_margins, {False})):
+            caught = mutation_test(model, base, tol)
+            assert set(caught) == set(model.families())
+            assert set(caught.values()) == outcomes
+            assert caught == self.full_model_caught(model, base, tol)
 
     def test_mutation_test_covers_all_families(self):
         env = tiny_env()

@@ -7,7 +7,6 @@ import pytest
 
 from overfly import (
     Chromosome,
-    DroneParams,
     GeneratorSettings,
     GridError,
     InitializationError,
@@ -23,8 +22,6 @@ from overfly import (
 from overfly.operators import _repair_levels, _strip_revisits
 
 from helpers import build_env
-
-PARAMS = DroneParams()
 
 
 class TestOperatorConfig:
@@ -109,15 +106,15 @@ class TestInitialize:
         env = generate(GeneratorSettings(rows=6, cols=6, obstacle_density=0.3), 5)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            ch = initialize(env, PARAMS, rng)
+            ch = initialize(env, rng)
             report = validate(ch, env)
             assert report.ok, report.violations
             assert 0.0 <= ch.weight <= 1.0
 
     def test_deterministic(self):
         env = build_env(rows=5, cols=5)
-        a = initialize(env, PARAMS, np.random.default_rng(3))
-        b = initialize(env, PARAMS, np.random.default_rng(3))
+        a = initialize(env, np.random.default_rng(3))
+        b = initialize(env, np.random.default_rng(3))
         assert a == b
 
     def test_unreachable_goal_raises(self):
@@ -126,7 +123,7 @@ class TestInitialize:
         env = build_env(obstacle=obstacle)
         stats = OperatorStats()
         with pytest.raises(InitializationError):
-            initialize(env, PARAMS, np.random.default_rng(0),
+            initialize(env, np.random.default_rng(0),
                        OperatorConfig(max_init_retries=50), stats)
         assert stats.walk_restarts == 50
 
@@ -188,8 +185,8 @@ class TestCrossover:
         env = generate(GeneratorSettings(rows=6, cols=6, obstacle_density=0.3), 9)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            pa = initialize(env, PARAMS, rng)
-            pb = initialize(env, PARAMS, rng)
+            pa = initialize(env, rng)
+            pb = initialize(env, rng)
             c1, c2 = crossover(pa, pb, env, rng)
             assert validate(c1, env).ok
             assert validate(c2, env).ok
@@ -198,8 +195,8 @@ class TestCrossover:
         env = build_env(rows=5, cols=5)
         def make(seed):
             rng = np.random.default_rng(seed)
-            pa = initialize(env, PARAMS, rng)
-            pb = initialize(env, PARAMS, rng)
+            pa = initialize(env, rng)
+            pb = initialize(env, rng)
             return crossover(pa, pb, env, rng)
         assert make(11) == make(11)
 
@@ -207,8 +204,8 @@ class TestCrossover:
         env = build_env(rows=5, cols=5)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            pa = initialize(env, PARAMS, rng)
-            pb = initialize(env, PARAMS, rng)
+            pa = initialize(env, rng)
+            pb = initialize(env, rng)
             lo, hi = sorted((pa.weight, pb.weight))
             for child in crossover(pa, pb, env, rng):
                 if child is pa or child is pb:
@@ -219,8 +216,8 @@ class TestCrossover:
         env = build_env(rows=5, cols=5)
         rng = np.random.default_rng(3)
         stats = OperatorStats()
-        pa = initialize(env, PARAMS, rng)
-        pb = initialize(env, PARAMS, rng)
+        pa = initialize(env, rng)
+        pb = initialize(env, rng)
         crossover(pa, pb, env, rng, None, stats)
         assert stats.crossovers == 1
 
@@ -231,7 +228,7 @@ class TestMutate:
         rng = np.random.default_rng(5)
         cfg = OperatorConfig(mutation_probability=1.0, mutation_rate=1.0)
         for _ in range(100):
-            ch = initialize(env, PARAMS, rng)
+            ch = initialize(env, rng)
             out = mutate(ch, cfg, env, rng)
             assert out.cells == ch.cells
             assert out.entry_levels[0] == ch.entry_levels[0]
@@ -240,7 +237,7 @@ class TestMutate:
     def test_probability_zero_is_identity(self):
         env = build_env(rows=5, cols=5)
         rng = np.random.default_rng(6)
-        ch = initialize(env, PARAMS, rng)
+        ch = initialize(env, rng)
         out = mutate(ch, OperatorConfig(mutation_probability=0.0), env, rng)
         assert out == ch
 
@@ -248,7 +245,7 @@ class TestMutate:
         env = build_env(rows=5, cols=5)
         rng = np.random.default_rng(6)
         stats = OperatorStats()
-        ch = initialize(env, PARAMS, rng)
+        ch = initialize(env, rng)
         out = mutate(ch, OperatorConfig(mutation_probability=0.0), env, rng, stats)
         assert out is ch
         assert stats.mutations == 0
@@ -257,7 +254,7 @@ class TestMutate:
         env = build_env(rows=4, cols=4)
         rng = np.random.default_rng(7)
         cfg = OperatorConfig(mutation_probability=1.0)
-        ch = initialize(env, PARAMS, rng)
+        ch = initialize(env, rng)
         for _ in range(300):
             ch = mutate(ch, cfg, env, rng)
             assert 0.0 <= ch.weight <= 1.0
@@ -280,7 +277,7 @@ class TestMutate:
 
     def test_deterministic(self):
         env = build_env(rows=5, cols=5)
-        ch = initialize(env, PARAMS, np.random.default_rng(8))
+        ch = initialize(env, np.random.default_rng(8))
         cfg = OperatorConfig(mutation_probability=1.0)
         a = mutate(ch, cfg, env, np.random.default_rng(9))
         b = mutate(ch, cfg, env, np.random.default_rng(9))
@@ -290,7 +287,7 @@ class TestMutate:
         env = build_env(rows=4, cols=4)
         rng = np.random.default_rng(10)
         stats = OperatorStats()
-        ch = initialize(env, PARAMS, rng)
+        ch = initialize(env, rng)
         mutate(ch, OperatorConfig(mutation_probability=1.0), env, rng, stats)
         assert stats.mutations == 1
 
@@ -305,7 +302,7 @@ class TestOperatorFuzz:
                 inst_seed,
             )
             cfg = OperatorConfig(mutation_probability=0.5)
-            pool = [initialize(env, PARAMS, rng) for _ in range(20)]
+            pool = [initialize(env, rng) for _ in range(20)]
             for _ in range(200):
                 pa, pb = rng.choice(len(pool), size=2, replace=False)
                 c1, c2 = crossover(pool[pa], pool[pb], env, rng)
