@@ -7,16 +7,20 @@ plot renders SVG charts and CSV extracts; check runs the self-verification
 oracles on a small instance; lp-export writes the linear program.
 
 Everything is driven through the same entry point the ``overfly`` console
-script uses, inside a temporary directory.
+script uses, inside a temporary directory that is removed when the demo
+ends.
 """
 
+import atexit
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
 from overfly.cli import main
 
 tmp = Path(tempfile.mkdtemp(prefix="overfly-demo-"))
+atexit.register(shutil.rmtree, tmp, ignore_errors=True)
 print("working in", tmp, "\n")
 
 # -- 1. generate a small custom suite ------------------------------------------------

@@ -195,23 +195,39 @@ def _derived_tuner_seed(base: int, instance_id: str, algorithm: str) -> int:
     return (base + zlib.crc32(f"{instance_id}:{algorithm}".encode())) % (2**31 - 1)
 
 
-def _tuner_payload(config: dict, derived_seed: int) -> dict:
-    """The config's ``tuner`` section with ``TunerConfig``'s defaults for
-    missing fields, and the derived seed."""
+def _config_int(value: object, field: str) -> int:
+    """An integer-valued config field: an int, or a float with an integral
+    value. Strings, bools and fractional floats are usage errors naming the
+    field."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _UsageError(f"config field {field} must be an integer, got {value!r}")
+
+
+def _tuner_template(config: dict) -> tuple[int, dict]:
+    """The config's tuner base seed, and its ``tuner`` section with
+    ``TunerConfig``'s defaults for missing fields. ``_tuner_payload`` fills
+    in the derived seed per (instance, algorithm)."""
     tuner = config.get("tuner", {})
     defaults = TunerConfig()
 
     def pick(name: str):
         return tuner.get(name, getattr(defaults, name))
 
-    return {
-        "budget": int(pick("budget")),
-        "seed": derived_seed,
+    return _config_int(tuner.get("seed", 0), "tuner.seed"), {
+        "budget": _config_int(pick("budget"), "tuner.budget"),
         "crossover_range": tuple(pick("crossover_range")),
         "mutation_probability_range": tuple(pick("mutation_probability_range")),
         "mutation_rate_range": tuple(pick("mutation_rate_range")),
         "population_sizes": tuple(pick("population_sizes")),
     }
+
+
+def _tuner_payload(template: tuple[int, dict], instance_id: str, algorithm: str) -> dict:
+    base, fields = template
+    return {**fields, "seed": _derived_tuner_seed(base, instance_id, algorithm)}
 
 
 _RUN_SIZES = ("population_size", "evaluation_budget", "archive_size", "reference_point_divisions")
@@ -220,7 +236,10 @@ _RUN_SIZES = ("population_size", "evaluation_budget", "archive_size", "reference
 def _run_sizes(config: dict) -> dict[str, int]:
     """The config's run sizes, with ``AlgoConfig``'s defaults for the rest."""
     defaults = AlgoConfig()
-    return {name: int(config.get(name, getattr(defaults, name))) for name in _RUN_SIZES}
+    return {
+        name: _config_int(config.get(name, getattr(defaults, name)), name)
+        for name in _RUN_SIZES
+    }
 
 
 def _member_payload(member, env: Environment) -> dict:
@@ -359,14 +378,20 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
         flags = [False]
     else:
         flags = [bool(f) for f in config.get("tuned", [False])]
-    seeds = args.seed if args.seed else [int(s) for s in config.get("seeds", [0])]
+    if args.seed:
+        seeds = args.seed
+    else:
+        seeds = config.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise _UsageError(f"config field seeds must be a list of integers, got {seeds!r}")
+        seeds = [_config_int(s, f"seeds[{k}]") for k, s in enumerate(seeds)]
     if not seeds:
         raise _UsageError("at least one seed is required")
     drone = asdict(_drone_from(config))
     operators = asdict(_operators_from(config))
-    out = _require_out(args)
-    tuner_base = int(config.get("tuner", {}).get("seed", 0))
+    tuner = _tuner_template(config)
     sizes = _run_sizes(config)
+    out = _require_out(args)
     jobs: list[dict] = []
     for inst in instances:
         inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
@@ -384,14 +409,11 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                             "instance_path": str(inst_path),
                             "algorithm": algorithm,
                             "tuned": tuned,
-                            "seed": int(seed),
+                            "seed": seed,
                             **sizes,
                             "operators": operators,
                             "drone": drone,
-                            "tuner": _tuner_payload(
-                                config,
-                                _derived_tuner_seed(tuner_base, instance_id, algorithm),
-                            ),
+                            "tuner": _tuner_payload(tuner, instance_id, algorithm),
                             "oracle": bool(config.get("oracle", False)),
                             "out_dir": str(out),
                         }
@@ -438,8 +460,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     algorithms = args.algo or config.get("algorithms", list(ALGORITHMS))
     drone = _drone_from(config)
     operators = _operators_from(config)
+    tuner = _tuner_template(config)
+    sizes = _run_sizes(config)
     out = _require_out(args)
-    tuner_base = int(config.get("tuner", {}).get("seed", 0))
     failed = 0
     for inst in instances:
         inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
@@ -447,12 +470,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         for algorithm in algorithms:
             try:
                 env = load_instance(inst_path)
-                base = AlgoConfig(
-                    algorithm=algorithm, operators=operators, seed=0, **_run_sizes(config)
-                )
-                payload = _tuner_payload(
-                    config, _derived_tuner_seed(tuner_base, instance_id, algorithm)
-                )
+                base = AlgoConfig(algorithm=algorithm, operators=operators, seed=0, **sizes)
+                payload = _tuner_payload(tuner, instance_id, algorithm)
                 result = tune(env, drone, base, TunerConfig(**payload))
                 _dump_json(
                     out / f"{instance_id}_{algorithm}.tuning.json",

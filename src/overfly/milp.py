@@ -9,6 +9,15 @@ row (the exporter's correctness oracle) and mutation-tests that oracle: each
 row in turn gets the one-variable change that breaks it, and only that row
 is re-evaluated, by the same row evaluator ``substitute`` uses.
 
+Substitution works against a per-model baseline, the unused-arc assignment
+``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc). Each
+row's baseline sum and check are computed once per model; ``substitute``
+re-sums only the rows holding a variable whose value differs from the
+baseline, and shares the baseline check for every other row. That is exact:
+``math.fsum`` returns the correctly rounded sum of its nonzero terms and
++0.0 when there are none, so a row none of whose variables changed sums to
+the baseline's left-hand side bit for bit.
+
 No solver is invoked here; the text is meant for external tools, and the
 exact Pareto front comes from the enumeration module instead.
 """
@@ -16,8 +25,10 @@ exact Pareto front comes from the enumeration module instead.
 from __future__ import annotations
 
 import math
-from collections import ChainMap
+from collections import ChainMap, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .environment import Cell, Environment
@@ -81,6 +92,41 @@ class MilpModel:
 
     def variable_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.variables)
+
+    # Per-model substitution caches; ``cached_property`` stores them in the
+    # instance dict, which the frozen dataclass leaves writable.
+
+    @cached_property
+    def baseline(self) -> Mapping[str, float]:
+        """The unused-arc assignment: every variable 0.0 and ``y`` = 1.0 on
+        every arc (the ascent flag), which satisfies every row but eq3/eq4."""
+        values = {v.name: 0.0 for v in self.variables}
+        for i, j in self.arcs:
+            values[arc_var("y", i, j)] = 1.0
+        return MappingProxyType(values)
+
+    @cached_property
+    def _baseline_sums(self) -> tuple[tuple[float, float], ...]:
+        """Each row's (lhs, slack) at ``baseline``."""
+        sums = []
+        for row in self.rows:
+            lhs = _lhs(row.coeffs, self.baseline)
+            sums.append((lhs, _slack(row, lhs)))
+        return tuple(sums)
+
+    @cached_property
+    def _rows_of(self) -> defaultdict[str, list[int]]:
+        """Variable name -> indices of the rows it appears in."""
+        index: defaultdict[str, list[int]] = defaultdict(list)
+        for r, row in enumerate(self.rows):
+            for name, _ in row.coeffs:
+                index[name].append(r)
+        return index
+
+    @cached_property
+    def _checks_by_tol(self) -> dict[float, tuple[RowCheck, ...]]:
+        """Tolerance -> the baseline's row checks, filled on demand."""
+        return {}
 
 
 # -- naming ------------------------------------------------------------------
@@ -513,25 +559,50 @@ def _slack(row: LpRow, lhs: float) -> float:
     return -abs(lhs - row.rhs)
 
 
+def _baseline_checks(model: MilpModel, tol: float) -> tuple[RowCheck, ...]:
+    """Every row checked at ``model.baseline``, once per model and ``tol``."""
+    by_tol = model._checks_by_tol
+    checks = by_tol.get(tol)
+    if checks is None:
+        # Positional arguments: keywords cost measurably more per row.
+        checks = by_tol[tol] = tuple([
+            RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
+            for row, (lhs, slack) in zip(model.rows, model._baseline_sums)
+        ])
+    return checks
+
+
 def substitute(
     model: MilpModel, values: Mapping[str, float], tol: float = 0.0
 ) -> SubstitutionReport:
     """Evaluate every row at a concrete assignment.
 
-    Every model variable must be present in ``values``; rows are checked
-    with compensated summation and the given tolerance.
+    Every model variable must be present in ``values`` (extra keys are
+    ignored); rows are checked with compensated summation and the given
+    tolerance. Only the rows holding a variable whose value ``!=`` its
+    ``model.baseline`` value are re-summed; every other row gets the shared
+    baseline check. That is bit-identical to re-summing it: a value equal to
+    0.0 or 1.0 converts to a float of that value (a zero possibly negative),
+    and ``math.fsum`` skips zero terms and returns +0.0 for none, so the
+    row's terms and sum are the baseline's. A NaN or a value of another
+    type that compares unequal is re-summed as any other change.
     """
-    missing = model.variable_names() - set(values)
-    if missing:
+    try:
+        changed = [name for name, base in model.baseline.items() if values[name] != base]
+    except KeyError:
+        missing = model.variable_names() - set(values)
         raise ValueError(
             f"assignment is missing {len(missing)} variable(s), e.g. {sorted(missing)[0]}"
-        )
-    checks: list[RowCheck] = []
-    for row in model.rows:
+        ) from None
+    rows_of = model._rows_of
+    # Row order, so that a value float() rejects raises where a full pass would.
+    touched = sorted({r for name in changed for r in rows_of.get(name, ())})
+    checks = list(_baseline_checks(model, tol))
+    for r in touched:
+        row = model.rows[r]
         lhs = _lhs(row.coeffs, values)
         slack = _slack(row, lhs)
-        # Positional arguments: keywords cost measurably more in this per-row loop.
-        checks.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol))
+        checks[r] = RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
     return SubstitutionReport(tuple(checks))
 
 
@@ -547,10 +618,11 @@ def assignment_values(
 ) -> dict[str, float]:
     """Full variable assignment encoding one feasible path.
 
-    Unused arcs carry the all-zero block with the ascent flag set (y=1,
-    yp=0), which satisfies every split row when all deltas are zero. Used
-    arcs set their X (and, from the second arc on, U product), signed and
-    split altitude changes, flags by direction, and the gated products.
+    Starts from a copy of ``model.baseline``: unused arcs carry the
+    all-zero block with the ascent flag set (y=1, yp=0), which satisfies
+    every split row when all deltas are zero. Used arcs set their X (and,
+    from the second arc on, U product), signed and split altitude changes,
+    flags by direction, and the gated products.
     """
     spec = env.spec
     if len(cells) != len(entry_levels):
@@ -560,9 +632,7 @@ def assignment_values(
     if entry_levels[0] != spec.start_level:
         raise ValueError("assignment must begin at the instance's start level")
     h = spec.levels_m
-    values = {v.name: 0.0 for v in model.variables}
-    for i, j in model.arcs:
-        values[arc_var("y", i, j)] = 1.0
+    values = dict(model.baseline)
     for t in range(len(cells) - 1):
         i, j = cells[t], cells[t + 1]
         kf, kt = entry_levels[t], entry_levels[t + 1]

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume, strategies as st
 
-from overfly import Environment, GridSpec
+from overfly import Environment, GenerationError, GeneratorSettings, GridSpec, generate
 
 
 def build_env(
@@ -84,3 +85,27 @@ def raster_hv(points, ref):
             if any(px <= xs[i] and py <= ys[j] for px, py in pts):
                 total += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
     return total
+
+
+@st.composite
+def generated_worlds(draw):
+    """Hypothesis strategy: small ``generate`` worlds over random settings."""
+    level_count = draw(st.integers(1, 4))
+    risk_low = draw(st.floats(0.0, 1.0))
+    settings = GeneratorSettings(
+        rows=draw(st.integers(1, 5)),
+        cols=draw(st.integers(2, 6)),
+        cell_size_m=draw(st.floats(1.0, 50.0)),
+        level_count=level_count,
+        level_spacing_m=draw(st.floats(1.0, 25.0)),
+        base_altitude_m=draw(st.floats(0.0, 100.0)),
+        obstacle_density=draw(st.floats(0.0, 0.6)),
+        ceiling_fraction=draw(st.floats(0.0, 0.5)),
+        risk_low=risk_low,
+        risk_high=draw(st.floats(risk_low, 1.0)),
+        max_rounds=20,
+    )
+    try:
+        return generate(settings, draw(st.integers(0, 2**32 - 1)))
+    except GenerationError:
+        assume(False)

@@ -392,3 +392,39 @@ class TestUsage:
         cfg = tmp_path / "run.json"
         write_solve_config(cfg, ["i1.json"], algorithms=["simulated-annealing"])
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestIntegerConfigFields:
+    # Each case: config overrides and the field the error must name.
+    BAD = {
+        "word-population": ({"population_size": "many"}, "population_size"),
+        "fractional-population": ({"population_size": 40.5}, "population_size"),
+        "word-seed": ({"seeds": ["x"]}, "seeds[0]"),
+        "word-tuner-seed": ({"tuner": {"seed": "x"}}, "tuner.seed"),
+        "bool-budget": ({"evaluation_budget": True}, "evaluation_budget"),
+        "word-tuner-budget": ({"tuner": {"budget": "2"}}, "tuner.budget"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [("solve", case) for case in sorted(BAD)]
+        + [("tune", case) for case in sorted(BAD) if case != "word-seed"],  # tune runs no seeds
+    )
+    def test_non_integer_is_usage_error_naming_field(self, tmp_path, capsys, command, case):
+        overrides, field = self.BAD[case]
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config field {field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], population_size=8.0, seeds=[1.0])
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "i1_nsga2_untuned_s1.report.json").read_text())
+        assert report["config"]["population_size"] == 8

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from overfly import (
     Environment,
@@ -19,7 +22,7 @@ from overfly import (
     save_instance,
 )
 
-from helpers import build_env
+from helpers import build_env, generated_worlds
 
 
 def spec_kwargs(**overrides):
@@ -387,3 +390,18 @@ class TestInstanceFiles:
         assert env.cell_data((1, 1)).obstacle_m == 10.0
         assert env.cell_data((1, 1)).risk == (0.9, 0.8)
         assert env.cell_data((0, 1)).ceiling_m == 10.0
+
+
+class TestInstanceRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds())
+    def test_save_load_save_is_byte_identical(self, env):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_instance(env, first)
+            loaded = load_instance(first)
+            save_instance(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded.spec == env.spec
+        for cell in env.cells():
+            assert loaded.cell_data(cell) == env.cell_data(cell)

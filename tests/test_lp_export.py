@@ -48,6 +48,35 @@ def tiny_env():
     )
 
 
+def full_report(model, values, tol=0.0):
+    """Reference for ``substitute``: every row summed with ``math.fsum`` and
+    judged by the sense rule, with no baseline. Floats as ``float.hex``."""
+    checks = []
+    for row in model.rows:
+        lhs = math.fsum(c * float(values[n]) for n, c in row.coeffs)
+        if row.sense == "<=":
+            slack = row.rhs - lhs
+        elif row.sense == ">=":
+            slack = lhs - row.rhs
+        else:
+            slack = -abs(lhs - row.rhs)
+        checks.append(
+            (row.name, row.family, lhs.hex(), row.sense, row.rhs.hex(), slack.hex(), slack >= -tol)
+        )
+    return checks
+
+
+def checked_substitute(model, values, tol=0.0):
+    """``substitute``, asserted field by field against ``full_report``."""
+    report = substitute(model, values, tol)
+    got = [
+        (c.name, c.family, c.lhs.hex(), c.sense, c.rhs.hex(), c.slack.hex(), c.ok)
+        for c in report.checks
+    ]
+    assert got == full_report(model, values, tol)
+    return report
+
+
 def parse_lp(text):
     """Minimal reader for the rendered LP dialect; understands comments,
     wrapped lines, Minimize, Subject To, Bounds, Binaries, End."""
@@ -188,7 +217,7 @@ class TestSubstitution:
         for cells in all_simple_paths(env):
             for levels in iter_assignments(env, cells):
                 values = assignment_values(model, env, cells, levels)
-                report = substitute(model, values)
+                report = checked_substitute(model, values)
                 assert report.ok, [c.name for c in report.failures()][:3]
                 checked += 1
         assert checked >= 4
@@ -214,9 +243,52 @@ class TestSubstitution:
         for cells in all_simple_paths(env):
             for levels in iter_assignments(env, cells):
                 values = assignment_values(model, env, cells, levels)
-                assert substitute(model, values).ok
-                assert substitute(doubled, values).ok
+                assert checked_substitute(model, values).ok
+                assert checked_substitute(doubled, values).ok
                 assert objective_value(model, values) == objective_value(doubled, values)
+
+    def test_exact_members_of_suite_worlds_match_reference(self):
+        for _id, settings, seed in suite_settings(0)[:4]:  # the T1 worlds
+            env = generate(settings, seed)
+            model = build_model(env, PARAMS, "z1")
+            doubled = build_model(env, PARAMS, "z1", big_m=2.0 * model.big_m)
+            for m in enumerate_front(env, PARAMS).members:
+                values = assignment_values(model, env, m.cells, m.entry_levels)
+                assert checked_substitute(model, values).ok
+                assert checked_substitute(doubled, values).ok
+
+    def test_interleaved_tolerances_match_reference(self):
+        env = tiny_env()
+        model = build_model(env, PARAMS, "z1")
+        m = enumerate_front(env, PARAMS).members[0]
+        base = assignment_values(model, env, m.cells, m.entry_levels)
+        name, value = violate_row(model.rows[0], base)  # eq3, pushed 2 past its rhs
+        broken = {**base, name: value}
+        for tol in (0.0, 1.5, 1e9, 0.0, 1e9, 1.5, 0.0):
+            assert checked_substitute(model, base, tol).ok
+            assert checked_substitute(model, broken, tol).ok == (tol == 1e9)
+            # The unused-arc baseline misses eq3 and eq4 by 1 and nothing else.
+            unused = checked_substitute(model, model.baseline, tol)
+            assert {c.name for c in unused.failures()} == (set() if tol else {"eq3", "eq4"})
+
+    def test_hand_made_values_match_reference(self):
+        env = tiny_env()
+        model = build_model(env, PARAMS, "z1")
+        m = enumerate_front(env, PARAMS).members[0]
+        base = assignment_values(model, env, m.cells, m.entry_levels)
+        y_name = next(n for n, v in model.baseline.items() if v == 1.0)
+        x_used = next(n for n, v in base.items() if n.startswith("x_") and v == 1.0)
+        zero = next(n for n, v in base.items() if v == 0.0 == model.baseline[n])
+        for name, value in ((y_name, 1), (x_used, 1), (zero, 0), (zero, -0.0), (zero, math.nan)):
+            values = dict(base)
+            values[name] = value
+            checked_substitute(model, values)
+        extra = dict(base, not_a_model_variable=5.0)
+        assert checked_substitute(model, extra).checks == substitute(model, base).checks
+        missing = dict(base)
+        del missing[zero]
+        with pytest.raises(ValueError, match=f"missing 1 variable\\(s\\), e.g. {zero}$"):
+            substitute(model, missing)
 
     def test_report_slack_signs(self):
         env = tiny_env()
@@ -233,13 +305,13 @@ class TestCorruptions:
     @staticmethod
     def full_model_caught(model, base, tol=0.0):
         """Reference for ``mutation_test``: apply each row's change to a copy
-        of the base and run the full ``substitute`` on it."""
+        of the base and judge every row by ``full_report``."""
         caught = {family: False for family in model.families()}
         for row in model.rows:
             name, value = violate_row(row, base)
             values = dict(base)
             values[name] = value
-            failed = {c.name for c in substitute(model, values, tol).failures()}
+            failed = {check[0] for check in full_report(model, values, tol) if not check[-1]}
             caught[row.family] |= row.name in failed
         return caught
 
@@ -253,7 +325,7 @@ class TestCorruptions:
             assert name in {n for n, _ in row.coeffs}
             values = dict(base)
             values[name] = value
-            report = substitute(model, values)
+            report = checked_substitute(model, values)
             assert any(c.name == row.name for c in report.failures()), row.name
         reference = self.full_model_caught(model, base)
         assert all(reference.values())

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overfly import (
     Chromosome,
@@ -21,7 +22,7 @@ from overfly import (
 )
 from overfly.operators import _repair_levels, _strip_revisits
 
-from helpers import build_env
+from helpers import build_env, generated_worlds
 
 
 class TestOperatorConfig:
@@ -310,3 +311,18 @@ class TestOperatorFuzz:
                 for ch in (c1, c2, m):
                     assert validate(ch, env).ok
                 pool[int(rng.integers(len(pool)))] = m
+
+
+class TestOperatorClosureProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds(), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+    def test_outputs_always_validate(self, env, seed, mutation_rate):
+        rng = np.random.default_rng(seed)
+        cfg = OperatorConfig(
+            crossover_probability=1.0, mutation_probability=1.0, mutation_rate=mutation_rate
+        )
+        parents = [initialize(env, rng, cfg) for _ in range(2)]
+        children = crossover(*parents, env, rng, cfg)
+        mutants = [mutate(ch, cfg, env, rng) for ch in (*parents, *children)]
+        for ch in (*parents, *children, *mutants):
+            assert validate(ch, env).ok, ch
