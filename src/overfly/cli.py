@@ -206,23 +206,51 @@ def _config_int(value: object, field: str) -> int:
     raise _UsageError(f"config field {field} must be an integer, got {value!r}")
 
 
+def _config_pair(value: object, field: str) -> tuple:
+    """A config field holding two numbers (bools are not numbers here)."""
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        return tuple(value)
+    raise _UsageError(f"config field {field} must be a list of two numbers, got {value!r}")
+
+
 def _tuner_template(config: dict) -> tuple[int, dict]:
     """The config's tuner base seed, and its ``tuner`` section with
-    ``TunerConfig``'s defaults for missing fields. ``_tuner_payload`` fills
-    in the derived seed per (instance, algorithm)."""
+    ``TunerConfig``'s defaults for missing fields, checked by ``TunerConfig``
+    itself. ``_tuner_payload`` fills in the derived seed per (instance,
+    algorithm)."""
     tuner = config.get("tuner", {})
+    if not isinstance(tuner, dict):
+        raise _UsageError(f"config field tuner must be an object, got {tuner!r}")
     defaults = TunerConfig()
 
     def pick(name: str):
         return tuner.get(name, getattr(defaults, name))
 
-    return _config_int(tuner.get("seed", 0), "tuner.seed"), {
+    sizes = pick("population_sizes")
+    if not isinstance(sizes, (list, tuple)):
+        raise _UsageError(
+            f"config field tuner.population_sizes must be a list of integers, got {sizes!r}"
+        )
+    seed = _config_int(tuner.get("seed", 0), "tuner.seed")
+    fields = {
         "budget": _config_int(pick("budget"), "tuner.budget"),
-        "crossover_range": tuple(pick("crossover_range")),
-        "mutation_probability_range": tuple(pick("mutation_probability_range")),
-        "mutation_rate_range": tuple(pick("mutation_rate_range")),
-        "population_sizes": tuple(pick("population_sizes")),
+        **{
+            name: _config_pair(pick(name), f"tuner.{name}")
+            for name in ("crossover_range", "mutation_probability_range", "mutation_rate_range")
+        },
+        "population_sizes": tuple(
+            _config_int(size, f"tuner.population_sizes[{k}]") for k, size in enumerate(sizes)
+        ),
     }
+    try:
+        TunerConfig(seed=seed, **fields)
+    except ValueError as exc:
+        raise _UsageError(f"bad tuner settings: {exc}") from exc
+    return seed, fields
 
 
 def _tuner_payload(template: tuple[int, dict], instance_id: str, algorithm: str) -> dict:
@@ -377,7 +405,9 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     elif args.untuned:
         flags = [False]
     else:
-        flags = [bool(f) for f in config.get("tuned", [False])]
+        flags = config.get("tuned", [False])
+        if not isinstance(flags, list) or not all(isinstance(f, bool) for f in flags):
+            raise _UsageError(f"config field tuned must be a list of booleans, got {flags!r}")
     if args.seed:
         seeds = args.seed
     else:
@@ -391,6 +421,9 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     operators = asdict(_operators_from(config))
     tuner = _tuner_template(config)
     sizes = _run_sizes(config)
+    oracle = config.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise _UsageError(f"config field oracle must be a boolean, got {oracle!r}")
     out = _require_out(args)
     jobs: list[dict] = []
     for inst in instances:
@@ -414,7 +447,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                             "operators": operators,
                             "drone": drone,
                             "tuner": _tuner_payload(tuner, instance_id, algorithm),
-                            "oracle": bool(config.get("oracle", False)),
+                            "oracle": oracle,
                             "out_dir": str(out),
                         }
                     )

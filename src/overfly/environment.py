@@ -158,9 +158,11 @@ class Environment:
         self.obstacle_m = obstacle
         self.ceiling_m = ceiling
         self.risk = riskarr
-        # Content hash that agrees with __eq__: adding 0.0 turns -0.0 into
-        # 0.0, and NaN never gets this far.
-        self._hash = hash((spec, *((a + 0.0).tobytes() for a in (obstacle, ceiling, riskarr))))
+        # Content key for __eq__ and __hash__: the spec fixes every array's
+        # shape, adding 0.0 turns -0.0 into 0.0, and NaN never gets this
+        # far, so equal bytes mean equal values.
+        self._key = (spec, *((a + 0.0).tobytes() for a in (obstacle, ceiling, riskarr)))
+        self._hash = hash(self._key)
 
         levels = spec.levels_m
         # Feasible level band per cell: levels within [obstacle, ceiling].
@@ -290,12 +292,7 @@ class Environment:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Environment):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and np.array_equal(self.obstacle_m, other.obstacle_m)
-            and np.array_equal(self.ceiling_m, other.ceiling_m)
-            and np.array_equal(self.risk, other.risk)
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

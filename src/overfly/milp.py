@@ -9,6 +9,16 @@ row (the exporter's correctness oracle) and mutation-tests that oracle: each
 row in turn gets the one-variable change that breaks it, and only that row
 is re-evaluated, by the same row evaluator ``substitute`` uses.
 
+Building, rendering and checking pay for each row once. ``build_model``
+formats every cell, arc, ``x``, ``u`` and per-arc variable name once, into
+name tables local to the build that the variable list, the rows and the
+objective all read (the public ``x_name``, ``u_name`` and ``arc_var`` give
+the same strings). ``LpRow`` and ``RowCheck`` are ``NamedTuple`` records,
+about a quarter of a frozen dataclass's construction cost and half its
+size, with the same fields, ``repr`` and immutability. ``render_lp``
+formats each distinct coefficient once per call, and writes a row that fits
+the 72-column width in one join.
+
 Substitution works against a per-model baseline, the unused-arc assignment
 ``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc). Each
 row's baseline sum and check are computed once per model; ``substitute``
@@ -29,7 +39,7 @@ from collections import ChainMap, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .environment import Cell, Environment
 from .exact import EnumerationCaps, check_caps
@@ -39,6 +49,10 @@ from .solution import NormBounds, arc_costs
 OBJECTIVES = ("z1", "weighted", "epsilon")
 
 _SENSES = ("<=", ">=", "=")
+
+# The seven per-arc variables of the altitude-change split, and their kinds.
+_SPLIT_PREFIXES = ("d", "dp", "dm", "y", "yp", "pp", "pm")
+_SPLIT_KINDS = ("free", "nonneg", "nonneg", "binary", "binary", "nonneg", "nonneg")
 
 
 @dataclass(frozen=True)
@@ -53,21 +67,39 @@ class LpVar:
             raise ValueError(f"unknown variable kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class LpRow:
-    """One constraint row: sum(coeff * var) sense rhs."""
-
+class _LpRowFields(NamedTuple):
     name: str
     family: str
     coeffs: tuple[tuple[str, float], ...]
     sense: str
     rhs: float
 
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if not self.coeffs:
-            raise ValueError(f"row {self.name} has no terms")
+
+class LpRow(_LpRowFields):
+    """One constraint row: sum(coeff * var) sense rhs."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        family: str,
+        coeffs: tuple[tuple[str, float], ...],
+        sense: str,
+        rhs: float,
+    ) -> LpRow:
+        if sense not in _SENSES:
+            raise ValueError(f"unknown sense {sense!r}")
+        if not coeffs:
+            raise ValueError(f"row {name} has no terms")
+        # tuple.__new__ directly: the generated NamedTuple __new__ would add
+        # a second Python call per row.
+        return tuple.__new__(cls, (name, family, coeffs, sense, rhs))
+
+    @classmethod
+    def _make(cls, iterable) -> LpRow:
+        """Through ``__new__``, so that ``_replace`` checks its row too."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -106,13 +138,16 @@ class MilpModel:
         return MappingProxyType(values)
 
     @cached_property
-    def _baseline_sums(self) -> tuple[tuple[float, float], ...]:
-        """Each row's (lhs, slack) at ``baseline``."""
-        sums = []
+    def _zero_tol_checks(self) -> tuple[RowCheck, ...]:
+        """Every row checked at ``baseline`` with tolerance 0, in one pass.
+        Positional arguments: keywords cost measurably more per row."""
+        base = self.baseline
+        checks = []
         for row in self.rows:
-            lhs = _lhs(row.coeffs, self.baseline)
-            sums.append((lhs, _slack(row, lhs)))
-        return tuple(sums)
+            lhs = _lhs(row.coeffs, base)
+            slack = _slack(row, lhs)
+            checks.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= 0.0))
+        return tuple(checks)
 
     @cached_property
     def _rows_of(self) -> defaultdict[str, list[int]]:
@@ -203,33 +238,37 @@ def build_model(
     if m_value <= max(h[-1] - h[0], 0.0):
         raise ValueError("big_m must exceed the largest altitude span")
 
-    variables: list[LpVar] = []
-    rows: list[LpRow] = []
-    arcs: list[tuple[Cell, Cell]] = []
+    # Name tables: each cell, arc, x, u and per-arc variable name is
+    # formatted once, here; the variable list, the rows and the objective
+    # read them. The strings are those of _cn, _arc, x_name, u_name and
+    # arc_var.
+    cn = {c: _cn(c) for c in env.cells()}
+    arc_names = {(i, j): f"{cn[i]}_{cn[j]}" for i in env.cells() for j in env.successors(i)}
+    arcs = list(arc_names)
+    xs = {arc: [f"x_{a}_k{k}" for k in level_ids] for arc, a in arc_names.items()}
+    # Per arc (i, j) with i != start: (u name, g, k, kp) for every
+    # predecessor g of i and level pair, in (g, k, kp) order.
+    products = {
+        (i, j): [
+            (f"u_{cn[g]}_{a}_k{k}_kp{kp}", g, k, kp)
+            for g in env.predecessors(i)
+            for k in level_ids
+            for kp in level_ids
+        ]
+        for (i, j), a in arc_names.items()
+        if i != start
+    }
+    split = {arc: [f"{p}_{a}" for p in _SPLIT_PREFIXES] for arc, a in arc_names.items()}
 
-    for i in env.cells():
-        for j in env.successors(i):
-            arcs.append((i, j))
-    for i, j in arcs:
-        for k in level_ids:
-            variables.append(LpVar(x_name(i, j, k), "binary"))
-    u_index: list[tuple[Cell, Cell, Cell, int, int]] = []
-    for i, j in arcs:
-        if i == start:
-            continue
-        for g in env.predecessors(i):
-            for k in level_ids:
-                for kp in level_ids:
-                    u_index.append((g, i, j, k, kp))
-                    variables.append(LpVar(u_name(g, i, j, k, kp), "binary"))
-    for i, j in arcs:
-        variables.append(LpVar(arc_var("d", i, j), "free"))
-        variables.append(LpVar(arc_var("dp", i, j), "nonneg"))
-        variables.append(LpVar(arc_var("dm", i, j), "nonneg"))
-        variables.append(LpVar(arc_var("y", i, j), "binary"))
-        variables.append(LpVar(arc_var("yp", i, j), "binary"))
-        variables.append(LpVar(arc_var("pp", i, j), "nonneg"))
-        variables.append(LpVar(arc_var("pm", i, j), "nonneg"))
+    variables: list[LpVar] = []
+    for arc in arcs:
+        variables.extend(LpVar(x, "binary") for x in xs[arc])
+    for block in products.values():
+        variables.extend(LpVar(u, "binary") for u, _, _, _ in block)
+    for arc in arcs:
+        variables.extend(map(LpVar, split[arc], _SPLIT_KINDS))
+
+    rows: list[LpRow] = []
 
     def add_row(
         name: str,
@@ -238,42 +277,24 @@ def build_model(
         sense: str,
         rhs: float,
     ) -> None:
-        trimmed = tuple((n, float(c)) for n, c in coeffs if c != 0.0)
+        trimmed = tuple([(n, float(c)) for n, c in coeffs if c != 0.0])
         if not trimmed:
             return  # all-zero coefficients carry no constraint
         rows.append(LpRow(name, family, trimmed, sense, float(rhs)))
 
     # eq3/eq4/eq6: depart the start once, enter the goal once, never leave it.
-    add_row(
-        "eq3",
-        "eq3",
-        [(x_name(start, j, k), 1.0) for j in env.successors(start) for k in level_ids],
-        "=",
-        1.0,
-    )
-    add_row(
-        "eq4",
-        "eq4",
-        [(x_name(i, goal, k), 1.0) for i in env.predecessors(goal) for k in level_ids],
-        "=",
-        1.0,
-    )
+    add_row("eq3", "eq3", [(x, 1.0) for j in env.successors(start) for x in xs[start, j]], "=", 1.0)
+    add_row("eq4", "eq4", [(x, 1.0) for i in env.predecessors(goal) for x in xs[i, goal]], "=", 1.0)
     if env.successors(goal):
-        add_row(
-            "eq6",
-            "eq6",
-            [(x_name(goal, j, k), 1.0) for j in env.successors(goal) for k in level_ids],
-            "=",
-            0.0,
-        )
+        add_row("eq6", "eq6", [(x, 1.0) for j in env.successors(goal) for x in xs[goal, j]], "=", 0.0)
 
     # eq5: flow balance on every intermediate cell.
     for i in env.cells():
         if i in (start, goal):
             continue
-        coeffs = [(x_name(i, j, k), 1.0) for j in env.successors(i) for k in level_ids]
-        coeffs += [(x_name(g, i, k), -1.0) for g in env.predecessors(i) for k in level_ids]
-        add_row(f"eq5_{_cn(i)}", "eq5", coeffs, "=", 0.0)
+        coeffs = [(x, 1.0) for j in env.successors(i) for x in xs[i, j]]
+        coeffs += [(x, -1.0) for g in env.predecessors(i) for x in xs[g, i]]
+        add_row(f"eq5_{cn[i]}", "eq5", coeffs, "=", 0.0)
 
     # eq7/eq8: entry altitude above the obstacle (big-M gated) and below the
     # ceiling, for every arc into every non-start cell.
@@ -282,77 +303,65 @@ def build_model(
             continue
         data = env.cell_data(j)
         for i in env.predecessors(j):
+            a, x = arc_names[i, j], xs[i, j]
             add_row(
-                f"eq7_{_arc(i, j)}",
+                f"eq7_{a}",
                 "eq7",
-                [(x_name(i, j, k), h[k] - m_value) for k in level_ids],
+                [(x[k], h[k] - m_value) for k in level_ids],
                 ">=",
                 float(data.obstacle_m) - m_value,
             )
             add_row(
-                f"eq8_{_arc(i, j)}",
+                f"eq8_{a}",
                 "eq8",
-                [(x_name(i, j, k), h[k]) for k in level_ids],
+                [(x[k], h[k]) for k in level_ids],
                 "<=",
                 float(data.ceiling_m),
             )
 
     # eq9 (start arcs) and eq11 (product form): altitude-change definitions.
-    for i, j in arcs:
+    for (i, j), a in arc_names.items():
+        d = split[i, j][0]
         if i == start:
-            coeffs = [(arc_var("d", i, j), 1.0)]
-            coeffs += [(x_name(i, j, k), -(h[k] - h_start)) for k in level_ids]
-            add_row(f"eq9_{_arc(i, j)}", "eq9", coeffs, "=", 0.0)
+            coeffs = [(d, 1.0)] + [(x, -(h[k] - h_start)) for k, x in enumerate(xs[i, j])]
+            add_row(f"eq9_{a}", "eq9", coeffs, "=", 0.0)
         else:
-            coeffs = [(arc_var("d", i, j), 1.0)]
-            coeffs += [
-                (u_name(g, i, j, k, kp), -(h[k] - h[kp]))
-                for g in env.predecessors(i)
-                for k in level_ids
-                for kp in level_ids
-            ]
-            add_row(f"eq11_{_arc(i, j)}", "eq11", coeffs, "=", 0.0)
+            coeffs = [(d, 1.0)] + [(u, -(h[k] - h[kp])) for u, _, k, kp in products[i, j]]
+            add_row(f"eq11_{a}", "eq11", coeffs, "=", 0.0)
+
+    # The rows below have constant nonzero coefficients (m_value > 0), so
+    # they skip add_row's zero trimming.
 
     # eq12/eq13: product variable pinned between the two arc choices; add_ub
     # rows are the extra per-factor upper bounds (not part of the printed
-    # family, flagged by their own label).
-    for g, i, j, k, kp in u_index:
-        u = u_name(g, i, j, k, kp)
-        xa = x_name(i, j, k)
-        xb = x_name(g, i, kp)
-        tag = f"{_cn(g)}_{_arc(i, j)}_k{k}_kp{kp}"
-        add_row(f"eq12_{tag}", "eq12", [(u, 1.0), (xa, -1.0), (xb, -1.0)], ">=", -1.0)
-        add_row(f"eq13_{tag}", "eq13", [(u, 2.0), (xa, -1.0), (xb, -1.0)], "<=", 0.0)
-        add_row(f"add_ub_a_{tag}", "add_ub", [(u, 1.0), (xa, -1.0)], "<=", 0.0)
-        add_row(f"add_ub_b_{tag}", "add_ub", [(u, 1.0), (xb, -1.0)], "<=", 0.0)
+    # family, flagged by their own label). The label tag is the u name
+    # without its "u_" prefix.
+    for (i, j), block in products.items():
+        xij = xs[i, j]
+        for u, g, k, kp in block:
+            xa = xij[k]
+            xb = xs[g, i][kp]
+            tag = u[2:]
+            rows.append(LpRow(f"eq12_{tag}", "eq12", ((u, 1.0), (xa, -1.0), (xb, -1.0)), ">=", -1.0))
+            rows.append(LpRow(f"eq13_{tag}", "eq13", ((u, 2.0), (xa, -1.0), (xb, -1.0)), "<=", 0.0))
+            rows.append(LpRow(f"add_ub_a_{tag}", "add_ub", ((u, 1.0), (xa, -1.0)), "<=", 0.0))
+            rows.append(LpRow(f"add_ub_b_{tag}", "add_ub", ((u, 1.0), (xb, -1.0)), "<=", 0.0))
 
     # eq15..eq23: ascent/descent split with big-M gating per arc.
-    for i, j in arcs:
-        d = arc_var("d", i, j)
-        dp = arc_var("dp", i, j)
-        dm = arc_var("dm", i, j)
-        y = arc_var("y", i, j)
-        yp = arc_var("yp", i, j)
-        pp = arc_var("pp", i, j)
-        pm = arc_var("pm", i, j)
-        a = _arc(i, j)
-        add_row(f"eq15_{a}", "eq15", [(dp, 1.0), (dm, -1.0), (d, -1.0)], "=", 0.0)
-        add_row(f"eq16_{a}", "eq16", [(y, 1.0), (yp, 1.0)], "=", 1.0)
-        add_row(f"eq17_{a}", "eq17", [(pp, 1.0), (pm, -1.0), (d, -1.0)], "=", 0.0)
-        add_row(
-            f"eq18_{a}", "eq18", [(pp, 1.0), (dp, -1.0), (y, -m_value)], ">=", -m_value
+    m = m_value
+    for arc, a in arc_names.items():
+        d, dp, dm, y, yp, pp, pm = split[arc]
+        rows += (
+            LpRow(f"eq15_{a}", "eq15", ((dp, 1.0), (dm, -1.0), (d, -1.0)), "=", 0.0),
+            LpRow(f"eq16_{a}", "eq16", ((y, 1.0), (yp, 1.0)), "=", 1.0),
+            LpRow(f"eq17_{a}", "eq17", ((pp, 1.0), (pm, -1.0), (d, -1.0)), "=", 0.0),
+            LpRow(f"eq18_{a}", "eq18", ((pp, 1.0), (dp, -1.0), (y, -m)), ">=", -m),
+            LpRow(f"eq19_{a}", "eq19", ((pp, 1.0), (dp, -1.0), (y, m)), "<=", m),
+            LpRow(f"eq20_{a}", "eq20", ((pp, 1.0), (y, -m)), "<=", 0.0),
+            LpRow(f"eq21_{a}", "eq21", ((pm, 1.0), (dm, -1.0), (yp, -m)), ">=", -m),
+            LpRow(f"eq22_{a}", "eq22", ((pm, 1.0), (dm, -1.0), (yp, m)), "<=", m),
+            LpRow(f"eq23_{a}", "eq23", ((pm, 1.0), (yp, -m)), "<=", 0.0),
         )
-        add_row(
-            f"eq19_{a}", "eq19", [(pp, 1.0), (dp, -1.0), (y, m_value)], "<=", m_value
-        )
-        add_row(f"eq20_{a}", "eq20", [(pp, 1.0), (y, -m_value)], "<=", 0.0)
-        add_row(
-            f"eq21_{a}", "eq21", [(pm, 1.0), (dm, -1.0), (yp, -m_value)], ">=", -m_value
-        )
-        add_row(
-            f"eq22_{a}", "eq22", [(pm, 1.0), (dm, -1.0), (yp, m_value)], "<=", m_value
-        )
-        add_row(f"eq23_{a}", "eq23", [(pm, 1.0), (yp, -m_value)], "<=", 0.0)
 
     # -- objective coefficients ----------------------------------------------
 
@@ -363,16 +372,17 @@ def build_model(
     z3: dict[str, float] = {}
     for j in env.successors(start):
         geometry = costs.geometry[env.distance(start, j)][spec.start_level]
-        for k in level_ids:
-            name = x_name(start, j, k)
+        for k, name in enumerate(xs[start, j]):
             z1[name], _, z2[name] = geometry[k]
             z3[name] = costs.risk[start][spec.start_level][k]
-    for g, i, j, k, kp in u_index:
-        name = u_name(g, i, j, k, kp)
-        z1[name], _, z2[name] = costs.geometry[env.distance(i, j)][kp][k]
-        z3[name] = costs.risk[i][kp][k]
-    for i, j in arcs:
-        z2[arc_var("dp", i, j)] = params.weight_kg * params.gravity
+    for (i, j), block in products.items():
+        geometry = costs.geometry[env.distance(i, j)]
+        risk = costs.risk[i]
+        for name, _, k, kp in block:
+            z1[name], _, z2[name] = geometry[kp][k]
+            z3[name] = risk[kp][k]
+    for _d, dp, *_ in split.values():
+        z2[dp] = params.weight_kg * params.gravity
 
     notes = [
         f"big-M constant: {m_value!r}",
@@ -435,23 +445,39 @@ def build_model(
 # -- LP text -----------------------------------------------------------------
 
 
-def _format_terms(coeffs: Sequence[tuple[str, float]]) -> list[str]:
-    """Tokens like '3.5 x_a', '+ 1 x_b', '- 2 x_c' (first token unsigned)."""
-    tokens: list[str] = []
-    for pos, (name, coeff) in enumerate(coeffs):
+class _TermHeads(dict):
+    """Coefficient -> its (first, later) token heads, formatted on first
+    use: -2.5 -> ("-2.5", "- 2.5"), 1.0 -> ("1", "+ 1"). Keyed by the signed
+    float; 0.0 and -0.0 share a key and format alike."""
+
+    def __missing__(self, coeff: float) -> tuple[str, str]:
         magnitude = repr(abs(coeff))
         if magnitude.endswith(".0"):
             magnitude = magnitude[:-2]
-        if pos == 0:
-            head = "-" if coeff < 0 else ""
-            tokens.append(f"{head}{magnitude} {name}")
-        else:
-            sign = "-" if coeff < 0 else "+"
-            tokens.append(f"{sign} {magnitude} {name}")
+        negative = coeff < 0
+        heads = self[coeff] = (
+            f"-{magnitude}" if negative else magnitude,
+            f"- {magnitude}" if negative else f"+ {magnitude}",
+        )
+        return heads
+
+
+def _format_terms(coeffs: Sequence[tuple[str, float]], heads: _TermHeads) -> list[str]:
+    """Tokens like '3.5 x_a', '+ 1 x_b', '- 2 x_c' (first token unsigned)."""
+    if not coeffs:
+        return []
+    name, coeff = coeffs[0]
+    tokens = [f"{heads[coeff][0]} {name}"]
+    tokens += [f"{heads[c][1]} {n}" for n, c in coeffs[1:]]
     return tokens
 
 
 def _wrap(prefix: str, tokens: Sequence[str], indent: str = "      ") -> list[str]:
+    line = " ".join([prefix, *tokens])
+    if len(line) <= 72:
+        # Every candidate the loop below would try is a prefix of ``line``,
+        # so none of them wraps.
+        return [line]
     lines: list[str] = []
     current = prefix
     for token in tokens:
@@ -472,16 +498,21 @@ def _format_rhs(value: float) -> str:
 
 def render_lp(model: MilpModel) -> str:
     """CPLEX-LP text: comment header, Minimize, Subject To, Bounds (free
-    variables), Binaries, End."""
+    variables), Binaries, End.
+
+    Each distinct coefficient is formatted once per call. The right-hand
+    sides are formatted per row, because 0.0 and -0.0 print differently.
+    """
+    heads = _TermHeads()
     out: list[str] = [f"\\ {note}" for note in model.notes]
     out.append("Minimize")
-    out.extend(_wrap(" obj:", _format_terms(model.objective)))
+    out.extend(_wrap(" obj:", _format_terms(model.objective, heads)))
     out.append("Subject To")
-    for row in model.rows:
-        tokens = _format_terms(row.coeffs)
-        tokens.append(row.sense)
-        tokens.append(_format_rhs(row.rhs))
-        out.extend(_wrap(f" {row.name}:", tokens))
+    for name, _family, coeffs, sense, rhs in model.rows:
+        tokens = _format_terms(coeffs, heads)
+        tokens.append(sense)
+        tokens.append(_format_rhs(rhs))
+        out.extend(_wrap(f" {name}:", tokens))
     free_vars = [v.name for v in model.variables if v.kind == "free"]
     if free_vars:
         out.append("Bounds")
@@ -520,8 +551,7 @@ def export_lp(
 # -- substitution oracle -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """One row evaluated at one assignment; slack >= -tol means satisfied."""
 
     name: str
@@ -547,7 +577,7 @@ class SubstitutionReport:
 
 def _lhs(coeffs: Sequence[tuple[str, float]], values: Mapping[str, float]) -> float:
     """sum(coeff * value) over the terms, with compensated summation."""
-    return math.fsum(c * float(values[n]) for n, c in coeffs)
+    return math.fsum([c * float(values[n]) for n, c in coeffs])
 
 
 def _slack(row: LpRow, lhs: float) -> float:
@@ -560,14 +590,16 @@ def _slack(row: LpRow, lhs: float) -> float:
 
 
 def _baseline_checks(model: MilpModel, tol: float) -> tuple[RowCheck, ...]:
-    """Every row checked at ``model.baseline``, once per model and ``tol``."""
+    """Every row checked at ``model.baseline``, once per model and ``tol``:
+    another tolerance re-judges only the tolerance-0 checks' ``ok``."""
+    if tol == 0.0:
+        return model._zero_tol_checks
     by_tol = model._checks_by_tol
     checks = by_tol.get(tol)
     if checks is None:
-        # Positional arguments: keywords cost measurably more per row.
         checks = by_tol[tol] = tuple([
-            RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
-            for row, (lhs, slack) in zip(model.rows, model._baseline_sums)
+            RowCheck(name, family, lhs, sense, rhs, slack, slack >= -tol)
+            for name, family, lhs, sense, rhs, slack, _ in model._zero_tol_checks
         ])
     return checks
 

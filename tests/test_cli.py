@@ -428,3 +428,42 @@ class TestIntegerConfigFields:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "i1_nsga2_untuned_s1.report.json").read_text())
         assert report["config"]["population_size"] == 8
+
+
+class TestConfigSections:
+    # Each case: the commands it applies to, config overrides, and the text
+    # the usage error must carry.
+    BAD = {
+        "tuned-string": (("solve",), {"tuned": "yes"}, "config field tuned must be a list of booleans"),
+        "oracle-string": (("solve",), {"oracle": "false"}, "config field oracle must be a boolean"),
+        "tuner-number": (("solve", "tune"), {"tuner": 5}, "config field tuner must be an object"),
+        "range-number": (
+            ("solve", "tune"),
+            {"tuner": {"crossover_range": 3}},
+            "config field tuner.crossover_range must be a list of two numbers",
+        ),
+        "sizes-word": (
+            ("solve", "tune"),
+            {"tuner": {"population_sizes": ["x"]}},
+            "config field tuner.population_sizes[0] must be an integer",
+        ),
+        "range-reversed": (
+            ("solve", "tune"),
+            {"tuner": {"mutation_rate_range": [0.9, 0.2]}},
+            "bad tuner settings: mutation_rate_range",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [(command, case) for case, (commands, _, _) in sorted(BAD.items()) for command in commands],
+    )
+    def test_bad_section_is_usage_error_naming_field(self, tmp_path, capsys, command, case):
+        _commands, overrides, message = self.BAD[case]
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -156,6 +156,24 @@ class TestEnvironmentConstruction:
         b = build_env(obstacle=np.full((3, 4), -0.0), risk=0.25)
         assert a == b and hash(a) == hash(b)
         assert len({a, b, build_env(risk=0.5)}) == 2
+        ceiling = np.full((3, 4), 20.0)
+        ceiling[2, 3] = -0.0
+        assert build_env(ceiling=ceiling.copy()) == build_env(ceiling=np.abs(ceiling))
+        # A change to any one array, or to the spec, makes worlds unequal.
+        obstacle = np.zeros((3, 4))
+        obstacle[1, 2] = 5.0
+        ceiling[2, 3] = 15.0
+        risk = np.full((3, 4, 3), 0.25)
+        risk[0, 1, 2] = 0.5
+        for other in (
+            build_env(obstacle=obstacle, risk=0.25),
+            build_env(ceiling=ceiling, risk=0.25),
+            build_env(risk=risk),
+            build_env(risk=0.25, start_level=1),
+            build_env(risk=0.25, cell_size=12.0),
+        ):
+            assert other != a and a != other
+        assert a != "not a world"
 
     def test_arrays_frozen(self):
         env = build_env()

@@ -28,7 +28,7 @@ from overfly import (
     validate,
 )
 from overfly.cli import suite_settings
-from overfly.milp import LpRow, MilpModel, violate_row
+from overfly.milp import LpRow, MilpModel, RowCheck, arc_var, u_name, violate_row, x_name
 
 from helpers import all_simple_paths, build_env
 
@@ -75,6 +75,72 @@ def checked_substitute(model, values, tol=0.0):
     ]
     assert got == full_report(model, values, tol)
     return report
+
+
+def _reference_terms(coeffs):
+    tokens = []
+    for pos, (name, coeff) in enumerate(coeffs):
+        magnitude = repr(abs(coeff))
+        if magnitude.endswith(".0"):
+            magnitude = magnitude[:-2]
+        if pos == 0:
+            head = "-" if coeff < 0 else ""
+            tokens.append(f"{head}{magnitude} {name}")
+        else:
+            sign = "-" if coeff < 0 else "+"
+            tokens.append(f"{sign} {magnitude} {name}")
+    return tokens
+
+
+def _reference_wrap(prefix, tokens, indent="      "):
+    lines = []
+    current = prefix
+    for token in tokens:
+        candidate = f"{current} {token}"
+        if len(candidate) > 72 and current.strip():
+            lines.append(current)
+            current = f"{indent}{token}"
+        else:
+            current = candidate
+    lines.append(current)
+    return lines
+
+
+def reference_lp(model):
+    """Reference for ``render_lp``: one ``repr`` per term and a token loop
+    per row, with no memo and no one-line shortcut."""
+    out = [f"\\ {note}" for note in model.notes]
+    out.append("Minimize")
+    out.extend(_reference_wrap(" obj:", _reference_terms(model.objective)))
+    out.append("Subject To")
+    for row in model.rows:
+        tokens = _reference_terms(row.coeffs)
+        text = repr(row.rhs)
+        tokens += [row.sense, text[:-2] if text.endswith(".0") else text]
+        out.extend(_reference_wrap(f" {row.name}:", tokens))
+    free_vars = [v.name for v in model.variables if v.kind == "free"]
+    if free_vars:
+        out.append("Bounds")
+        out.extend(f" {name} free" for name in free_vars)
+    binaries = [v.name for v in model.variables if v.kind == "binary"]
+    if binaries:
+        out.append("Binaries")
+        out.extend(_reference_wrap(" ", binaries))
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def model_variants(env):
+    """The z1, weighted, epsilon and doubled-big-M models of one world."""
+    objectives = [m.objectives for m in enumerate_front(env, PARAMS).members]
+    bounds = NormBounds.from_vectors(objectives)
+    z1 = build_model(env, PARAMS, "z1")
+    return {
+        "z1": z1,
+        "weighted": build_model(env, PARAMS, "weighted", weight=0.3, bounds=bounds),
+        "epsilon": build_model(env, PARAMS, "epsilon", risk_cap=objectives[0].risk),
+        "doubled": build_model(env, PARAMS, "z1", big_m=2.0 * z1.big_m),
+    }
 
 
 def parse_lp(text):
@@ -207,6 +273,66 @@ class TestBuildModel:
     def test_empty_row_constructor_rejected(self):
         with pytest.raises(ValueError):
             LpRow(name="r", family="f", coeffs=(), sense="<=", rhs=0.0)
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown sense"):
+            LpRow("r", "f", (("x", 1.0),), "<", 0.0)
+        row = LpRow("r", "f", (("x", 1.0),), "<=", 0.0)
+        with pytest.raises(ValueError, match="unknown sense"):
+            row._replace(sense="<")
+        with pytest.raises(ValueError, match="no terms"):
+            LpRow._make(("r", "f", (), "<=", 0.0))
+
+    @pytest.mark.parametrize("world", [0, 1, 2, 3])
+    def test_variable_names_match_name_functions(self, world):
+        _id, settings, seed = suite_settings(0)[world]
+        env = generate(settings, seed)
+        start, levels = env.spec.start_cell, range(env.spec.level_count)
+        arcs = [(i, j) for i in env.cells() for j in env.successors(i)]
+        expected = [x_name(i, j, k) for i, j in arcs for k in levels]
+        products = [
+            (g, i, j, k, kp)
+            for i, j in arcs
+            if i != start
+            for g in env.predecessors(i)
+            for k in levels
+            for kp in levels
+        ]
+        expected += [u_name(*p) for p in products]
+        expected += [arc_var(p, i, j) for i, j in arcs for p in ("d", "dp", "dm", "y", "yp", "pp", "pm")]
+        model = build_model(env, PARAMS, "z1")
+        assert [v.name for v in model.variables] == expected
+        # Product rows are labeled by their u variable's name minus "u_".
+        for row in model.rows:
+            if row.family in ("eq12", "eq13", "add_ub"):
+                u = row.coeffs[0][0]
+                assert u.startswith("u_") and row.name.endswith("_" + u[2:])
+
+
+class TestRecords:
+    def test_fields_keep_their_order(self):
+        assert LpRow._fields == ("name", "family", "coeffs", "sense", "rhs")
+        assert RowCheck._fields == ("name", "family", "lhs", "sense", "rhs", "slack", "ok")
+
+    def test_repr_names_each_field(self):
+        check = RowCheck("eq3", "eq3", 1.0, "=", 1.0, -0.0, True)
+        assert repr(check) == (
+            "RowCheck(name='eq3', family='eq3', lhs=1.0, sense='=', rhs=1.0, slack=-0.0, ok=True)"
+        )
+        row = LpRow("eq16_a", "eq16", (("y_a", 1.0),), "=", 1.0)
+        assert repr(row) == (
+            "LpRow(name='eq16_a', family='eq16', coeffs=(('y_a', 1.0),), sense='=', rhs=1.0)"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        check = RowCheck("eq3", "eq3", 1.0, "=", 1.0, 0.0, True)
+        row = LpRow("eq16_a", "eq16", (("y_a", 1.0),), "=", 1.0)
+        with pytest.raises(AttributeError):
+            check.ok = False
+        with pytest.raises(AttributeError):
+            row.rhs = 2.0
+        with pytest.raises(AttributeError):
+            row.extra = 0.0  # no instance dict either
 
 
 class TestSubstitution:
@@ -426,6 +552,16 @@ class TestObjectiveVariants:
 
 
 class TestRenderedText:
+    @pytest.mark.parametrize("world", [0, 1, 2, 3])
+    def test_matches_reference_renderer(self, world):
+        _id, settings, seed = suite_settings(0)[world]
+        for name, model in model_variants(generate(settings, seed)).items():
+            assert render_lp(model) == reference_lp(model), name
+
+    def test_tiny_world_matches_reference_renderer(self):
+        model = build_model(tiny_env(), PARAMS, "z1")
+        assert render_lp(model) == reference_lp(model)
+
     def test_sections_present_in_order(self):
         env = tiny_env()
         text = render_lp(build_model(env, PARAMS, "z1"))
