@@ -146,7 +146,8 @@ def suite_settings(
 
     Sizes grow the grid and level count; variants vary obstacle density and
     the start/goal placement. ``overrides`` replaces generator fields on
-    every instance.
+    every instance; settings that ``GeneratorSettings`` rejects are usage
+    errors naming the instance and the field.
     """
     out: list[tuple[str, GeneratorSettings, int]] = []
     for size in range(1, 6):
@@ -168,17 +169,19 @@ def suite_settings(
                 try:
                     settings = replace(settings, **overrides)
                 except (TypeError, ValueError) as exc:
-                    raise _UsageError(f"bad generator overrides: {exc}") from exc
+                    raise _UsageError(
+                        f"bad generator overrides for T{size}-{variant}: {exc}"
+                    ) from exc
             out.append((f"T{size}-{variant}", settings, seed * 9973 + size * 101 + variant * 7))
     return out
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    out = _require_out(args)
     config = _load_json(args.config) if args.config else {}
-    overrides = config.get("overrides", {})
+    suite = suite_settings(args.seed, config.get("overrides", {}))
+    out = _require_out(args)
     listing = []
-    for instance_id, settings, inst_seed in suite_settings(args.seed, overrides):
+    for instance_id, settings, inst_seed in suite:
         env = generate(settings, inst_seed)
         path = out / f"{instance_id}.json"
         save_instance(env, path)
@@ -424,8 +427,9 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     oracle = config.get("oracle", False)
     if not isinstance(oracle, bool):
         raise _UsageError(f"config field oracle must be a boolean, got {oracle!r}")
-    out = _require_out(args)
+    out = Path(args.out)
     jobs: list[dict] = []
+    run_ids: set[str] = set()
     for inst in instances:
         inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
         instance_id = inst_path.stem
@@ -435,6 +439,13 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                     run_id = (
                         f"{instance_id}_{algorithm}_{'tuned' if tuned else 'untuned'}_s{seed}"
                     )
+                    if run_id in run_ids:
+                        # Both jobs would write the same output files.
+                        raise _UsageError(
+                            f"duplicate run id {run_id}: instance stems, algorithms, "
+                            "tuned flags and seeds must each be distinct"
+                        )
+                    run_ids.add(run_id)
                     jobs.append(
                         {
                             "run_id": run_id,

@@ -195,8 +195,7 @@ class Environment:
         self._dist = dist
         # Plain nested tuples for the evaluation hot path.
         self._risk_rows: tuple[tuple[tuple[float, ...], ...], ...] = tuple(
-            tuple(tuple(float(x) for x in riskarr[r, c]) for c in range(spec.cols))
-            for r in range(spec.rows)
+            tuple(map(tuple, row)) for row in riskarr.tolist()
         )
 
         sr, sc = spec.start_cell
@@ -306,29 +305,25 @@ class Environment:
 
 
 def has_feasible_path(env: Environment) -> bool:
-    """Breadth-first reachability over passable (cell, level) states.
+    """Breadth-first reachability of the goal over passable cells.
 
-    A state ``(cell, k)`` is passable when level ``k`` lies inside the cell's
-    feasible band; any move may change the level to any feasible level of the
-    next cell.
+    Levels need no search of their own: a move may enter the next cell at any
+    level of that cell's feasible band, whatever level it leaves from, so a
+    passable neighbour of a reached cell is reached at every one of its
+    levels. The start is reached at its start level, which the constructor
+    checks is feasible.
     """
-    start = (env.spec.start_cell, env.spec.start_level)
-    goal = env.spec.goal_cell
+    start, goal = env.spec.start_cell, env.spec.goal_cell
     seen = {start}
     queue = deque([start])
     while queue:
-        cell, _level = queue.popleft()
+        cell = queue.popleft()
         if cell == goal:
             return True
         for nxt in env.successors(cell):
-            if not env.passable(nxt):
-                continue
-            lo, hi = env.feasible_levels(nxt)
-            for k in range(lo, hi + 1):
-                state = (nxt, k)
-                if state not in seen:
-                    seen.add(state)
-                    queue.append(state)
+            if nxt not in seen and env.passable(nxt):
+                seen.add(nxt)
+                queue.append(nxt)
     return False
 
 
@@ -374,37 +369,55 @@ class GeneratorSettings:
             raise GridError("max_obstacle_level must lie in 1..level_count")
         if not (1 <= self.min_ceiling_level <= self.level_count - 1 or self.level_count == 1):
             raise GridError("min_ceiling_level must lie in 1..level_count-1")
+        if self.max_rounds < 1:
+            raise GridError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        # Bad geometry fails here, when the settings are made, not in the
+        # middle of a suite.
+        self.grid_spec()
+
+    def grid_spec(self) -> GridSpec:
+        """Geometry and endpoints of every world these settings generate.
+
+        Start and goal default to the middle row's west and east edges; the
+        grid is mirrored east-west when the goal would lie west of the start.
+
+        Raises:
+            GridError: when the geometry is invalid; the message names the
+                field.
+        """
+        start = tuple(self.start_cell) if self.start_cell is not None else (self.rows // 2, 0)
+        goal = tuple(self.goal_cell) if self.goal_cell is not None else (self.rows // 2, self.cols - 1)
+        if goal[1] < start[1]:
+            # East-of-start orientation convention: mirror columns.
+            start = (start[0], self.cols - 1 - start[1])
+            goal = (goal[0], self.cols - 1 - goal[1])
+        return GridSpec(
+            rows=self.rows,
+            cols=self.cols,
+            cell_size_m=self.cell_size_m,
+            levels_m=tuple(
+                self.base_altitude_m + self.level_spacing_m * k for k in range(self.level_count)
+            ),
+            start_cell=start,
+            goal_cell=goal,
+            start_level=self.start_level,
+        )
 
 
 def generate(settings: GeneratorSettings, seed: int) -> Environment:
     """Sample a random world; deterministic in ``seed``.
 
-    Start and goal cells are cleared of obstacles and the grid is mirrored
-    east-west when a caller-supplied goal would lie west of the start. Worlds
-    are resampled (bounded by ``max_rounds``) until the goal is reachable.
+    Start and goal cells are cleared of obstacles (see
+    ``GeneratorSettings.grid_spec`` for their placement). Worlds are
+    resampled (bounded by ``max_rounds``) until the goal is reachable.
 
     Raises:
         GenerationError: when no feasible world was found within the budget.
     """
     rng = np.random.default_rng(seed)
     s = settings
-    levels = tuple(s.base_altitude_m + s.level_spacing_m * k for k in range(s.level_count))
-
-    start = s.start_cell if s.start_cell is not None else (s.rows // 2, 0)
-    goal = s.goal_cell if s.goal_cell is not None else (s.rows // 2, s.cols - 1)
-    if goal[1] < start[1]:
-        # East-of-start orientation convention: mirror columns.
-        start = (start[0], s.cols - 1 - start[1])
-        goal = (goal[0], s.cols - 1 - goal[1])
-    spec = GridSpec(
-        rows=s.rows,
-        cols=s.cols,
-        cell_size_m=s.cell_size_m,
-        levels_m=levels,
-        start_cell=start,
-        goal_cell=goal,
-        start_level=s.start_level,
-    )
+    spec = s.grid_spec()
+    levels, start, goal = spec.levels_m, spec.start_cell, spec.goal_cell
 
     max_obs = s.max_obstacle_level
     if max_obs is None:
@@ -601,5 +614,4 @@ def save_instance(env: Environment, path: str) -> None:
         "cells": cells,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")

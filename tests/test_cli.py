@@ -86,6 +86,35 @@ class TestGen:
         cfg.write_text(json.dumps({"overrides": {"no_such_field": 1}}))
         assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"start_level": 7}, "start_level"),
+            ({"max_rounds": 0}, "max_rounds"),
+            ({"start_cell": [9, 0]}, "start_cell"),
+            ({"base_altitude_m": 1e6}, "levels_m[0]"),
+        ],
+    )
+    def test_bad_grid_override_names_field_and_writes_nothing(
+        self, tmp_path, capsys, overrides, field
+    ):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"overrides": overrides}))
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--config", str(cfg)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_list_endpoint_override_is_a_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"overrides": {"start_cell": [0, 0], "goal_cell": [1, 3]}}))
+        out = tmp_path / "suite"
+        assert main(["gen", "--out", str(out), "--config", str(cfg)]) == 0
+        from overfly import load_instance
+
+        env = load_instance(out / "T1-1.json")
+        assert (env.spec.start_cell, env.spec.goal_cell) == ((0, 0), (1, 3))
+
 
 class TestSolve:
     def test_manifest_covers_run_matrix(self, tmp_path, capsys):
@@ -208,6 +237,34 @@ class TestSolve:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"seeds": [0]}))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "fields, argv, run_id",
+        [
+            ({"tuned": [False, False], "seeds": [0, 0]}, [], "i1_nsga2_untuned_s0"),
+            ({"tuned": [True, False, True]}, [], "i1_nsga2_tuned_s0"),
+            ({"seeds": [0, 1, 1]}, [], "i1_nsga2_untuned_s1"),
+            ({"algorithms": ["nsga2", "spea2", "nsga2"]}, [], "i1_nsga2_untuned_s0"),
+            ({}, ["--seed", "2", "--seed", "2"], "i1_nsga2_untuned_s2"),
+            ({}, ["--algo", "spea2", "--algo", "spea2"], "i1_spea2_untuned_s0"),
+            ({"instances": ["i1.json", "sub/i1.json"]}, [], "i1_nsga2_untuned_s0"),
+        ],
+        ids=["tuned-and-seeds", "tuned", "seeds", "algorithms", "seed-flag", "algo-flag", "stems"],
+    )
+    def test_duplicate_run_id_is_usage_error(self, tmp_path, capsys, monkeypatch, fields, argv, run_id):
+        ran = []
+        monkeypatch.setattr(cli, "_execute_job", lambda job: ran.append(job) or {})
+        save_tiny(tmp_path / "i1.json", 1)
+        (tmp_path / "sub").mkdir()
+        save_tiny(tmp_path / "sub" / "i1.json", 2)
+        cfg = tmp_path / "run.json"
+        fields = dict(fields)
+        write_solve_config(cfg, fields.pop("instances", ["i1.json"]), **fields)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert f"duplicate run id {run_id}" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
 
 
 class TestTune:

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 import tempfile
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from overfly import (
     Environment,
@@ -21,6 +23,8 @@ from overfly import (
     load_instance,
     save_instance,
 )
+
+from overfly.cli import suite_settings
 
 from helpers import build_env, generated_worlds
 
@@ -315,6 +319,118 @@ class TestReachability:
         assert has_feasible_path(env)
 
 
+def reference_reachable(env):
+    """Breadth-first reachability over passable (cell, level) states: the
+    search ``has_feasible_path`` replaced, kept as its oracle."""
+    start = (env.spec.start_cell, env.spec.start_level)
+    goal = env.spec.goal_cell
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cell, _level = queue.popleft()
+        if cell == goal:
+            return True
+        for nxt in env.successors(cell):
+            if not env.passable(nxt):
+                continue
+            lo, hi = env.feasible_levels(nxt)
+            for k in range(lo, hi + 1):
+                state = (nxt, k)
+                if state not in seen:
+                    seen.add(state)
+                    queue.append(state)
+    return False
+
+
+def walled_world(rows, cols, level_count, start, goal, start_level, obstacle_levels, ceiling_levels):
+    """A world whose obstacles and ceilings sit on level altitudes.
+
+    An obstacle level of ``level_count`` lies above the top altitude, and a
+    ceiling below the obstacle leaves no feasible level: both make the cell
+    impassable. The start and goal are cleared.
+    """
+    levels = tuple(10.0 * k for k in range(level_count))
+    step = np.asarray(levels + (10.0 * level_count,))
+    obstacle = step[np.asarray(obstacle_levels).reshape(rows, cols)]
+    ceiling = step[np.asarray(ceiling_levels).reshape(rows, cols)]
+    for cell in (start, goal):
+        obstacle[cell] = 0.0
+        ceiling[cell] = levels[-1]
+    return build_env(rows=rows, cols=cols, levels=levels, start=start, goal=goal,
+                     start_level=start_level, obstacle=obstacle, ceiling=ceiling)
+
+
+@st.composite
+def walled_worlds(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 7))
+    level_count = draw(st.integers(1, 4))
+    start = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 2)))
+    goal = (draw(st.integers(0, rows - 1)), draw(st.integers(start[1] + 1, cols - 1)))
+    cells = rows * cols
+    return walled_world(
+        rows, cols, level_count, start, goal,
+        draw(st.integers(0, level_count - 1)),
+        draw(st.lists(st.integers(0, level_count), min_size=cells, max_size=cells)),
+        draw(st.lists(st.integers(0, level_count - 1), min_size=cells, max_size=cells)),
+    )
+
+
+class TestReachabilityMatchesStateSearch:
+    """Cell reachability gives the state search's answer on every world."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walled_worlds())
+    def test_random_walls_and_ceilings(self, env):
+        assert has_feasible_path(env) == reference_reachable(env)
+
+    def test_both_outcomes_on_seeded_worlds(self):
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for _ in range(300):
+            rows, cols, level_count = int(rng.integers(1, 7)), int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            start = (int(rng.integers(rows)), int(rng.integers(cols - 1)))
+            goal = (int(rng.integers(rows)), int(rng.integers(start[1] + 1, cols)))
+            env = walled_world(
+                rows, cols, level_count, start, goal, int(rng.integers(level_count)),
+                rng.integers(0, level_count + 1, rows * cols),
+                rng.integers(0, level_count, rows * cols),
+            )
+            outcomes.append(has_feasible_path(env))
+            assert outcomes[-1] == reference_reachable(env), env
+        assert 30 <= sum(outcomes) <= 270
+
+    def test_generated_worlds(self):
+        for _instance, gen_settings, seed in suite_settings(0):
+            env = generate(gen_settings, seed)
+            assert has_feasible_path(env) and reference_reachable(env)
+
+
+class TestGeneratorSettingsGrid:
+    def test_grid_spec_is_the_generated_spec(self):
+        gen_settings = GeneratorSettings(
+            rows=3, cols=5, level_count=4, start_cell=(0, 4), goal_cell=(2, 1), start_level=2
+        )
+        spec = gen_settings.grid_spec()
+        assert spec.levels_m == (0.0, 10.0, 20.0, 30.0)
+        assert (spec.start_cell, spec.goal_cell, spec.start_level) == ((0, 0), (2, 3), 2)
+        assert generate(gen_settings, 0).spec == spec
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"max_rounds": 0}, "max_rounds"),
+            ({"start_level": 3}, "start_level"),
+            ({"rows": 0}, "grid"),
+            ({"start_cell": (5, 0)}, "start_cell"),
+            ({"cell_size_m": math.inf}, "cell_size_m"),
+            ({"level_spacing_m": 0.0, "level_count": 2}, "levels_m"),
+        ],
+    )
+    def test_rejected_at_construction(self, overrides, field):
+        with pytest.raises(GridError, match=re.escape(field)):
+            GeneratorSettings(**{"rows": 3, "cols": 4, **overrides})
+
+
 class TestGenerate:
     def test_deterministic_in_seed(self):
         settings = GeneratorSettings(rows=5, cols=5, obstacle_density=0.3)
@@ -408,6 +524,66 @@ class TestInstanceFiles:
         assert env.cell_data((1, 1)).obstacle_m == 10.0
         assert env.cell_data((1, 1)).risk == (0.9, 0.8)
         assert env.cell_data((0, 1)).ceiling_m == 10.0
+
+
+def reference_save_instance(env, path):
+    """``save_instance`` as a streaming ``json.dump``: the writer it
+    replaced, kept as its oracle."""
+    spec = env.spec
+    top = spec.levels_m[-1]
+    cells = []
+    for cell in env.cells():
+        r, c = cell
+        data = env.cell_data(cell)
+        entry = {}
+        if data.obstacle_m != 0.0:
+            entry["obstacle_m"] = data.obstacle_m
+        if data.ceiling_m != top:
+            entry["ceiling_m"] = data.ceiling_m
+        if any(v != 0.0 for v in data.risk):
+            entry["risk"] = list(data.risk)
+        if entry:
+            cells.append({"cell": [r, c], **entry})
+    doc = {
+        "grid": {"rows": spec.rows, "cols": spec.cols, "cell_size_m": spec.cell_size_m},
+        "levels_m": list(spec.levels_m),
+        "start": {"cell": list(spec.start_cell), "level": spec.start_level},
+        "goal": {"cell": list(spec.goal_cell)},
+        "default_risk": 0.0,
+        "cells": cells,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+class TestInstanceBytesMatchStreamingWriter:
+    def test_generated_suite(self, tmp_path):
+        for instance, gen_settings, seed in suite_settings(1):
+            env = generate(gen_settings, seed)
+            ours, ref = tmp_path / f"{instance}.json", tmp_path / f"{instance}.ref.json"
+            save_instance(env, ours)
+            reference_save_instance(env, ref)
+            assert ours.read_bytes() == ref.read_bytes(), instance
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds())
+    def test_generated_worlds(self, env):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_instance(env, ours)
+            reference_save_instance(env, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_risk_rows_keep_each_float(self):
+        risk = np.zeros((3, 4, 3))
+        risk[0, 1] = [-0.0, 0.1, 1.0]
+        risk[2, 3] = [0.3, -0.0, 2.0**-1074]
+        env = build_env(risk=risk)
+        for r, c in env.cells():
+            expected = tuple(float(x) for x in env.risk[r, c])
+            assert list(map(repr, env.risk_at((r, c)))) == list(map(repr, expected))
+            assert all(type(x) is float for x in env.risk_at((r, c)))
 
 
 class TestInstanceRoundTripProperty:
