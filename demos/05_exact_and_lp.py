@@ -1,10 +1,11 @@
 """Exact ground truth and the linear-program export.
 
-Small worlds admit two independent sources of truth: the exact Pareto front
-over every simple path with every feasible level assignment, found by label
-setting, and an exported mixed-integer linear program whose rows any
-feasible assignment must satisfy. Both double-check the evaluators and each
-other.
+Every world of the generated suite admits two independent sources of truth:
+the exact Pareto front over every simple path with every feasible level
+assignment, found by label setting under a budget of label extensions, and
+an exported mixed-integer linear program (up to ``milp.MAX_ROWS`` rows)
+whose rows any feasible assignment must satisfy. Both double-check the
+evaluators and each other.
 """
 
 from overfly import (
@@ -12,11 +13,17 @@ from overfly import (
     GeneratorSettings,
     enumerate_front,
     evaluate_assignment,
-    export_lp,
     generate,
     iter_assignments,
 )
-from overfly.milp import assignment_values, build_model, mutation_test, objective_value, substitute
+from overfly.milp import (
+    assignment_values,
+    build_model,
+    mutation_test,
+    objective_value,
+    render_lp,
+    substitute,
+)
 
 params = DroneParams()
 env = generate(
@@ -67,7 +74,7 @@ coverage = mutation_test(model, values)
 print(f"mutation test: {sum(coverage.values())}/{len(coverage)} constraint "
       "families caught a corrupted assignment")
 
-text = export_lp(env, params)
+text = render_lp(build_model(env, params))
 print(f"\nLP text preview ({len(text.splitlines())} lines):")
 for line in text.splitlines()[:8]:
     print(" ", line)

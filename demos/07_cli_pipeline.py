@@ -4,7 +4,7 @@ gen writes a graded suite of instance files; solve runs every requested
 (instance, algorithm, tuned, seed) combination and records fronts,
 convergence logs, and reports; table assembles the relative comparison;
 plot renders SVG charts and CSV extracts; check runs the self-verification
-oracles on a small instance; lp-export writes the linear program.
+oracles on one instance; lp-export writes the linear program.
 
 Everything is driven through the same entry point the ``overfly`` console
 script uses, inside a temporary directory that is removed when the demo

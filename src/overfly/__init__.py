@@ -16,8 +16,10 @@ Modules:
 - ``operators``: random-walk initialization, crossover, repair, mutation.
 - ``draws``: cheap scalar draws on a numpy Generator's own stream.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
-- ``exact``: the exact small-instance front by label setting and a flow checker.
-- ``milp``: integer-program construction, LP text export, substitution checks.
+- ``exact``: the exact front by label setting (under a label budget) and a
+  flow checker.
+- ``milp``: integer-program construction (under a row limit), LP text
+  export, substitution checks.
 - ``metrics``: the Pareto filter, hypervolume, shared reference points,
   correlation, tables.
 - ``plots``: dependency-free SVG scatter/line rendering and CSV output.
@@ -87,7 +89,6 @@ from .milp import (
     assignment_values,
     build_model,
     default_big_m,
-    export_lp,
     mutation_test,
     objective_value,
     render_lp,
@@ -182,7 +183,6 @@ __all__ = [
     "enumerate_front",
     "evaluate",
     "evaluate_assignment",
-    "export_lp",
     "fast_nondominated_sort",
     "generate",
     "has_feasible_path",

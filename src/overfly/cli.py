@@ -3,10 +3,13 @@
 Subcommands: ``gen`` (write the instance suite), ``solve`` (run algorithms
 over instances, tuned and/or untuned), ``tune`` (random-search tuning only),
 ``table`` (relative-hypervolume table from front files), ``plot`` (CSV + SVG
-figures), ``check`` (exact-oracle verification of a tiny instance), and
+figures), ``check`` (exact-oracle verification of an instance), and
 ``lp-export`` (integer-program text). Every command is deterministic given
 its config and seeds; outputs are plain files. Exit codes: 0 success,
-1 usage or configuration error, 2 run failure, 3 check failure.
+1 usage or configuration error, 2 run failure, 3 check failure. ``check``
+and ``lp-export`` refuse with 2 a world whose LP model would exceed
+``milp.MAX_ROWS`` rows; ``check`` also refuses one whose exact front would
+exceed the enumeration's label budget.
 """
 
 from __future__ import annotations
@@ -391,16 +394,34 @@ def _failed_entry(run_id: str, exc: BaseException) -> dict:
     return {"run_id": run_id, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _solve_jobs(args: argparse.Namespace) -> list[dict]:
-    config = _load_json(args.config)
-    base_dir = Path(args.config).parent
+def _instances_and_algorithms(
+    args: argparse.Namespace, config: dict
+) -> tuple[list[Path], list[str]]:
+    """The config's instance files, resolved against the config's directory,
+    and the algorithms to run (``--algo`` flags, else the config's list).
+    Shared by ``solve`` and ``tune``."""
     instances = config.get("instances")
-    if not instances or not isinstance(instances, list):
+    if (
+        not instances
+        or not isinstance(instances, list)
+        or not all(isinstance(inst, str) for inst in instances)
+    ):
         raise _UsageError("config must list instance files under 'instances'")
+    base_dir = Path(args.config).parent
+    paths = [
+        (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
+        for inst in instances
+    ]
     algorithms = args.algo or config.get("algorithms", list(ALGORITHMS))
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise _UsageError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+    return paths, algorithms
+
+
+def _solve_jobs(args: argparse.Namespace) -> list[dict]:
+    config = _load_json(args.config)
+    inst_paths, algorithms = _instances_and_algorithms(args, config)
     if args.tuned and args.untuned:
         flags = [True, False]
     elif args.tuned:
@@ -430,8 +451,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     out = Path(args.out)
     jobs: list[dict] = []
     run_ids: set[str] = set()
-    for inst in instances:
-        inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
+    for inst_path in inst_paths:
         instance_id = inst_path.stem
         for algorithm in algorithms:
             for tuned in flags:
@@ -497,19 +517,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
-    base_dir = Path(args.config).parent
-    instances = config.get("instances")
-    if not instances:
-        raise _UsageError("config must list instance files under 'instances'")
-    algorithms = args.algo or config.get("algorithms", list(ALGORITHMS))
+    inst_paths, algorithms = _instances_and_algorithms(args, config)
     drone = _drone_from(config)
     operators = _operators_from(config)
     tuner = _tuner_template(config)
     sizes = _run_sizes(config)
     out = _require_out(args)
     failed = 0
-    for inst in instances:
-        inst_path = (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
+    for inst_path in inst_paths:
         instance_id = inst_path.stem
         for algorithm in algorithms:
             try:
@@ -726,6 +741,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     params = _drone_from(config)
     env = load_instance(args.instance)
     try:
+        # The model first: its row guard refuses a world at once, before a
+        # long enumeration.
+        model = build_model(env, params, "z1")
         exact = enumerate_front(env, params)
     except EnumerationLimitError as exc:
         print(f"refusing: {exc}", file=sys.stderr)
@@ -774,7 +792,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"{len(candidates)} candidate(s), worst relative gap {worst:.3e}",
     )
 
-    model = build_model(env, params, "z1")
     doubled = build_model(env, params, "z1", big_m=2.0 * model.big_m)
     substitution_ok = True
     objective_ok = True

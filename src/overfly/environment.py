@@ -46,6 +46,11 @@ class GenerationError(RuntimeError):
     """Random world generation exhausted its retry budget."""
 
 
+class EnumerationLimitError(RuntimeError):
+    """The world is too large for an exact oracle: the label budget of the
+    exact front or the row limit of the LP model. Nothing was truncated."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry and endpoints of a world.

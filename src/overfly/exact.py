@@ -1,11 +1,14 @@
-"""Ground truth for tiny instances.
+"""Ground truth for the exact oracle.
 
 Multicriteria label setting over the acyclic (cell, run direction, entry
 level) state graph yields the true Pareto front in (length, energy, risk) of
 every feasible (cell path, entry-level assignment) pair; an arc-based
 evaluator recomputes the objectives from the flow form of a candidate,
 independently of the chromosome evaluator. Both exist to check the search
-algorithms and the integer-program exporter, not to scale.
+algorithms and the integer-program exporter. The only size guard is
+``EnumerationCaps.max_states``, a budget of label extensions: every world of
+the generated T1-T5 suite fits it, and a world that does not is refused,
+never truncated.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .environment import Cell, Environment
+from .environment import Cell, EnumerationLimitError, Environment
 from .metrics import nondominated
 from .physics import DroneParams, air_density
 from .solution import Chromosome, ObjectiveVector, arc_costs
-
-
-class EnumerationLimitError(RuntimeError):
-    """The instance exceeds the enumeration guard; nothing was truncated."""
 
 
 class FlowError(ValueError):
@@ -35,20 +34,14 @@ class FlowError(ValueError):
 class EnumerationCaps:
     """Size guard for the exact front.
 
-    ``max_states`` bounds the number of label extensions processed; hitting
-    any cap raises :class:`EnumerationLimitError` rather than returning a
-    partial answer.
+    ``max_states`` bounds the number of label extensions processed; going
+    past it raises :class:`EnumerationLimitError` rather than returning a
+    partial answer. Grid size and level count are not capped.
     """
 
-    max_cells: int = 25
-    max_levels: int = 4
     max_states: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.max_cells < 2:
-            raise ValueError("max_cells must be >= 2")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
         if self.max_states < 1:
             raise ValueError("max_states must be >= 1")
 
@@ -72,20 +65,6 @@ class ExactFront:
     members: tuple[ExactMember, ...]
     paths_enumerated: int
     states_processed: int
-
-
-def check_caps(env: Environment, caps: EnumerationCaps) -> None:
-    """Raise when the instance is too large to enumerate."""
-    cells = env.spec.rows * env.spec.cols
-    if cells > caps.max_cells:
-        raise EnumerationLimitError(
-            f"instance has {cells} cells, enumeration is capped at {caps.max_cells}"
-        )
-    levels = env.spec.level_count
-    if levels > caps.max_levels:
-        raise EnumerationLimitError(
-            f"instance has {levels} levels, enumeration is capped at {caps.max_levels}"
-        )
 
 
 Triple = tuple[float, float, float]
@@ -124,10 +103,10 @@ def enumerate_front(
     extensions.
 
     Raises:
-        EnumerationLimitError: when a cap would be exceeded (never truncates).
+        EnumerationLimitError: when ``caps.max_states`` would be exceeded
+            (never truncates).
     """
     caps = caps or EnumerationCaps()
-    check_caps(env, caps)
     spec = env.spec
     start, goal = spec.start_cell, spec.goal_cell
     costs = arc_costs(env, params)

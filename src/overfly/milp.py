@@ -28,6 +28,11 @@ baseline, and shares the baseline check for every other row. That is exact:
 +0.0 when there are none, so a row none of whose variables changed sums to
 the baseline's left-hand side bit for bit.
 
+``build_model`` counts its rows from the world before it builds any
+(``row_count``, O(arcs)) and refuses a model above ``MAX_ROWS`` with
+``EnumerationLimitError``. That is its only size guard: every world of the
+generated T1-T5 suite fits it (T5 is below 300,000 rows).
+
 No solver is invoked here; the text is meant for external tools, and the
 exact Pareto front comes from the enumeration module instead.
 """
@@ -41,12 +46,16 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .environment import Cell, Environment
-from .exact import EnumerationCaps, check_caps
+from .environment import Cell, EnumerationLimitError, Environment
 from .physics import DroneParams
 from .solution import NormBounds, arc_costs
 
 OBJECTIVES = ("z1", "weighted", "epsilon")
+
+# The most rows ``build_model`` builds. A 12x12 world with five levels (T5)
+# takes under 300,000 rows and about 190 MB to build; a 16x16 world with six
+# takes about 800,000 rows and 480 MB.
+MAX_ROWS = 500_000
 
 _SENSES = ("<=", ">=", "=")
 
@@ -199,6 +208,34 @@ def default_big_m(env: Environment) -> float:
     return 1.0 + max(span, ceilings, obstacles)
 
 
+def row_count(env: Environment, objective: str) -> int:
+    """Rows ``build_model(env, ..., objective)`` builds, counted from the
+    world alone in O(arcs): eq3, eq4, eq6 when the goal has successors, one
+    eq5 per intermediate cell, eq7 and eq8 per arc into a non-start cell,
+    eq9 or eq11 and eq15..eq23 per arc, eq12, eq13 and two add_ub rows per
+    product variable, and the epsilon objective's risk_cap row.
+
+    The count assumes no row is trimmed for having only zero coefficients.
+    That can only fail on a one-level world whose level sits at altitude 0
+    (eq8) or at the big-M value (eq7), and an overcount only makes the guard
+    stricter.
+    """
+    spec = env.spec
+    start = spec.start_cell
+    level_pairs = spec.level_count ** 2
+    # eq3, eq4 and one eq5 per other cell: one row per cell.
+    count = spec.rows * spec.cols
+    count += 1 if env.successors(spec.goal_cell) else 0
+    count += 1 if objective == "epsilon" else 0
+    for i in env.cells():
+        succ = len(env.successors(i))
+        count += 10 * succ
+        if i != start:
+            pred = len(env.predecessors(i))
+            count += 2 * pred + 4 * succ * pred * level_pairs
+    return count
+
+
 def build_model(
     env: Environment,
     params: DroneParams,
@@ -216,6 +253,10 @@ def build_model(
     ``bounds``; the affine constant of the normalization is dropped), or
     ``epsilon`` (length objective plus a risk_cap row bounding accumulated
     risk by ``risk_cap``).
+
+    Raises:
+        EnumerationLimitError: when ``row_count`` exceeds ``MAX_ROWS``,
+            before any row is built.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
@@ -227,7 +268,11 @@ def build_model(
     if objective == "epsilon":
         if risk_cap is None or risk_cap < 0.0:
             raise ValueError("epsilon objective requires a nonnegative risk_cap")
-    check_caps(env, EnumerationCaps())
+    rows_needed = row_count(env, objective)
+    if rows_needed > MAX_ROWS:
+        raise EnumerationLimitError(
+            f"the LP model would have {rows_needed} rows, above the limit of {MAX_ROWS}"
+        )
 
     spec = env.spec
     start, goal = spec.start_cell, spec.goal_cell
@@ -523,29 +568,6 @@ def render_lp(model: MilpModel) -> str:
         out.extend(_wrap(" ", binaries))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def export_lp(
-    env: Environment,
-    params: DroneParams,
-    objective: str = "z1",
-    *,
-    weight: float = 0.5,
-    bounds: NormBounds | None = None,
-    risk_cap: float | None = None,
-    big_m: float | None = None,
-) -> str:
-    """Build and render the model in one step."""
-    model = build_model(
-        env,
-        params,
-        objective,
-        weight=weight,
-        bounds=bounds,
-        risk_cap=risk_cap,
-        big_m=big_m,
-    )
-    return render_lp(model)
 
 
 # -- substitution oracle -----------------------------------------------------

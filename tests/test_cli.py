@@ -33,6 +33,15 @@ def _job_that_kills_its_worker(payload):
     return _EXECUTE_JOB(payload)
 
 
+def save_oversized(path):
+    """A 24x24 world with six levels: its LP model is above ``milp.MAX_ROWS``."""
+    save_instance(build_env(rows=24, cols=24, levels=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0)), path)
+
+
+def refuse_to_run(*_args, **_kwargs):
+    raise AssertionError("an oversized world must be refused before this runs")
+
+
 def write_solve_config(path, instances, **overrides):
     config = {
         "instances": instances,
@@ -200,6 +209,17 @@ class TestSolve:
         ratio = manifest["jobs"][0]["oracle_hv_ratio"]
         assert 0.0 <= ratio <= 1.0 + 1e-9
 
+    def test_oracle_ratio_recorded_on_six_by_six(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1, rows=6, cols=6, levels=3)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], oracle=True,
+                           population_size=16, evaluation_budget=320)
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        job = json.loads((out / "manifest.json").read_text())["jobs"][0]
+        assert job["status"] == "ok"
+        assert 0.0 <= job["oracle_hv_ratio"] <= 1.0 + 1e-9
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
         save_tiny(tmp_path / "i2.json", 2)
@@ -278,6 +298,25 @@ class TestTune:
         payload = json.loads((out / "i1_nsga2.tuning.json").read_text())
         assert len(payload["trials"]) == 2
         assert payload["best"]["population_size"] == 8
+
+    def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], algorithms=["foo"])
+        out = tmp_path / "tuning"
+        assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown algorithm 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("instances", ["i1.json", ["i1.json", 5]], ids=["string", "number"])
+    def test_instances_not_file_names_is_usage_error(self, tmp_path, capsys, instances):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, instances)
+        out = tmp_path / "tuning"
+        assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config must list instance files under 'instances'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTable:
@@ -363,10 +402,20 @@ class TestCheck:
         assert out.count(": ok") >= 5
         assert "FAIL" not in out
 
-    def test_oversized_instance_refused(self, tmp_path, capsys):
-        save_tiny(tmp_path / "big.json", 1, rows=6, cols=6)
+    def test_passes_on_six_by_six(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1, rows=6, cols=6, levels=3)
+        assert main(["check", str(tmp_path / "i1.json"), "--samples", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        assert all(line.split(": ", 1)[1].startswith("ok") for line in lines)
+
+    def test_oversized_instance_refused(self, tmp_path, capsys, monkeypatch):
+        save_oversized(tmp_path / "big.json")
+        monkeypatch.setattr(cli, "enumerate_front", refuse_to_run)
         assert main(["check", str(tmp_path / "big.json")]) == 2
-        assert "refusing" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("refusing: the LP model would have ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("samples", [[], ["--samples", "0"]])
     def test_no_route_fails_enumerate_and_exits_three(self, tmp_path, capsys, samples):
@@ -425,10 +474,13 @@ class TestLpExport:
         ]) == 0
         assert "risk_cap" in (tmp_path / "m.lp").read_text()
 
-    def test_oversized_refused(self, tmp_path, capsys):
-        save_tiny(tmp_path / "big.json", 1, rows=6, cols=6)
+    def test_oversized_refused(self, tmp_path, capsys, monkeypatch):
+        save_oversized(tmp_path / "big.json")
+        monkeypatch.setattr(cli, "render_lp", refuse_to_run)
         assert main(["lp-export", str(tmp_path / "big.json"),
                      "--out", str(tmp_path / "m.lp")]) == 2
+        assert capsys.readouterr().err.startswith("refusing: the LP model would have ")
+        assert not (tmp_path / "m.lp").exists()
 
 
 class TestUsage:

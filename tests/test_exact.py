@@ -1,5 +1,6 @@
 """Exhaustive enumeration, arc-flow checking, and the independent evaluator."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -75,21 +76,26 @@ def hand_built_worlds():
 
 class TestCaps:
     def test_default_caps(self):
-        caps = EnumerationCaps()
-        assert caps.max_cells == 25
-        assert caps.max_levels == 4
-        assert caps.max_states == 10_000_000
+        # The label budget is the only guard: grid size and levels are free.
+        assert [f.name for f in dataclasses.fields(EnumerationCaps)] == ["max_states"]
+        assert EnumerationCaps().max_states == 10_000_000
 
-    def test_too_many_cells_refused(self):
-        env = build_env(rows=6, cols=6)
-        with pytest.raises(EnumerationLimitError):
-            enumerate_front(env, PARAMS)
-
-    def test_too_many_levels_refused(self):
-        env = build_env(rows=2, cols=2, levels=(0.0, 10.0, 20.0, 30.0, 40.0),
-                        start=(0, 0), goal=(0, 1))
-        with pytest.raises(EnumerationLimitError):
-            enumerate_front(env, PARAMS)
+    @pytest.mark.parametrize(
+        "env",
+        [
+            build_env(rows=6, cols=6),
+            build_env(rows=2, cols=2, levels=(0.0, 10.0, 20.0, 30.0, 40.0),
+                      start=(0, 0), goal=(0, 1)),
+        ],
+        ids=["cells", "levels"],
+    )
+    def test_refused_by_state_budget_only(self, env):
+        front = enumerate_front(env, PARAMS)
+        assert front.members
+        budget = front.states_processed
+        assert enumerate_front(env, PARAMS, EnumerationCaps(max_states=budget)) == front
+        with pytest.raises(EnumerationLimitError, match=f"exceeded {budget - 1} label"):
+            enumerate_front(env, PARAMS, EnumerationCaps(max_states=budget - 1))
 
     def test_state_budget_enforced_not_truncated(self):
         env = build_env(rows=4, cols=4)
@@ -97,8 +103,6 @@ class TestCaps:
             enumerate_front(env, PARAMS, EnumerationCaps(max_states=100))
 
     def test_caps_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationCaps(max_cells=0)
         with pytest.raises(ValueError):
             EnumerationCaps(max_states=0)
 

@@ -17,7 +17,6 @@ from overfly import (
     default_big_m,
     enumerate_front,
     evaluate,
-    export_lp,
     generate,
     GeneratorSettings,
     iter_assignments,
@@ -28,7 +27,18 @@ from overfly import (
     validate,
 )
 from overfly.cli import suite_settings
-from overfly.milp import LpRow, MilpModel, RowCheck, arc_var, u_name, violate_row, x_name
+from overfly import milp
+from overfly.milp import (
+    MAX_ROWS,
+    LpRow,
+    MilpModel,
+    RowCheck,
+    arc_var,
+    row_count,
+    u_name,
+    violate_row,
+    x_name,
+)
 
 from helpers import all_simple_paths, build_env
 
@@ -265,10 +275,28 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(env, PARAMS, "epsilon")
 
-    def test_size_guard(self):
-        env = build_env(rows=6, cols=6)
-        with pytest.raises(EnumerationLimitError):
+    def test_size_guard(self, monkeypatch):
+        # 24x24 cells, six levels: about 1.9 million rows.
+        env = build_env(rows=24, cols=24, levels=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
+        count = row_count(env, "z1")
+        assert count > MAX_ROWS
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the guard must refuse before building")
+
+        for name in ("LpVar", "LpRow", "arc_costs"):
+            monkeypatch.setattr(milp, name, never)
+        with pytest.raises(EnumerationLimitError, match=f"{count} rows.* {MAX_ROWS}"):
             build_model(env, PARAMS, "z1")
+
+    # T1-1..T4-4 and T5-1 of the generated suite.
+    @pytest.mark.parametrize("world", range(17), ids=lambda w: suite_settings(0)[w][0])
+    def test_row_count_matches_built_rows(self, world):
+        _id, settings, seed = suite_settings(0)[world]
+        env = generate(settings, seed)
+        assert row_count(env, "z1") == len(build_model(env, PARAMS, "z1").rows)
+        epsilon = build_model(env, PARAMS, "epsilon", risk_cap=1.0)
+        assert row_count(env, "epsilon") == len(epsilon.rows)
 
     def test_empty_row_constructor_rejected(self):
         with pytest.raises(ValueError):
@@ -613,10 +641,6 @@ class TestRenderedText:
                 assert lhs >= rhs - 1e-9
             else:
                 assert abs(lhs - rhs) <= 1e-9
-
-    def test_export_lp_convenience(self):
-        env = tiny_env()
-        assert export_lp(env, PARAMS, "z1") == render_lp(build_model(env, PARAMS, "z1"))
 
 
 class TestAssignmentValues:
