@@ -7,6 +7,8 @@ one-point crossover with a rightward-shifting splice repair, and mutation
 that resamples a fraction of the entry levels.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from overfly import (
@@ -66,4 +68,4 @@ m = mutate(c1, always, env, rng, stats)
 print("mutated child 1 levels:", c1.entry_levels, "->", m.entry_levels)
 print("children valid:", all(validate(ch, env).ok for ch in (c1, c2, m)))
 
-print("\noperator counters:", stats.as_dict())
+print("\noperator counters:", asdict(stats))

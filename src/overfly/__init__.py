@@ -123,7 +123,6 @@ from .solution import (
     arc_costs,
     evaluate,
     max_risk_between,
-    path_record,
     validate,
 )
 
@@ -195,7 +194,6 @@ __all__ = [
     "mutation_test",
     "nondominated",
     "objective_value",
-    "path_record",
     "pearson",
     "reference_points",
     "relative_hv_table",

@@ -223,11 +223,10 @@ def _config_pair(value: object, field: str) -> tuple:
     raise _UsageError(f"config field {field} must be a list of two numbers, got {value!r}")
 
 
-def _tuner_template(config: dict) -> tuple[int, dict]:
-    """The config's tuner base seed, and its ``tuner`` section with
-    ``TunerConfig``'s defaults for missing fields, checked by ``TunerConfig``
-    itself. ``_tuner_payload`` fills in the derived seed per (instance,
-    algorithm)."""
+def _tuner_template(config: dict) -> TunerConfig:
+    """The config's ``tuner`` section, with ``TunerConfig``'s defaults for
+    missing fields and checked by ``TunerConfig`` itself. Its seed is the
+    base from which each (instance, algorithm) pair's seed is derived."""
     tuner = config.get("tuner", {})
     if not isinstance(tuner, dict):
         raise _UsageError(f"config field tuner must be an object, got {tuner!r}")
@@ -241,39 +240,57 @@ def _tuner_template(config: dict) -> tuple[int, dict]:
         raise _UsageError(
             f"config field tuner.population_sizes must be a list of integers, got {sizes!r}"
         )
-    seed = _config_int(tuner.get("seed", 0), "tuner.seed")
-    fields = {
-        "budget": _config_int(pick("budget"), "tuner.budget"),
-        **{
-            name: _config_pair(pick(name), f"tuner.{name}")
-            for name in ("crossover_range", "mutation_probability_range", "mutation_rate_range")
-        },
-        "population_sizes": tuple(
-            _config_int(size, f"tuner.population_sizes[{k}]") for k, size in enumerate(sizes)
-        ),
-    }
     try:
-        TunerConfig(seed=seed, **fields)
+        return TunerConfig(
+            seed=_config_int(tuner.get("seed", 0), "tuner.seed"),
+            budget=_config_int(pick("budget"), "tuner.budget"),
+            **{
+                name: _config_pair(pick(name), f"tuner.{name}")
+                for name in ("crossover_range", "mutation_probability_range", "mutation_rate_range")
+            },
+            population_sizes=tuple(
+                _config_int(size, f"tuner.population_sizes[{k}]") for k, size in enumerate(sizes)
+            ),
+        )
     except ValueError as exc:
         raise _UsageError(f"bad tuner settings: {exc}") from exc
-    return seed, fields
 
 
-def _tuner_payload(template: tuple[int, dict], instance_id: str, algorithm: str) -> dict:
-    base, fields = template
-    return {**fields, "seed": _derived_tuner_seed(base, instance_id, algorithm)}
-
-
-_RUN_SIZES = ("population_size", "evaluation_budget", "archive_size", "reference_point_divisions")
-
-
-def _run_sizes(config: dict) -> dict[str, int]:
-    """The config's run sizes, with ``AlgoConfig``'s defaults for the rest."""
+def _settings(config: dict) -> tuple[DroneParams, AlgoConfig, TunerConfig]:
+    """The config's drone, base run settings (run sizes and operators, with
+    the default algorithm and seed 0) and tuner, each checked by its own
+    record before any job exists: a field a record rejects is a usage error
+    naming it. Shared by ``solve`` and ``tune``."""
+    drone = _drone_from(config)
+    operators = _operators_from(config)
+    tuner = _tuner_template(config)
     defaults = AlgoConfig()
-    return {
+    sizes = {
         name: _config_int(config.get(name, getattr(defaults, name)), name)
-        for name in _RUN_SIZES
+        for name in (
+            "population_size", "evaluation_budget", "archive_size", "reference_point_divisions"
+        )
     }
+    try:
+        base = AlgoConfig(operators=operators, **sizes)
+    except ValueError as exc:
+        raise _UsageError(f"bad run settings: {exc}") from exc
+    return drone, base, tuner
+
+
+def _check_tuned_budget(base: AlgoConfig, tuner: TunerConfig) -> None:
+    """A tuned trial runs at a population size drawn from
+    ``tuner.population_sizes``, so the budget must cover the largest one."""
+    largest = max(tuner.population_sizes)
+    if base.evaluation_budget < largest:
+        raise _UsageError(
+            f"config field evaluation_budget ({base.evaluation_budget}) must cover the "
+            f"largest tuner.population_sizes entry ({largest}) for tuned runs"
+        )
+
+
+def _best_payload(best: AlgoConfig) -> dict:
+    return {"population_size": best.population_size, "operators": asdict(best.operators)}
 
 
 def _member_payload(member, env: Environment) -> dict:
@@ -292,30 +309,21 @@ def _member_payload(member, env: Environment) -> dict:
 
 
 def _front_payload(
-    result: RunResult, env: Environment, params: DroneParams, meta: dict
+    result: RunResult, env: Environment, params: DroneParams, job: dict
 ) -> dict:
+    config = asdict(result.config)
+    del config["algorithm"], config["seed"]  # top-level fields of the file
     return {
         "schema": "overfly.front/1",
-        "instance": {"id": meta["instance_id"], "path": meta["instance_path"]},
+        "instance": {"id": job["instance_id"], "path": job["instance_path"]},
         "algorithm": result.config.algorithm,
-        "tuned": meta["tuned"],
+        "tuned": job["tuned"],
         "seed": result.config.seed,
-        "config": {
-            "population_size": result.config.population_size,
-            "evaluation_budget": result.config.evaluation_budget,
-            "archive_size": result.config.archive_size,
-            "reference_point_divisions": result.config.reference_point_divisions,
-            "operators": asdict(result.config.operators),
-        },
+        "config": config,
         "drone": asdict(params),
         "evaluations": result.evaluations,
         "generations": result.generations,
-        "bounds": {
-            "length_lo": result.bounds.length_lo,
-            "length_hi": result.bounds.length_hi,
-            "energy_lo": result.bounds.energy_lo,
-            "energy_hi": result.bounds.energy_hi,
-        },
+        "bounds": asdict(result.bounds),
         "degenerate_normalization": result.degenerate_normalization,
         "trace_reference": list(result.trace_reference),
         "front": [_member_payload(m, env) for m in result.front],
@@ -324,43 +332,25 @@ def _front_payload(
     }
 
 
-def _execute_job(payload: dict) -> dict:
+def _execute_job(job: dict) -> dict:
     """One solver run, isolated: returns a manifest entry, never raises."""
-    run_id = payload["run_id"]
+    run_id = job["run_id"]
     try:
-        env = load_instance(payload["instance_path"])
-        params = DroneParams(**payload["drone"])
-        operators = OperatorConfig(**payload["operators"])
-        cfg = AlgoConfig(
-            algorithm=payload["algorithm"],
-            population_size=payload["population_size"],
-            evaluation_budget=payload["evaluation_budget"],
-            archive_size=payload["archive_size"],
-            reference_point_divisions=payload["reference_point_divisions"],
-            operators=operators,
-            seed=payload["seed"],
-        )
+        env = load_instance(job["instance_path"])
+        params = job["drone"]
+        cfg = job["config"]
         tuning_info = None
-        if payload["tuned"]:
-            tuner_cfg = TunerConfig(**payload["tuner"])
-            tuned_result = tune(env, params, cfg, tuner_cfg)
-            cfg = replace(tuned_result.best, seed=payload["seed"])
+        if job["tuned"]:
+            tuned_result = tune(env, params, cfg, job["tuner"])
+            cfg = replace(tuned_result.best, seed=cfg.seed)
             tuning_info = {
-                "tuner_seed": payload["tuner"]["seed"],
+                "tuner_seed": job["tuner"].seed,
                 "trials": len(tuned_result.trials),
-                "best": {
-                    "population_size": cfg.population_size,
-                    "operators": asdict(cfg.operators),
-                },
+                "best": _best_payload(cfg),
             }
         result = run(env, params, cfg)
-        meta = {
-            "instance_id": payload["instance_id"],
-            "instance_path": payload["instance_path"],
-            "tuned": payload["tuned"],
-        }
-        front = _front_payload(result, env, params, meta)
-        out_dir = Path(payload["out_dir"])
+        front = _front_payload(result, env, params, job)
+        out_dir = Path(job["out_dir"])
         front_path = out_dir / f"{run_id}.front.json"
         report_path = out_dir / f"{run_id}.report.json"
         conv_path = out_dir / f"{run_id}.convergence.csv"
@@ -368,10 +358,10 @@ def _execute_job(payload: dict) -> dict:
         report = dict(front)
         report["schema"] = "overfly.report/1"
         report["wall_clock_s"] = result.wall_clock_s
-        report["operator_stats"] = result.stats.as_dict()
+        report["operator_stats"] = asdict(result.stats)
         if tuning_info:
             report["tuning"] = tuning_info
-        if payload.get("oracle"):
+        if job["oracle"]:
             report["oracle_hv_ratio"] = oracle_hv_ratio(env, params, result)
         _dump_json(report_path, report)
         write_csv(conv_path, ["evaluations", "hypervolume"], result.hv_trace)
@@ -383,7 +373,7 @@ def _execute_job(payload: dict) -> dict:
             "convergence": conv_path.name,
             "front_size": len(result.front),
         }
-        if payload.get("oracle"):
+        if job["oracle"]:
             entry["oracle_hv_ratio"] = report["oracle_hv_ratio"]
         return entry
     except Exception as exc:  # noqa: BLE001 - per-run isolation by contract
@@ -441,10 +431,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
         seeds = [_config_int(s, f"seeds[{k}]") for k, s in enumerate(seeds)]
     if not seeds:
         raise _UsageError("at least one seed is required")
-    drone = asdict(_drone_from(config))
-    operators = asdict(_operators_from(config))
-    tuner = _tuner_template(config)
-    sizes = _run_sizes(config)
+    drone, base, tuner = _settings(config)
     oracle = config.get("oracle", False)
     if not isinstance(oracle, bool):
         raise _UsageError(f"config field oracle must be a boolean, got {oracle!r}")
@@ -454,6 +441,9 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     for inst_path in inst_paths:
         instance_id = inst_path.stem
         for algorithm in algorithms:
+            pair_tuner = replace(
+                tuner, seed=_derived_tuner_seed(tuner.seed, instance_id, algorithm)
+            )
             for tuned in flags:
                 for seed in seeds:
                     run_id = (
@@ -471,28 +461,32 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                             "run_id": run_id,
                             "instance_id": instance_id,
                             "instance_path": str(inst_path),
-                            "algorithm": algorithm,
                             "tuned": tuned,
-                            "seed": seed,
-                            **sizes,
-                            "operators": operators,
+                            "config": replace(base, algorithm=algorithm, seed=seed),
                             "drone": drone,
-                            "tuner": _tuner_payload(tuner, instance_id, algorithm),
+                            "tuner": pair_tuner,
                             "oracle": oracle,
                             "out_dir": str(out),
                         }
                     )
+    if any(job["tuned"] for job in jobs):
+        _check_tuned_budget(base, tuner)
     return jobs
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     jobs = _solve_jobs(args)
     out = _require_out(args)
-    if args.workers > 1:
+    # A fork pool starts all its workers at the first submit: no more than
+    # there are jobs.
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
         # One future per job, read in job order: a worker that dies fails
         # only the jobs it breaks, and the manifest is still written.
         entries = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_job, job) for job in jobs]
             for job, future in zip(jobs, futures):
                 try:
@@ -518,10 +512,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     inst_paths, algorithms = _instances_and_algorithms(args, config)
-    drone = _drone_from(config)
-    operators = _operators_from(config)
-    tuner = _tuner_template(config)
-    sizes = _run_sizes(config)
+    drone, base, tuner = _settings(config)
+    _check_tuned_budget(base, tuner)
     out = _require_out(args)
     failed = 0
     for inst_path in inst_paths:
@@ -529,20 +521,18 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         for algorithm in algorithms:
             try:
                 env = load_instance(inst_path)
-                base = AlgoConfig(algorithm=algorithm, operators=operators, seed=0, **sizes)
-                payload = _tuner_payload(tuner, instance_id, algorithm)
-                result = tune(env, drone, base, TunerConfig(**payload))
+                pair_tuner = replace(
+                    tuner, seed=_derived_tuner_seed(tuner.seed, instance_id, algorithm)
+                )
+                result = tune(env, drone, replace(base, algorithm=algorithm), pair_tuner)
                 _dump_json(
                     out / f"{instance_id}_{algorithm}.tuning.json",
                     {
                         "schema": "overfly.tuning/1",
                         "instance": instance_id,
                         "algorithm": algorithm,
-                        "tuner": payload,
-                        "best": {
-                            "population_size": result.best.population_size,
-                            "operators": asdict(result.best.operators),
-                        },
+                        "tuner": asdict(pair_tuner),
+                        "best": _best_payload(result.best),
                         "trials": [asdict(t) for t in result.trials],
                     },
                 )
@@ -576,12 +566,7 @@ def _table_summaries(payloads: list[dict]) -> list[FrontSummary]:
         )
         bounds = None
         for p in runs:
-            b = NormBounds(
-                length_lo=p["bounds"]["length_lo"],
-                length_hi=p["bounds"]["length_hi"],
-                energy_lo=p["bounds"]["energy_lo"],
-                energy_hi=p["bounds"]["energy_hi"],
-            )
+            b = NormBounds(**p["bounds"])
             bounds = b if bounds is None else bounds.merge(b)
         point_sets = []
         for p in runs:
@@ -792,25 +777,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"{len(candidates)} candidate(s), worst relative gap {worst:.3e}",
     )
 
-    doubled = build_model(env, params, "z1", big_m=2.0 * model.big_m)
+    # One LP model at a time: the z1 model's checks first, then the
+    # doubled-big-M model in its place.
     substitution_ok = True
     objective_ok = True
-    doubled_ok = True
     for member in exact.members:
         values = assignment_values(model, env, member.cells, member.entry_levels)
-        result = substitute(model, values)
-        if not result.ok:
+        if not substitute(model, values).ok:
             substitution_ok = False
         if not _rel_close(objective_value(model, values), member.objectives.length_m):
             objective_ok = False
-        if not substitute(doubled, values).ok:
-            doubled_ok = False
+    base = assignment_values(model, env, exact.members[0].cells, exact.members[0].entry_levels)
+    caught = mutation_test(model, base)
+    big_m = model.big_m
+    del model, values, base
+    doubled = build_model(env, params, "z1", big_m=2.0 * big_m)
+    doubled_ok = all(
+        substitute(doubled, assignment_values(doubled, env, m.cells, m.entry_levels)).ok
+        for m in exact.members
+    )
     report("lp-substitution", substitution_ok, f"{len(exact.members)} assignment(s)")
     report("lp-objective", objective_ok)
     report("lp-big-m-doubling", doubled_ok)
-
-    base = assignment_values(model, env, exact.members[0].cells, exact.members[0].entry_levels)
-    caught = mutation_test(model, base)
     missed = sorted(f for f, ok in caught.items() if not ok)
     report(
         "lp-mutation",

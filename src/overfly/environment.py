@@ -108,10 +108,6 @@ class GridSpec:
     def level_count(self) -> int:
         return len(self.levels_m)
 
-    def cell_id(self, cell: Cell) -> int:
-        """Row-major integer id of a cell."""
-        return cell[0] * self.cols + cell[1]
-
 
 @dataclass(frozen=True)
 class CellData:

@@ -72,16 +72,6 @@ class OperatorStats:
     crossovers: int = 0
     mutations: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "walk_restarts": self.walk_restarts,
-            "splice_failures": self.splice_failures,
-            "loop_removals": self.loop_removals,
-            "level_repairs": self.level_repairs,
-            "crossovers": self.crossovers,
-            "mutations": self.mutations,
-        }
-
 
 def sample_entry_level(
     cell: Cell,

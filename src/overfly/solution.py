@@ -270,20 +270,3 @@ class CombinedPoint:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.cost, self.risk)
-
-
-def path_record(ch: Chromosome, env: Environment, objectives: ObjectiveVector) -> dict:
-    """JSON-ready export record of a path with entry altitudes and objectives."""
-    levels = env.spec.levels_m
-    return {
-        "path": [
-            {"cell": [r, c], "entry_altitude_m": levels[k]}
-            for (r, c), k in zip(ch.cells, ch.entry_levels)
-        ],
-        "weight": ch.weight,
-        "objectives": {
-            "length_m": objectives.length_m,
-            "energy_j": objectives.energy_j,
-            "risk": objectives.risk,
-        },
-    }

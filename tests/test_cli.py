@@ -1,5 +1,7 @@
 """The overfly command: all subcommands, exit codes, and determinism."""
 
+import concurrent.futures
+import hashlib
 import json
 import os
 
@@ -40,6 +42,32 @@ def save_oversized(path):
 
 def refuse_to_run(*_args, **_kwargs):
     raise AssertionError("an oversized world must be refused before this runs")
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size asked
+    for and runs each job in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def ok_entry(job):
+    """Stands in for ``cli._execute_job``: a successful entry, no run."""
+    return {"run_id": job["run_id"], "status": "ok"}
 
 
 def write_solve_config(path, instances, **overrides):
@@ -249,6 +277,40 @@ class TestSolve:
             if job["status"] == "ok":
                 assert (out / job["front"]).exists()
 
+    @pytest.mark.parametrize(
+        "workers, instances, pools",
+        [(64, 3, [3]), (2, 3, [2]), (4, 1, [])],
+        ids=["more-than-jobs", "fewer-than-jobs", "one-job"],
+    )
+    def test_pool_never_larger_than_the_jobs(self, tmp_path, capsys, monkeypatch,
+                                             workers, instances, pools):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_execute_job", ok_entry)
+        names = [f"i{i}.json" for i in range(instances)]
+        for i, name in enumerate(names):
+            save_tiny(tmp_path / name, i)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, names)
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        assert RecordingPool.sizes == pools
+        assert json.loads((out / "manifest.json").read_text())["total"] == instances
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr(cli, "_execute_job", lambda job: ran.append(job) or ok_entry(job))
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"])
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 1
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -317,6 +379,113 @@ class TestTune:
         assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
         assert "config must list instance files under 'instances'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunSettings:
+    # Each case: config overrides and the field the error must name.
+    BAD = {
+        "population-odd-and-small": ({"population_size": 3}, "population_size"),
+        "budget-below-population": ({"evaluation_budget": 6}, "evaluation_budget"),
+        "archive-of-one": ({"archive_size": 1}, "archive_size"),
+        "no-reference-divisions": ({"reference_point_divisions": 0}, "reference_point_divisions"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, case", [(command, case) for case in sorted(BAD) for command in ("solve", "tune")]
+    )
+    def test_bad_run_size_is_usage_error_naming_field(self, tmp_path, capsys, monkeypatch,
+                                                       command, case):
+        overrides, field = self.BAD[case]
+        ran = []
+        monkeypatch.setattr(cli, "_execute_job", lambda job: ran.append(job) or ok_entry(job))
+        monkeypatch.setattr(cli, "tune", lambda *args: ran.append(args))
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"bad run settings: {field}" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
+    # A tuned trial may draw 60, which a budget of 40 cannot cover.
+    TUNED = {"evaluation_budget": 40, "tuner": {"budget": 2, "population_sizes": [8, 60]}}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--tuned"], ["solve", "--tuned", "--untuned"], ["tune"]],
+        ids=["solve-tuned", "solve-both", "tune"],
+    )
+    def test_tuned_budget_below_a_tuner_size_is_usage_error(self, tmp_path, capsys, argv):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **self.TUNED)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field evaluation_budget (40) must cover" in err
+        assert "tuner.population_sizes entry (60)" in err
+        assert not out.exists()
+
+    def test_untuned_runs_ignore_the_tuner_sizes(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **self.TUNED)
+        out = tmp_path / "o"
+        assert main(["solve", "--untuned", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def tiny_session(tmp_path):
+    """A tuned and untuned ``solve`` and a ``tune`` of one 3x3 world; the
+    bytes of their front, manifest and tuning files, keyed by file name,
+    with the scratch directory replaced by ``<tmp>``."""
+    save_tiny(tmp_path / "i1.json", 1)
+    cfg = tmp_path / "run.json"
+    write_solve_config(
+        cfg, ["i1.json"],
+        algorithms=["nsga2", "nsga3", "spea2"], tuned=[True, False],
+        tuner={"budget": 2, "population_sizes": [8, 12], "seed": 5},
+    )
+    runs, tuning = tmp_path / "runs", tmp_path / "tuning"
+    assert main(["solve", "--config", str(cfg), "--out", str(runs)]) == 0
+    assert main(["tune", "--config", str(cfg), "--out", str(tuning)]) == 0
+    files = [*runs.glob("*.front.json"), runs / "manifest.json", *tuning.glob("*.tuning.json")]
+    return {
+        f.name: f.read_bytes().replace(str(tmp_path).encode(), b"<tmp>") for f in sorted(files)
+    }
+
+
+class TestOutputsUnchanged:
+    # SHA-256 of each file's bytes from ``tiny_session``. A changed digest
+    # means the file layout or the search itself changed.
+    EXPECTED = {
+        "i1_nsga2_tuned_s0.front.json":
+            "e19d441287c22cf8bfb2d8cb8dda5b7312a06ad0ea3495f3d0bfb05bed9f578c",
+        "i1_nsga2_untuned_s0.front.json":
+            "8ca0b45fa305acc5aea71ed58d8fc71799fbe7e0544b396c3c84350425f90cec",
+        "i1_nsga3_tuned_s0.front.json":
+            "8d0db030cda3c5c6bb318069c6d417e2bf0b8f03a178c3b20dce0baac66ca76a",
+        "i1_nsga3_untuned_s0.front.json":
+            "8ed5282cc835c4f96cd2625581b313261c0539cb3a533c66cc9eedb4de7c841f",
+        "i1_spea2_tuned_s0.front.json":
+            "6000c51af7a3322824516d0a18857d5486103633f7a22b97cb6a97e256824901",
+        "i1_spea2_untuned_s0.front.json":
+            "7ec69e3e67878ffd559188b61b2a8c556e47c4ba3e83d622136ff42997462cf3",
+        "manifest.json":
+            "1b6d3240e04c986fe30ce8de5a721135fa931dc9d209600fe2c3c0ddecbdbcfe",
+        "i1_nsga2.tuning.json":
+            "53b53776778bc344b3691cb0b38799a05299bcac359db31616d0f021928bb1d7",
+        "i1_nsga3.tuning.json":
+            "de49309e5661f9c8a76000f8090320b25c346f0b45339ee1e3d2c3a0230c8a01",
+        "i1_spea2.tuning.json":
+            "76957ab89a38db63ee8494f7c960ea9b1fa1134c3acbecd6f97d4a6ce690843c",
+    }
+
+    def test_front_manifest_and_tuning_bytes(self, tmp_path, capsys):
+        digests = {
+            name: hashlib.sha256(data).hexdigest() for name, data in tiny_session(tmp_path).items()
+        }
+        assert digests == self.EXPECTED
 
 
 class TestTable:

@@ -66,12 +66,9 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(**spec_kwargs(**overrides))
 
-    def test_level_count_and_cell_id(self):
+    def test_level_count(self):
         spec = GridSpec(**spec_kwargs())
         assert spec.level_count == 3
-        assert spec.cell_id((0, 0)) == 0
-        assert spec.cell_id((1, 2)) == 6
-        assert spec.cell_id((2, 3)) == 11
 
     def test_goal_in_same_column_allowed(self):
         spec = GridSpec(**spec_kwargs(start_cell=(0, 2), goal_cell=(2, 2)))

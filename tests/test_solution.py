@@ -20,7 +20,6 @@ from overfly import (
     generate,
     load_instance,
     max_risk_between,
-    path_record,
     save_instance,
     segment_energy,
     traversal_energy,
@@ -310,16 +309,3 @@ class TestArcCosts:
         assert loaded is not env and loaded == env and hash(loaded) == hash(env)
         assert arc_costs(loaded, PARAMS) is arc_costs(env, PARAMS)
         assert arc_costs(env, DroneParams(speed_mps=5.0)) is not arc_costs(env, PARAMS)
-
-
-class TestPathRecord:
-    def test_record_shape(self):
-        env = build_env(levels=(0.0, 15.0, 30.0))
-        ch = Chromosome(cells=((1, 0), (1, 1), (1, 2), (1, 3)),
-                        entry_levels=(0, 2, 1, 0), weight=0.25)
-        vec = evaluate(ch, env, PARAMS)
-        rec = path_record(ch, env, vec)
-        assert [p["cell"] for p in rec["path"]] == [[1, 0], [1, 1], [1, 2], [1, 3]]
-        assert [p["entry_altitude_m"] for p in rec["path"]] == [0.0, 30.0, 15.0, 0.0]
-        assert rec["weight"] == 0.25
-        assert rec["objectives"]["length_m"] == vec.length_m
