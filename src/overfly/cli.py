@@ -812,6 +812,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # -- lp-export ---------------------------------------------------------------
 
 
+# build_model keyword -> the lp-export flag that sets it.
+_LP_FLAGS = {"weight": "--weight", "risk_cap": "--risk-cap", "big_m": "--big-m"}
+
+
 def _cmd_lp_export(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
     params = _drone_from(config)
@@ -853,6 +857,12 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
     except EnumerationLimitError as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # build_model's message opens with the keyword it rejects.
+        keyword, _, rest = str(exc).partition(" ")
+        if keyword not in _LP_FLAGS:
+            raise
+        raise _UsageError(f"{_LP_FLAGS[keyword]} {rest}") from exc
     text = render_lp(model)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ row (the exporter's correctness oracle) and mutation-tests that oracle: each
 row in turn gets the one-variable change that breaks it, and only that row
 is re-evaluated, by the same row evaluator ``substitute`` uses.
 
-Building, rendering and checking pay for each row once. ``build_model``
+Building and rendering pay for each row once. ``build_model``
 formats every cell, arc, ``x``, ``u`` and per-arc variable name once, into
 name tables local to the build that the variable list, the rows and the
 objective all read (the public ``x_name``, ``u_name`` and ``arc_var`` give
@@ -20,13 +20,13 @@ formats each distinct coefficient once per call, and writes a row that fits
 the 72-column width in one join.
 
 Substitution works against a per-model baseline, the unused-arc assignment
-``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc). Each
-row's baseline sum and check are computed once per model; ``substitute``
+``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc).
+``assignment_values`` overlays a path's values on it; ``substitute``
 re-sums only the rows holding a variable whose value differs from the
-baseline, and shares the baseline check for every other row. That is exact:
-``math.fsum`` returns the correctly rounded sum of its nonzero terms and
-+0.0 when there are none, so a row none of whose variables changed sums to
-the baseline's left-hand side bit for bit.
+baseline, and its report keeps only those rows. That is exact: ``math.fsum``
+returns the correctly rounded sum of its nonzero terms and +0.0 when there
+are none, so with finite coefficients a row none of whose variables changed
+sums to the baseline's left-hand side bit for bit.
 
 ``build_model`` counts its rows from the world before it builds any
 (``row_count``, O(arcs)) and refuses a model above ``MAX_ROWS`` with
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import ChainMap, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -147,18 +147,6 @@ class MilpModel:
         return MappingProxyType(values)
 
     @cached_property
-    def _zero_tol_checks(self) -> tuple[RowCheck, ...]:
-        """Every row checked at ``baseline`` with tolerance 0, in one pass.
-        Positional arguments: keywords cost measurably more per row."""
-        base = self.baseline
-        checks = []
-        for row in self.rows:
-            lhs = _lhs(row.coeffs, base)
-            slack = _slack(row, lhs)
-            checks.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= 0.0))
-        return tuple(checks)
-
-    @cached_property
     def _rows_of(self) -> defaultdict[str, list[int]]:
         """Variable name -> indices of the rows it appears in."""
         index: defaultdict[str, list[int]] = defaultdict(list)
@@ -168,9 +156,17 @@ class MilpModel:
         return index
 
     @cached_property
-    def _checks_by_tol(self) -> dict[float, tuple[RowCheck, ...]]:
-        """Tolerance -> the baseline's row checks, filled on demand."""
-        return {}
+    def _baseline_sums(self) -> tuple[list[tuple[float, float]], list[int]]:
+        """Each row's (lhs, slack) at ``baseline``, and the rows failing
+        there. Only the ``y`` rows hold a nonzero value; every other row's
+        terms are zero, for which ``math.fsum`` returns +0.0."""
+        base = self.baseline
+        summed = {r for name, value in base.items() if value for r in self._rows_of.get(name, ())}
+        sums = []
+        for r, row in enumerate(self.rows):
+            lhs = _lhs(row.coeffs, base) if r in summed else 0.0
+            sums.append((lhs, _slack(row, lhs)))
+        return sums, [r for r, (_, slack) in enumerate(sums) if not slack >= 0.0]
 
 
 # -- naming ------------------------------------------------------------------
@@ -255,6 +251,9 @@ def build_model(
     risk by ``risk_cap``).
 
     Raises:
+        ValueError: on a bad argument, including a non-finite
+            ``risk_cap`` or ``big_m``; a message about ``weight``,
+            ``risk_cap`` or ``big_m`` opens with that keyword.
         EnumerationLimitError: when ``row_count`` exceeds ``MAX_ROWS``,
             before any row is built.
     """
@@ -265,9 +264,12 @@ def build_model(
             raise ValueError("weighted objective requires normalization bounds")
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"weight must be in [0, 1], got {weight}")
-    if objective == "epsilon":
-        if risk_cap is None or risk_cap < 0.0:
-            raise ValueError("epsilon objective requires a nonnegative risk_cap")
+    if objective == "epsilon" and (risk_cap is None or risk_cap < 0.0):
+        raise ValueError(f"risk_cap must be >= 0 for the epsilon objective, got {risk_cap!r}")
+    if risk_cap is not None and not math.isfinite(risk_cap):
+        raise ValueError(f"risk_cap must be finite, got {risk_cap!r}")
+    if big_m is not None and not math.isfinite(big_m):
+        raise ValueError(f"big_m must be finite, got {big_m!r}")
     rows_needed = row_count(env, objective)
     if rows_needed > MAX_ROWS:
         raise EnumerationLimitError(
@@ -281,7 +283,7 @@ def build_model(
     level_ids = range(spec.level_count)
     m_value = default_big_m(env) if big_m is None else float(big_m)
     if m_value <= max(h[-1] - h[0], 0.0):
-        raise ValueError("big_m must exceed the largest altitude span")
+        raise ValueError(f"big_m must exceed the largest altitude span, got {m_value!r}")
 
     # Name tables: each cell, arc, x, u and per-arc variable name is
     # formatted once, here; the variable list, the rows and the objective
@@ -585,16 +587,35 @@ class RowCheck(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubstitutionReport:
-    checks: tuple[RowCheck, ...]
+    """Every row of ``model`` checked at one assignment. ``rows`` holds the
+    re-summed rows by index; every other row checks as at the baseline."""
+
+    model: MilpModel = field(repr=False)
+    tol: float
+    rows: Mapping[int, RowCheck]
+
+    def _check(self, r: int) -> RowCheck:
+        if r in self.rows:
+            return self.rows[r]
+        name, family, _, sense, rhs = self.model.rows[r]
+        lhs, slack = self.model._baseline_sums[0][r]
+        return RowCheck(name, family, lhs, sense, rhs, slack, slack >= -self.tol)
+
+    @property
+    def checks(self) -> tuple[RowCheck, ...]:
+        return tuple(map(self._check, range(len(self.model.rows))))
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.failures()
 
     def failures(self) -> tuple[RowCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        """In row order; only the re-summed rows and the rows failing at the
+        baseline can fail."""
+        candidates = sorted({*self.rows, *self.model._baseline_sums[1]})
+        return tuple(check for check in map(self._check, candidates) if not check.ok)
 
 
 def _lhs(coeffs: Sequence[tuple[str, float]], values: Mapping[str, float]) -> float:
@@ -611,21 +632,6 @@ def _slack(row: LpRow, lhs: float) -> float:
     return -abs(lhs - row.rhs)
 
 
-def _baseline_checks(model: MilpModel, tol: float) -> tuple[RowCheck, ...]:
-    """Every row checked at ``model.baseline``, once per model and ``tol``:
-    another tolerance re-judges only the tolerance-0 checks' ``ok``."""
-    if tol == 0.0:
-        return model._zero_tol_checks
-    by_tol = model._checks_by_tol
-    checks = by_tol.get(tol)
-    if checks is None:
-        checks = by_tol[tol] = tuple([
-            RowCheck(name, family, lhs, sense, rhs, slack, slack >= -tol)
-            for name, family, lhs, sense, rhs, slack, _ in model._zero_tol_checks
-        ])
-    return checks
-
-
 def substitute(
     model: MilpModel, values: Mapping[str, float], tol: float = 0.0
 ) -> SubstitutionReport:
@@ -633,34 +639,43 @@ def substitute(
 
     Every model variable must be present in ``values`` (extra keys are
     ignored); rows are checked with compensated summation and the given
-    tolerance. Only the rows holding a variable whose value ``!=`` its
-    ``model.baseline`` value are re-summed; every other row gets the shared
-    baseline check. That is bit-identical to re-summing it: a value equal to
+    tolerance, a number >= 0. Only the rows holding a variable whose value
+    ``!=`` its ``model.baseline`` value are re-summed and kept in the
+    report. That is bit-identical to re-summing every row: a value equal to
     0.0 or 1.0 converts to a float of that value (a zero possibly negative),
     and ``math.fsum`` skips zero terms and returns +0.0 for none, so the
     row's terms and sum are the baseline's. A NaN or a value of another
-    type that compares unequal is re-summed as any other change.
+    type that compares unequal is re-summed as any other change. Of
+    ``assignment_values``' overlay only the path's own map is compared.
     """
-    try:
-        changed = [name for name, base in model.baseline.items() if values[name] != base]
-    except KeyError:
-        missing = model.variable_names() - set(values)
-        raise ValueError(
-            f"assignment is missing {len(missing)} variable(s), e.g. {sorted(missing)[0]}"
-        ) from None
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    base = model.baseline
+    if isinstance(values, ChainMap) and len(values.maps) == 2 and values.maps[1] is base:
+        changed = [n for n, v in values.maps[0].items() if n in base and v != base[n]]
+    else:
+        try:
+            changed = [name for name, value in base.items() if values[name] != value]
+        except KeyError:
+            missing = model.variable_names() - set(values)
+            raise ValueError(
+                f"assignment is missing {len(missing)} variable(s), e.g. {sorted(missing)[0]}"
+            ) from None
     rows_of = model._rows_of
     # Row order, so that a value float() rejects raises where a full pass would.
     touched = sorted({r for name in changed for r in rows_of.get(name, ())})
-    checks = list(_baseline_checks(model, tol))
+    checks = {}
     for r in touched:
         row = model.rows[r]
         lhs = _lhs(row.coeffs, values)
         slack = _slack(row, lhs)
         checks[r] = RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
-    return SubstitutionReport(tuple(checks))
+    return SubstitutionReport(model, tol, checks)
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:
+    if isinstance(values, ChainMap):  # one merge costs less than a ChainMap lookup per term
+        values = {name: v for mapping in reversed(values.maps) for name, v in mapping.items()}
     return _lhs(model.objective, values)
 
 
@@ -669,10 +684,10 @@ def assignment_values(
     env: Environment,
     cells: Sequence[Cell],
     entry_levels: Sequence[int],
-) -> dict[str, float]:
+) -> ChainMap[str, float]:
     """Full variable assignment encoding one feasible path.
 
-    Starts from a copy of ``model.baseline``: unused arcs carry the
+    ``ChainMap(changes, model.baseline)``: unused arcs keep the baseline's
     all-zero block with the ascent flag set (y=1, yp=0), which satisfies
     every split row when all deltas are zero. Used arcs set their X (and,
     from the second arc on, U product), signed and split altitude changes,
@@ -686,12 +701,12 @@ def assignment_values(
     if entry_levels[0] != spec.start_level:
         raise ValueError("assignment must begin at the instance's start level")
     h = spec.levels_m
-    values = dict(model.baseline)
+    values = ChainMap({}, model.baseline)
     for t in range(len(cells) - 1):
         i, j = cells[t], cells[t + 1]
         kf, kt = entry_levels[t], entry_levels[t + 1]
         x = x_name(i, j, kt)
-        if x not in values:
+        if x not in model.baseline:
             raise ValueError(f"path step {i}->{j} has no arc variable in the model")
         values[x] = 1.0
         if t >= 1:
@@ -734,7 +749,7 @@ def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0)
 
     The change touches one variable, and each row is judged on its own
     result, so only the broken row is re-evaluated, by the same row sum and
-    sense rule as ``substitute``.
+    sense rule as ``substitute``. A caught family's other rows are skipped.
     """
     base_report = substitute(model, base, tol)
     if not base_report.ok:
@@ -742,8 +757,10 @@ def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0)
         raise ValueError(f"base assignment already violates {first.name}")
     caught: dict[str, bool] = {family: False for family in model.families()}
     for row in model.rows:
+        if caught[row.family]:
+            continue
         name, value = violate_row(row, base)
-        slack = _slack(row, _lhs(row.coeffs, ChainMap({name: value}, base)))
-        if not slack >= -tol:  # substitute's ok flag, negated
+        lhs = math.fsum([c * (value if n == name else float(base[n])) for n, c in row.coeffs])
+        if not _slack(row, lhs) >= -tol:  # substitute's ok flag, negated
             caught[row.family] = True
     return caught

@@ -643,6 +643,26 @@ class TestLpExport:
         ]) == 0
         assert "risk_cap" in (tmp_path / "m.lp").read_text()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--big-m", "nan"], "--big-m must be finite, got nan"),
+            (["--big-m", "inf"], "--big-m must be finite, got inf"),
+            (["--objective", "epsilon", "--risk-cap", "nan"], "--risk-cap must be finite, got nan"),
+            (["--big-m", "1"], "--big-m must exceed the largest altitude span, got 1.0"),
+            (
+                ["--objective", "epsilon", "--risk-cap", "-1"],
+                "--risk-cap must be >= 0 for the epsilon objective, got -1.0",
+            ),
+        ],
+    )
+    def test_bad_lp_parameter_names_its_flag(self, tmp_path, capsys, flags, message):
+        save_tiny(tmp_path / "i1.json", 1)
+        out = tmp_path / "m.lp"
+        assert main(["lp-export", str(tmp_path / "i1.json"), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_oversized_refused(self, tmp_path, capsys, monkeypatch):
         save_oversized(tmp_path / "big.json")
         monkeypatch.setattr(cli, "render_lp", refuse_to_run)

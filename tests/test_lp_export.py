@@ -1,10 +1,12 @@
 """Integer-program construction, LP text rendering, and substitution checks."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overfly import (
     Chromosome,
@@ -76,15 +78,34 @@ def full_report(model, values, tol=0.0):
     return checks
 
 
+def hex_checks(checks):
+    """Row checks in ``full_report``'s form."""
+    return [
+        (c.name, c.family, c.lhs.hex(), c.sense, c.rhs.hex(), c.slack.hex(), c.ok)
+        for c in checks
+    ]
+
+
 def checked_substitute(model, values, tol=0.0):
     """``substitute``, asserted field by field against ``full_report``."""
     report = substitute(model, values, tol)
-    got = [
-        (c.name, c.family, c.lhs.hex(), c.sense, c.rhs.hex(), c.slack.hex(), c.ok)
-        for c in report.checks
-    ]
-    assert got == full_report(model, values, tol)
+    assert hex_checks(report.checks) == full_report(model, values, tol)
     return report
+
+
+@functools.cache
+def substitution_world(name):
+    """(env, z1 model, exact members, variable names, y names) of the tiny
+    world or of T1-1 of ``gen --seed 0``."""
+    if name == "tiny":
+        env = tiny_env()
+    else:
+        _id, settings_, seed = suite_settings(0)[0]
+        env = generate(settings_, seed)
+    model = build_model(env, PARAMS, "z1")
+    names = sorted(model.baseline)
+    y_names = [n for n in names if model.baseline[n] == 1.0]
+    return env, model, enumerate_front(env, PARAMS).members, names, y_names
 
 
 def _reference_terms(coeffs):
@@ -275,6 +296,14 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(env, PARAMS, "epsilon")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        env = tiny_env()
+        with pytest.raises(ValueError, match="^big_m must be finite"):
+            build_model(env, PARAMS, "z1", big_m=value)
+        with pytest.raises(ValueError, match="^risk_cap must"):
+            build_model(env, PARAMS, "epsilon", risk_cap=value)
+
     def test_size_guard(self, monkeypatch):
         # 24x24 cells, six levels: about 1.9 million rows.
         env = build_env(rows=24, cols=24, levels=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
@@ -443,6 +472,46 @@ class TestSubstitution:
         del missing[zero]
         with pytest.raises(ValueError, match=f"missing 1 variable\\(s\\), e.g. {zero}$"):
             substitute(model, missing)
+
+    @pytest.mark.parametrize("tol", [-0.5, -1e-300, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        model = build_model(tiny_env(), PARAMS, "z1")
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            substitute(model, model.baseline, tol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        world=st.sampled_from(["tiny", "T1-1"]),
+        member=st.integers(min_value=0),
+        changes=st.lists(
+            st.tuples(
+                st.booleans(),  # pick a y variable (baseline 1.0) or any variable
+                st.integers(min_value=0),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, math.nan]),
+                    st.floats(min_value=-1e6, max_value=1e6),
+                ),
+            ),
+            max_size=3,
+        ),
+        tol=st.sampled_from([0.0, 0.5, 1e9]),
+    )
+    def test_sparse_report_matches_full_sum(self, world, member, changes, tol):
+        env, model, members, names, y_names = substitution_world(world)
+        m = members[member % len(members)]
+        overlay = assignment_values(model, env, m.cells, m.entry_levels)
+        for pick_y, index, value in changes:
+            pool = y_names if pick_y else names
+            overlay[pool[index % len(pool)]] = value
+        plain = dict(overlay)
+        reference = full_report(model, plain, tol)
+        for values in (overlay, plain):
+            report = substitute(model, values, tol)
+            assert hex_checks(report.checks) == reference
+            assert report.ok == all(check[-1] for check in reference)
+            assert hex_checks(report.failures()) == [c for c in reference if not c[-1]]
+        overlay["not_a_model_variable"] = math.nan
+        assert hex_checks(substitute(model, overlay, tol).checks) == reference
 
     def test_report_slack_signs(self):
         env = tiny_env()
