@@ -812,10 +812,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # -- lp-export ---------------------------------------------------------------
 
 
-# build_model keyword -> the lp-export flag that sets it.
-_LP_FLAGS = {"weight": "--weight", "risk_cap": "--risk-cap", "big_m": "--big-m"}
-
-
 def _cmd_lp_export(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
     params = _drone_from(config)
@@ -858,11 +854,12 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
         print(f"refusing: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # build_model's message opens with the keyword it rejects.
+        # A message about one argument opens with its name; each of these
+        # comes straight from the flag of the same name.
         keyword, _, rest = str(exc).partition(" ")
-        if keyword not in _LP_FLAGS:
+        if keyword not in ("weight", "risk_cap", "big_m"):
             raise
-        raise _UsageError(f"{_LP_FLAGS[keyword]} {rest}") from exc
+        raise _UsageError(f"--{keyword.replace('_', '-')} {rest}") from exc
     text = render_lp(model)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

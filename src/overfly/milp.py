@@ -157,15 +157,12 @@ class MilpModel:
 
     @cached_property
     def _baseline_sums(self) -> tuple[list[tuple[float, float]], list[int]]:
-        """Each row's (lhs, slack) at ``baseline``, and the rows failing
-        there. Only the ``y`` rows hold a nonzero value; every other row's
-        terms are zero, for which ``math.fsum`` returns +0.0."""
+        """Each row's (lhs, slack) at ``baseline`` and the rows failing there.
+        Only ``y`` rows are summed: the rest have all-zero terms, sum +0.0."""
         base = self.baseline
         summed = {r for name, value in base.items() if value for r in self._rows_of.get(name, ())}
-        sums = []
-        for r, row in enumerate(self.rows):
-            lhs = _lhs(row.coeffs, base) if r in summed else 0.0
-            sums.append((lhs, _slack(row, lhs)))
+        lhs = [_lhs(row.coeffs, base) if r in summed else 0.0 for r, row in enumerate(self.rows)]
+        sums = [(total, _slack(row, total)) for total, row in zip(lhs, self.rows)]
         return sums, [r for r, (_, slack) in enumerate(sums) if not slack >= 0.0]
 
 
@@ -251,9 +248,8 @@ def build_model(
     risk by ``risk_cap``).
 
     Raises:
-        ValueError: on a bad argument, including a non-finite
-            ``risk_cap`` or ``big_m``; a message about ``weight``,
-            ``risk_cap`` or ``big_m`` opens with that keyword.
+        ValueError: on a bad argument, including a non-finite ``risk_cap``
+            or ``big_m``; a message about one argument opens with its name.
         EnumerationLimitError: when ``row_count`` exceeds ``MAX_ROWS``,
             before any row is built.
     """
@@ -589,8 +585,7 @@ class RowCheck(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SubstitutionReport:
-    """Every row of ``model`` checked at one assignment. ``rows`` holds the
-    re-summed rows by index; every other row checks as at the baseline."""
+    """``rows``: the re-summed rows by index; the rest check as at baseline."""
 
     model: MilpModel = field(repr=False)
     tol: float
@@ -612,8 +607,7 @@ class SubstitutionReport:
         return not self.failures()
 
     def failures(self) -> tuple[RowCheck, ...]:
-        """In row order; only the re-summed rows and the rows failing at the
-        baseline can fail."""
+        """In row order; only re-summed or baseline-failing rows can fail."""
         candidates = sorted({*self.rows, *self.model._baseline_sums[1]})
         return tuple(check for check in map(self._check, candidates) if not check.ok)
 
@@ -639,13 +633,13 @@ def substitute(
 
     Every model variable must be present in ``values`` (extra keys are
     ignored); rows are checked with compensated summation and the given
-    tolerance, a number >= 0. Only the rows holding a variable whose value
-    ``!=`` its ``model.baseline`` value are re-summed and kept in the
-    report. That is bit-identical to re-summing every row: a value equal to
-    0.0 or 1.0 converts to a float of that value (a zero possibly negative),
-    and ``math.fsum`` skips zero terms and returns +0.0 for none, so the
-    row's terms and sum are the baseline's. A NaN or a value of another
-    type that compares unequal is re-summed as any other change. Of
+    tolerance (>= 0). Only the rows holding a variable whose value ``!=``
+    its ``model.baseline`` value are re-summed and kept in the report. That
+    is bit-identical to re-summing every row: a value equal to 0.0 or 1.0
+    converts to a float of that value (a zero possibly negative), and
+    ``math.fsum`` skips zero terms and returns +0.0 for none, so the row's
+    terms and sum are the baseline's. A NaN or a value of another type that
+    compares unequal is re-summed as any other change. Of
     ``assignment_values``' overlay only the path's own map is compared.
     """
     if not tol >= 0.0:
@@ -670,12 +664,10 @@ def substitute(
         lhs = _lhs(row.coeffs, values)
         slack = _slack(row, lhs)
         checks[r] = RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
-    return SubstitutionReport(model, tol, checks)
+    return SubstitutionReport(model, tol, MappingProxyType(checks))
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:
-    if isinstance(values, ChainMap):  # one merge costs less than a ChainMap lookup per term
-        values = {name: v for mapping in reversed(values.maps) for name, v in mapping.items()}
     return _lhs(model.objective, values)
 
 
@@ -761,6 +753,5 @@ def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0)
             continue
         name, value = violate_row(row, base)
         lhs = math.fsum([c * (value if n == name else float(base[n])) for n, c in row.coeffs])
-        if not _slack(row, lhs) >= -tol:  # substitute's ok flag, negated
-            caught[row.family] = True
+        caught[row.family] = not _slack(row, lhs) >= -tol  # substitute's ok flag, negated
     return caught

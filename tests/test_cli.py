@@ -654,6 +654,11 @@ class TestLpExport:
                 ["--objective", "epsilon", "--risk-cap", "-1"],
                 "--risk-cap must be >= 0 for the epsilon objective, got -1.0",
             ),
+            (
+                ["--objective", "weighted", "--weight", "2", "--length-lo", "0",
+                 "--length-hi", "1", "--energy-lo", "0", "--energy-hi", "1"],
+                "--weight must be in [0, 1], got 2.0",
+            ),
         ],
     )
     def test_bad_lp_parameter_names_its_flag(self, tmp_path, capsys, flags, message):
