@@ -19,10 +19,12 @@ import concurrent.futures
 import json
 import math
 import sys
+import types
+import typing
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .environment import (
     Environment,
@@ -36,22 +38,13 @@ from .evolution import (
     AlgoConfig,
     RunResult,
     TunerConfig,
-    combined_points,
+    archive_hypervolumes,
     oracle_hv_ratio,
     run,
     tune,
 )
 from .exact import EnumerationLimitError, enumerate_front, chromosome_arcs, evaluate_assignment
-from .metrics import (
-    FrontSummary,
-    hypervolume_2d,
-    pearson,
-    relative_hv_table,
-    shared_reference,
-    table_csv,
-    table_text,
-    MetricError,
-)
+from .metrics import FrontSummary, MetricError, pearson, table_csv, table_text
 from .milp import (
     assignment_values,
     build_model,
@@ -101,18 +94,80 @@ def _dump_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _drone_from(config: dict) -> DroneParams:
-    try:
-        return DroneParams(**config.get("drone", {}))
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad drone parameters: {exc}") from exc
+# -- config reader: every settings record is read from JSON the same way -----
+
+R = TypeVar("R")
+
+_NOUNS = {float: "a number", int: "an integer"}
 
 
-def _operators_from(config: dict) -> OperatorConfig:
+def _config_value(hint: object, value: object, field: str) -> object:
+    """``value`` checked against the annotation ``hint`` of a record field.
+
+    ``float`` takes an int or a float, kept as given; ``int`` takes an int or
+    an integral float, stored as an int; bools are neither. ``X | None``
+    takes null or an X, ``tuple[X, X]`` a list of two Xs and
+    ``tuple[X, ...]`` a list of Xs. A mismatch is a usage error naming
+    ``field``; an annotation without a rule here is a ``TypeError``.
+    """
+    if hint in _NOUNS:
+        if not isinstance(value, bool):
+            if isinstance(value, int) or (hint is float and isinstance(value, float)):
+                return value
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+        raise _UsageError(f"config field {field} must be {_NOUNS[hint]}, got {value!r}")
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _config_value(inner, value, field)
+    if origin is tuple and args[0] in _NOUNS and args[1:] in ((Ellipsis,), (args[0],)):
+        noun = _NOUNS[args[0]].split()[1]
+        if args[1] is Ellipsis:
+            if isinstance(value, list):
+                return tuple(
+                    _config_value(args[0], v, f"{field}[{k}]") for k, v in enumerate(value)
+                )
+            raise _UsageError(f"config field {field} must be a list of {noun}s, got {value!r}")
+        if isinstance(value, list) and len(value) == 2:
+            try:
+                return tuple(_config_value(args[0], v, field) for v in value)
+            except _UsageError:
+                pass
+        raise _UsageError(f"config field {field} must be a list of two {noun}s, got {value!r}")
+    raise TypeError(f"no config rule for field {field} annotated {hint!r}")
+
+
+def _config_fields(record: type, values: object, section: str) -> dict:
+    """The JSON object ``values`` as keyword arguments for ``record``: each
+    key must name a field, and each value must suit its annotation. Errors
+    name ``<section>.<field>``, or the bare field when ``section`` is empty
+    (the config's top level)."""
+    if not isinstance(values, dict):
+        raise _UsageError(f"config field {section} must be an object, got {values!r}")
+    hints = typing.get_type_hints(record)
+    prefix = f"{section}." if section else ""
+    unknown = [prefix + key for key in values if key not in hints]
+    if unknown:
+        raise _UsageError(f"unknown config field(s): {', '.join(unknown)}")
+    return {key: _config_value(hints[key], value, prefix + key) for key, value in values.items()}
+
+
+def _build(record: type[R], label: str, kwargs: dict) -> R:
+    """``record(**kwargs)``, checked by the record's ``__post_init__``: a
+    value it rejects is a usage error ``bad <label>: <its message>``."""
     try:
-        return OperatorConfig(**config.get("operators", {}))
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad operator settings: {exc}") from exc
+        return record(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"bad {label}: {exc}") from exc
+
+
+def _read_section(record: type[R], config: dict, section: str) -> R:
+    """The config's ``section`` object (absent: all defaults) as a checked
+    ``record``."""
+    return _build(
+        record, f"{section} settings", _config_fields(record, config.get(section, {}), section)
+    )
 
 
 def _require_out(args: argparse.Namespace) -> Path:
@@ -148,34 +203,28 @@ def suite_settings(
     """The five-size, four-variant instance suite (T1-1 .. T5-4).
 
     Sizes grow the grid and level count; variants vary obstacle density and
-    the start/goal placement. ``overrides`` replaces generator fields on
-    every instance; settings that ``GeneratorSettings`` rejects are usage
-    errors naming the instance and the field.
+    the start/goal placement. ``overrides``, a JSON object of generator
+    fields, replaces them on every instance. Its keys and value types are
+    checked once, before any settings are built; a value that one
+    instance's ``GeneratorSettings`` rejects is a usage error naming the
+    instance and the field.
     """
+    checked = _config_fields(GeneratorSettings, {} if overrides is None else overrides, "overrides")
     out: list[tuple[str, GeneratorSettings, int]] = []
     for size in range(1, 6):
         rows, cols, levels = _SUITE_SIZES[size]
         for variant in range(1, 5):
             start, goal = _variant_endpoints(variant, rows, cols)
-            settings = GeneratorSettings(
-                rows=rows,
-                cols=cols,
-                level_count=levels,
-                obstacle_density=_SUITE_DENSITIES[variant],
-                ceiling_fraction=0.15,
-                risk_low=0.05,
-                risk_high=0.95,
-                start_cell=start,
-                goal_cell=goal,
+            suite = dict(
+                rows=rows, cols=cols, level_count=levels,
+                obstacle_density=_SUITE_DENSITIES[variant], ceiling_fraction=0.15,
+                risk_low=0.05, risk_high=0.95, start_cell=start, goal_cell=goal,
             )
-            if overrides:
-                try:
-                    settings = replace(settings, **overrides)
-                except (TypeError, ValueError) as exc:
-                    raise _UsageError(
-                        f"bad generator overrides for T{size}-{variant}: {exc}"
-                    ) from exc
-            out.append((f"T{size}-{variant}", settings, seed * 9973 + size * 101 + variant * 7))
+            instance_id = f"T{size}-{variant}"
+            settings = _build(
+                GeneratorSettings, f"generator overrides for {instance_id}", {**suite, **checked}
+            )
+            out.append((instance_id, settings, seed * 9973 + size * 101 + variant * 7))
     return out
 
 
@@ -201,80 +250,24 @@ def _derived_tuner_seed(base: int, instance_id: str, algorithm: str) -> int:
     return (base + zlib.crc32(f"{instance_id}:{algorithm}".encode())) % (2**31 - 1)
 
 
-def _config_int(value: object, field: str) -> int:
-    """An integer-valued config field: an int, or a float with an integral
-    value. Strings, bools and fractional floats are usage errors naming the
-    field."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise _UsageError(f"config field {field} must be an integer, got {value!r}")
-
-
-def _config_pair(value: object, field: str) -> tuple:
-    """A config field holding two numbers (bools are not numbers here)."""
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return tuple(value)
-    raise _UsageError(f"config field {field} must be a list of two numbers, got {value!r}")
-
-
-def _tuner_template(config: dict) -> TunerConfig:
-    """The config's ``tuner`` section, with ``TunerConfig``'s defaults for
-    missing fields and checked by ``TunerConfig`` itself. Its seed is the
-    base from which each (instance, algorithm) pair's seed is derived."""
-    tuner = config.get("tuner", {})
-    if not isinstance(tuner, dict):
-        raise _UsageError(f"config field tuner must be an object, got {tuner!r}")
-    defaults = TunerConfig()
-
-    def pick(name: str):
-        return tuner.get(name, getattr(defaults, name))
-
-    sizes = pick("population_sizes")
-    if not isinstance(sizes, (list, tuple)):
-        raise _UsageError(
-            f"config field tuner.population_sizes must be a list of integers, got {sizes!r}"
-        )
-    try:
-        return TunerConfig(
-            seed=_config_int(tuner.get("seed", 0), "tuner.seed"),
-            budget=_config_int(pick("budget"), "tuner.budget"),
-            **{
-                name: _config_pair(pick(name), f"tuner.{name}")
-                for name in ("crossover_range", "mutation_probability_range", "mutation_rate_range")
-            },
-            population_sizes=tuple(
-                _config_int(size, f"tuner.population_sizes[{k}]") for k, size in enumerate(sizes)
-            ),
-        )
-    except ValueError as exc:
-        raise _UsageError(f"bad tuner settings: {exc}") from exc
+# The run sizes, the ``AlgoConfig`` fields at a config's top level: jobs take
+# algorithm and seed from ``algorithms`` and ``seeds``; ``operators`` is a section.
+_RUN_SIZES = tuple(
+    f.name for f in fields(AlgoConfig) if f.name not in ("algorithm", "seed", "operators")
+)
 
 
 def _settings(config: dict) -> tuple[DroneParams, AlgoConfig, TunerConfig]:
     """The config's drone, base run settings (run sizes and operators, with
     the default algorithm and seed 0) and tuner, each checked by its own
-    record before any job exists: a field a record rejects is a usage error
-    naming it. Shared by ``solve`` and ``tune``."""
-    drone = _drone_from(config)
-    operators = _operators_from(config)
-    tuner = _tuner_template(config)
-    defaults = AlgoConfig()
-    sizes = {
-        name: _config_int(config.get(name, getattr(defaults, name)), name)
-        for name in (
-            "population_size", "evaluation_budget", "archive_size", "reference_point_divisions"
-        )
-    }
-    try:
-        base = AlgoConfig(operators=operators, **sizes)
-    except ValueError as exc:
-        raise _UsageError(f"bad run settings: {exc}") from exc
+    record before any job exists. The tuner's seed is the base from which
+    each (instance, algorithm) pair's seed is derived. Shared by ``solve``
+    and ``tune``."""
+    drone = _read_section(DroneParams, config, "drone")
+    operators = _read_section(OperatorConfig, config, "operators")
+    tuner = _read_section(TunerConfig, config, "tuner")
+    sizes = _config_fields(AlgoConfig, {k: v for k, v in config.items() if k in _RUN_SIZES}, "")
+    base = _build(AlgoConfig, "run settings", {**sizes, "operators": operators})
     return drone, base, tuner
 
 
@@ -332,22 +325,36 @@ def _front_payload(
     }
 
 
-def _execute_job(job: dict) -> dict:
-    """One solver run, isolated: returns a manifest entry, never raises."""
-    run_id = job["run_id"]
+def _execute_job(job: dict) -> list[dict]:
+    """One job's runs, each isolated: returns a manifest entry per run in
+    ``job["runs"]``, never raises. A tuned job tunes once and runs every
+    seed with the best settings (``tune`` ignores the run seed)."""
     try:
         env = load_instance(job["instance_path"])
-        params = job["drone"]
         cfg = job["config"]
         tuning_info = None
         if job["tuned"]:
-            tuned_result = tune(env, params, cfg, job["tuner"])
-            cfg = replace(tuned_result.best, seed=cfg.seed)
+            tuned_result = tune(env, job["drone"], cfg, job["tuner"])
+            cfg = tuned_result.best
             tuning_info = {
                 "tuner_seed": job["tuner"].seed,
                 "trials": len(tuned_result.trials),
                 "best": _best_payload(cfg),
             }
+    except Exception as exc:  # noqa: BLE001 - per-run isolation by contract
+        return [_failed_entry(run_id, exc) for run_id, _ in job["runs"]]
+    return [
+        _execute_run(env, replace(cfg, seed=seed), run_id, tuning_info, job)
+        for run_id, seed in job["runs"]
+    ]
+
+
+def _execute_run(
+    env: Environment, cfg: AlgoConfig, run_id: str, tuning_info: dict | None, job: dict
+) -> dict:
+    """One solver run, isolated: returns its manifest entry, never raises."""
+    try:
+        params = job["drone"]
         result = run(env, params, cfg)
         front = _front_payload(result, env, params, job)
         out_dir = Path(job["out_dir"])
@@ -422,13 +429,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
         flags = config.get("tuned", [False])
         if not isinstance(flags, list) or not all(isinstance(f, bool) for f in flags):
             raise _UsageError(f"config field tuned must be a list of booleans, got {flags!r}")
-    if args.seed:
-        seeds = args.seed
-    else:
-        seeds = config.get("seeds", [0])
-        if not isinstance(seeds, list):
-            raise _UsageError(f"config field seeds must be a list of integers, got {seeds!r}")
-        seeds = [_config_int(s, f"seeds[{k}]") for k, s in enumerate(seeds)]
+    seeds = args.seed or _config_value(tuple[int, ...], config.get("seeds", [0]), "seeds")
     if not seeds:
         raise _UsageError("at least one seed is required")
     drone, base, tuner = _settings(config)
@@ -445,24 +446,29 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                 tuner, seed=_derived_tuner_seed(tuner.seed, instance_id, algorithm)
             )
             for tuned in flags:
+                runs = []
                 for seed in seeds:
                     run_id = (
                         f"{instance_id}_{algorithm}_{'tuned' if tuned else 'untuned'}_s{seed}"
                     )
                     if run_id in run_ids:
-                        # Both jobs would write the same output files.
+                        # Both runs would write the same output files.
                         raise _UsageError(
                             f"duplicate run id {run_id}: instance stems, algorithms, "
                             "tuned flags and seeds must each be distinct"
                         )
                     run_ids.add(run_id)
+                    runs.append((run_id, seed))
+                # One job per untuned run; a tuned job shares its one tune
+                # among all the pair's seeds.
+                for job_runs in [runs] if tuned else [[r] for r in runs]:
                     jobs.append(
                         {
-                            "run_id": run_id,
+                            "runs": job_runs,
                             "instance_id": instance_id,
                             "instance_path": str(inst_path),
                             "tuned": tuned,
-                            "config": replace(base, algorithm=algorithm, seed=seed),
+                            "config": replace(base, algorithm=algorithm),
                             "drone": drone,
                             "tuner": pair_tuner,
                             "oracle": oracle,
@@ -484,17 +490,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     workers = min(args.workers, len(jobs))
     if workers > 1:
         # One future per job, read in job order: a worker that dies fails
-        # only the jobs it breaks, and the manifest is still written.
+        # only the runs of the jobs it breaks, and the manifest is still
+        # written.
         entries = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_job, job) for job in jobs]
             for job, future in zip(jobs, futures):
                 try:
-                    entries.append(future.result())
+                    entries.extend(future.result())
                 except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                    entries.append(_failed_entry(job["run_id"], exc))
+                    entries.extend(_failed_entry(run_id, exc) for run_id, _ in job["runs"])
     else:
-        entries = [_execute_job(job) for job in jobs]
+        entries = [entry for job in jobs for entry in _execute_job(job)]
     manifest = {
         "schema": "overfly.manifest/1",
         "jobs": entries,
@@ -564,18 +571,10 @@ def _table_summaries(payloads: list[dict]) -> list[FrontSummary]:
             by_instance[instance_id],
             key=lambda p: (p["algorithm"], not p["tuned"], p["seed"]),
         )
-        bounds = None
-        for p in runs:
-            b = NormBounds(**p["bounds"])
-            bounds = b if bounds is None else bounds.merge(b)
-        point_sets = []
-        for p in runs:
-            triples = np.asarray(
-                [[m["length_m"], m["energy_j"], m["risk"]] for m in p["archive"]]
-            )
-            point_sets.append(combined_points(triples, 0.5, bounds))
-        ref = shared_reference(point_sets)
-        hvs = [hypervolume_2d(pts, ref) for pts in point_sets]
+        hvs = archive_hypervolumes(
+            [[(m["length_m"], m["energy_j"], m["risk"]) for m in p["archive"]] for p in runs],
+            [NormBounds(**p["bounds"]) for p in runs],
+        )
         cells: dict[tuple[str, bool], list[tuple[int, float, int]]] = {}
         for p, hv in zip(runs, hvs):
             key = (p["algorithm"], bool(p["tuned"]))
@@ -601,7 +600,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise _UsageError("table needs at least one front or report file")
     payloads = [_read_front_file(p) for p in paths]
     summaries = _table_summaries(payloads)
-    table = relative_hv_table(summaries)
     combos = {(s.algorithm, s.tuned) for s in summaries}
     for instance_id in sorted({s.instance_id for s in summaries}):
         present = {(s.algorithm, s.tuned) for s in summaries if s.instance_id == instance_id}
@@ -613,8 +611,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
     out = _require_out(args)
-    csv_text = table_csv(table)
-    txt_text = table_text(table)
+    csv_text = table_csv(summaries)
+    txt_text = table_text(summaries)
     (out / "table.csv").write_text(csv_text, encoding="utf-8")
     (out / "table.txt").write_text(txt_text, encoding="utf-8")
     print(txt_text, end="")
@@ -723,7 +721,7 @@ def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
-    params = _drone_from(config)
+    params = _read_section(DroneParams, config, "drone")
     env = load_instance(args.instance)
     try:
         # The model first: its row guard refuses a world at once, before a
@@ -814,7 +812,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_lp_export(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
-    params = _drone_from(config)
+    params = _read_section(DroneParams, config, "drone")
     env = load_instance(args.instance)
     bounds = None
     if args.objective == "weighted":

@@ -366,6 +366,22 @@ def combined_points(triples: np.ndarray, weights, bounds: NormBounds) -> np.ndar
     return np.column_stack([cost, t[:, 2]])
 
 
+def archive_hypervolumes(archives: Sequence, bounds: Sequence[NormBounds]) -> list[float]:
+    """Hypervolume of each run's archive, comparable across the runs.
+
+    Each archive holds raw (length, energy, risk) triples and each run has
+    its own bounds. Every archive is blended at weight 0.5 under the merged
+    bounds and measured against one shared reference. ``tune`` scores its
+    trials this way, and ``overfly table`` the runs of one instance.
+    """
+    merged = bounds[0]
+    for b in bounds[1:]:
+        merged = merged.merge(b)
+    point_sets = [combined_points(triples, 0.5, merged) for triples in archives]
+    ref = shared_reference(point_sets)
+    return [hypervolume_2d(pts, ref) for pts in point_sets]
+
+
 def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) -> float:
     """Run quality against the exact oracle, in [0, 1] (possibly above
     1 only through float noise).
@@ -683,17 +699,10 @@ def tune(
         configs.append(cfg)
         results.append(run(env, params, cfg))
 
-    bounds = results[0].bounds
-    for res in results[1:]:
-        bounds = bounds.merge(res.bounds)
-    combined_sets = [
-        combined_points(
-            np.asarray([m.objectives.as_tuple() for m in res.archive]), 0.5, bounds
-        )
-        for res in results
-    ]
-    ref = shared_reference(combined_sets)
-    hvs = [hypervolume_2d(pts, ref) for pts in combined_sets]
+    hvs = archive_hypervolumes(
+        [[m.objectives.as_tuple() for m in res.archive] for res in results],
+        [res.bounds for res in results],
+    )
     best_index = int(np.argmax(hvs))
     trials = tuple(
         TrialSummary(

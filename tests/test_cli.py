@@ -3,12 +3,21 @@
 import concurrent.futures
 import hashlib
 import json
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from overfly import GeneratorSettings, generate, save_instance
+from overfly import (
+    AlgoConfig,
+    DroneParams,
+    GeneratorSettings,
+    OperatorConfig,
+    TunerConfig,
+    generate,
+    save_instance,
+)
 from overfly.cli import main
 import overfly.cli as cli
 
@@ -66,8 +75,9 @@ class RecordingPool:
 
 
 def ok_entry(job):
-    """Stands in for ``cli._execute_job``: a successful entry, no run."""
-    return {"run_id": job["run_id"], "status": "ok"}
+    """Stands in for ``cli._execute_job``: a successful entry per run, no
+    run."""
+    return [{"run_id": run_id, "status": "ok"} for run_id, _seed in job["runs"]]
 
 
 def write_solve_config(path, instances, **overrides):
@@ -208,6 +218,60 @@ class TestSolve:
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [j["run_id"] for j in manifest["jobs"]] == ["i1_nsga3_untuned_s7"]
+
+    def test_tuned_runs_share_one_tune_per_pair(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_tune(env, params, base, tuner):
+            calls.append((base.algorithm, tuner.seed))
+            return tune(env, params, base, tuner)
+
+        tune = cli.tune
+        monkeypatch.setattr(cli, "tune", counting_tune)
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(
+            cfg, ["i1.json"], algorithms=["nsga2", "spea2"], tuned=[True], seeds=[0, 1, 2],
+            tuner={"budget": 2, "population_sizes": [8, 12]},
+        )
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [algorithm for algorithm, _seed in calls] == ["nsga2", "spea2"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [j["run_id"] for j in manifest["jobs"]] == [
+            f"i1_{algorithm}_tuned_s{seed}"
+            for algorithm in ("nsga2", "spea2")
+            for seed in (0, 1, 2)
+        ]
+        for algorithm in ("nsga2", "spea2"):
+            reports = [
+                json.loads((out / f"i1_{algorithm}_tuned_s{seed}.report.json").read_text())
+                for seed in (0, 1, 2)
+            ]
+            assert [r["seed"] for r in reports] == [0, 1, 2]
+            assert all(r["tuning"] == reports[0]["tuning"] for r in reports)
+
+    def test_failed_tune_fails_each_of_its_runs(self, tmp_path, capsys, monkeypatch):
+        def failing_tune(*_args):
+            raise RuntimeError("no trial finished")
+
+        monkeypatch.setattr(cli, "tune", failing_tune)
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], tuned=[True, False], seeds=[0, 1],
+                           tuner={"budget": 2, "population_sizes": [8]})
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        statuses = {
+            j["run_id"]: j["status"]
+            for j in json.loads((out / "manifest.json").read_text())["jobs"]
+        }
+        assert statuses == {
+            "i1_nsga2_tuned_s0": "failed",
+            "i1_nsga2_tuned_s1": "failed",
+            "i1_nsga2_untuned_s0": "ok",
+            "i1_nsga2_untuned_s1": "ok",
+        }
 
     def test_tuned_and_untuned_flags(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
@@ -770,3 +834,94 @@ class TestConfigSections:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRecordFields:
+    # Each case: the commands it applies to, config overrides, and the
+    # field the usage error must name. Each of these once ran, or failed
+    # later without naming the field.
+    DRONE_COMMANDS = ("solve", "tune", "check", "lp-export")
+    BAD = {
+        "drone-bool-weight": (DRONE_COMMANDS, {"drone": {"weight_kg": True}}, "drone.weight_kg"),
+        "drone-half-rotor": (DRONE_COMMANDS, {"drone": {"rotor_count": 4.5}}, "drone.rotor_count"),
+        "drone-unknown": (("check",), {"drone": {"mass_kg": 2}}, "drone.mass_kg"),
+        "operators-fractional-retries": (
+            ("solve", "tune"),
+            {"operators": {"max_init_retries": 2.5}},
+            "operators.max_init_retries",
+        ),
+        "operators-fractional-shift": (
+            ("solve", "tune"), {"operators": {"max_shift": 1.5}}, "operators.max_shift"
+        ),
+        "operators-word-probability": (
+            ("solve", "tune"),
+            {"operators": {"crossover_probability": "0.5"}},
+            "operators.crossover_probability",
+        ),
+        "overrides-fractional-start": (
+            ("gen",), {"overrides": {"start_cell": [0.5, 0]}}, "overrides.start_cell"
+        ),
+        "overrides-fractional-rounds": (
+            ("gen",), {"overrides": {"max_rounds": 2.5}}, "overrides.max_rounds"
+        ),
+        "overrides-fractional-rows": (("gen",), {"overrides": {"rows": 4.5}}, "overrides.rows"),
+        "tuner-misspelt-budget": (("solve", "tune"), {"tuner": {"budgte": 5}}, "tuner.budgte"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [(command, case) for case, (commands, _, _) in sorted(BAD.items()) for command in commands],
+    )
+    def test_bad_field_is_usage_error_naming_it(self, tmp_path, capsys, command, case):
+        _commands, overrides, field = self.BAD[case]
+        instance = str(tmp_path / "i1.json")
+        save_tiny(instance, 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], **overrides)
+        out = tmp_path / "o"
+        argv = {
+            "gen": ["gen"],
+            "solve": ["solve"],
+            "tune": ["tune"],
+            "check": ["check", instance],
+            "lp-export": ["lp-export", instance],
+        }[command]
+        if command != "check":
+            argv += ["--out", str(out)]
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f" {field} " in captured.err or f" {field}\n" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_integral_float_is_stored_as_an_integer(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], drone={"rotor_count": 4.0, "weight_kg": 2})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "i1_nsga2_untuned_s0.front.json").read_text()
+        assert '"rotor_count": 4,' in text
+        assert '"weight_kg": 2\n' in text  # a float field keeps the number as given
+
+
+class TestConfigReader:
+    RECORDS = [DroneParams, OperatorConfig, AlgoConfig, TunerConfig, GeneratorSettings]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+    def test_every_field_reads_back_its_default(self, record):
+        # A field whose annotation the reader has no rule for fails here:
+        # each field must take its own default, written as JSON, and must
+        # refuse a JSON object with a usage error naming it.
+        # ``AlgoConfig`` is read for its run sizes only.
+        read = cli._RUN_SIZES if record is AlgoConfig else None
+        for f in dataclasses.fields(record):
+            if read is not None and f.name not in read:
+                continue
+            name = f.name
+            default = 4 if f.default is dataclasses.MISSING else f.default  # rows, cols: none
+            as_json = json.loads(json.dumps(default))
+            assert cli._config_fields(record, {name: as_json}, "section") == {name: default}
+            with pytest.raises(cli._UsageError, match=f"config field section.{name} must be"):
+                cli._config_fields(record, {name: {}}, "section")
