@@ -257,12 +257,24 @@ _RUN_SIZES = tuple(
 )
 
 
+# Every top-level key of a solve config. ``tune`` reads the same files and
+# ignores the run list (``tuned``, ``seeds``, ``oracle``).
+_CONFIG_KEYS = frozenset(
+    ("instances", "algorithms", "tuned", "seeds", "oracle", "drone", "operators", "tuner")
+    + _RUN_SIZES
+)
+
+
 def _settings(config: dict) -> tuple[DroneParams, AlgoConfig, TunerConfig]:
     """The config's drone, base run settings (run sizes and operators, with
     the default algorithm and seed 0) and tuner, each checked by its own
     record before any job exists. The tuner's seed is the base from which
-    each (instance, algorithm) pair's seed is derived. Shared by ``solve``
-    and ``tune``."""
+    each (instance, algorithm) pair's seed is derived. A top-level key that
+    no solve config holds, such as a misspelt run size, is a usage error.
+    Shared by ``solve`` and ``tune``."""
+    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise _UsageError(f"unknown config field(s): {', '.join(unknown)}")
     drone = _read_section(DroneParams, config, "drone")
     operators = _read_section(OperatorConfig, config, "operators")
     tuner = _read_section(TunerConfig, config, "tuner")

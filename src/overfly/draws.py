@@ -42,8 +42,13 @@ class Draws:
         # random() -> float in [0, 1): the bit generator's own next_double.
         self.random = partial(iface.next_double, iface.state)
 
-    def _bounded(self, span: int) -> int:
-        """Uniform integer in ``0..span`` (inclusive, ``0 < span <= 2**32 - 1``)."""
+    def bounded(self, span: int) -> int:
+        """Uniform integer in ``0..span`` (inclusive, ``0 < span <= 2**32 - 1``).
+
+        ``integers(span + 1)`` for such a span, without its argument handling
+        or checks; a caller that knows its span is in range may call it
+        directly.
+        """
         u32, state = self._u32, self._state
         excl = span + 1
         m = u32(state) * excl
@@ -63,7 +68,7 @@ class Draws:
             return low  # numpy draws nothing for a one-value range
         if span > _U32:
             raise ValueError("Draws.integers covers ranges of at most 2**32 values")
-        return low + self._bounded(span)
+        return low + self.bounded(span)
 
     def choice(self, n: int, size: int, replace: bool = False) -> list[int]:
         """``size`` distinct integers from ``0..n-1``, as ``Generator.choice``.
@@ -83,13 +88,13 @@ class Draws:
         picked: list[int] = []
         taken: set[int] = set()
         for j in range(n - size, n):
-            v = self._bounded(j) if j else 0
+            v = self.bounded(j) if j else 0
             if v in taken:
                 v = j
             taken.add(v)
             picked.append(v)
         for i in range(size - 1, 0, -1):
-            k = self._bounded(i)
+            k = self.bounded(i)
             picked[i], picked[k] = picked[k], picked[i]
         return picked
 

@@ -16,6 +16,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -225,6 +226,12 @@ class Environment:
             for c in range(self.spec.cols):
                 yield (r, c)
 
+    @property
+    def adjacency(self) -> Mapping[Cell, tuple[Cell, ...]]:
+        """Read-only view of :meth:`successors` for every on-grid cell, for
+        loops that would otherwise pay a method call per lookup."""
+        return MappingProxyType(self._succ)
+
     def successors(self, cell: Cell) -> tuple[Cell, ...]:
         """Cells reachable from ``cell`` in one move (N, S, E, NE, SE order)."""
         succ = self._succ.get(cell)
@@ -260,6 +267,12 @@ class Environment:
     def risk_at(self, cell: Cell) -> tuple[float, ...]:
         self._require(cell)
         return self._risk_rows[cell[0]][cell[1]]
+
+    @property
+    def bands(self) -> Mapping[Cell, tuple[int, int]]:
+        """Read-only view of :meth:`feasible_levels` for every passable cell;
+        impassable and off-grid cells are absent."""
+        return MappingProxyType(self._bands)
 
     def feasible_levels(self, cell: Cell) -> tuple[int, int]:
         """Inclusive (lowest, highest) feasible level index band of a cell.
@@ -593,19 +606,19 @@ def save_instance(env: Environment, path: str) -> None:
     """
     spec = env.spec
     top = spec.levels_m[-1]
+    obstacle, ceiling = env.obstacle_m.tolist(), env.ceiling_m.tolist()
     cells = []
-    for cell in env.cells():
-        r, c = cell
-        data = env.cell_data(cell)
-        entry: dict = {}
-        if data.obstacle_m != 0.0:
-            entry["obstacle_m"] = data.obstacle_m
-        if data.ceiling_m != top:
-            entry["ceiling_m"] = data.ceiling_m
-        if any(v != 0.0 for v in data.risk):
-            entry["risk"] = list(data.risk)
-        if entry:
-            cells.append({"cell": [r, c], **entry})
+    for r, c in env.cells():
+        entry: dict = {"cell": [r, c]}
+        if obstacle[r][c] != 0.0:
+            entry["obstacle_m"] = obstacle[r][c]
+        if ceiling[r][c] != top:
+            entry["ceiling_m"] = ceiling[r][c]
+        risk = env._risk_rows[r][c]
+        if any(risk):
+            entry["risk"] = list(risk)
+        if len(entry) > 1:
+            cells.append(entry)
     doc = {
         "grid": {"rows": spec.rows, "cols": spec.cols, "cell_size_m": spec.cell_size_m},
         "levels_m": list(spec.levels_m),
@@ -615,4 +628,34 @@ def save_instance(env: Environment, path: str) -> None:
         "cells": cells,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(_indented(doc, "") + "\n")
+
+
+def _indented(value: dict | list | float | int, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for an instance document, written at
+    indent ``pad``.
+
+    With an indent, CPython's json module skips its C encoder, and that
+    pure-Python path was most of a suite's writing time. An instance
+    document holds only objects with plain ASCII keys, lists, ints and
+    finite floats, and those few cases are all this emitter covers.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'"{key}": {_indented(v, inner)}' for key, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if not isinstance(value, list):
+        return _json_number(value)
+    if not value:
+        return "[]"
+    if isinstance(value[0], (dict, list)):
+        items = [_indented(v, inner) for v in value]
+    else:
+        items = map(_json_number, value)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_number(value: float | int) -> str:
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)

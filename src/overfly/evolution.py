@@ -463,7 +463,10 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         return np.asarray([c.weight for c in chroms], dtype=float)
 
     seen_genotypes: set[tuple] = {(ch.cells, ch.entry_levels) for ch in pop}
-    random, integers = draws.random, draws.integers
+    # The tournaments draw an index by ``bounded(n - 1)``, which is
+    # ``integers(n)`` for n >= 2: AlgoConfig holds population_size >= 4 and
+    # archive_size >= 2, and an archive holds min(archive_size, union) members.
+    random, bounded = draws.random, draws.bounded
     crossover_probability = opcfg.crossover_probability
 
     def vary(pick: Callable[[], Chromosome]) -> list[Chromosome]:
@@ -505,8 +508,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             n_arch = len(arch_pop)
 
             def pick_spea2() -> Chromosome:
-                i = integers(n_arch)
-                j = integers(n_arch)
+                i = bounded(n_arch - 1)
+                j = bounded(n_arch - 1)
                 if arch_fitness[i] < arch_fitness[j]:
                     return arch_pop[i]
                 if arch_fitness[j] < arch_fitness[i]:
@@ -526,8 +529,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
                     crowd[i] = d
 
             def pick_ranked() -> Chromosome:
-                i = integers(pop_size)
-                j = integers(pop_size)
+                i = bounded(pop_size - 1)
+                j = bounded(pop_size - 1)
                 if rank[i] != rank[j]:
                     return pop[i] if rank[i] < rank[j] else pop[j]
                 if crowd[i] != crowd[j]:

@@ -156,6 +156,11 @@ class MilpModel:
         return index
 
     @cached_property
+    def _objective_coeffs(self) -> dict[str, float]:
+        """Variable name -> its objective coefficient (names are distinct)."""
+        return dict(self.objective)
+
+    @cached_property
     def _baseline_sums(self) -> tuple[list[tuple[float, float]], list[int]]:
         """Each row's (lhs, slack) at ``baseline`` and the rows failing there.
         Only ``y`` rows are summed: the rest have all-zero terms, sum +0.0."""
@@ -645,8 +650,9 @@ def substitute(
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     base = model.baseline
-    if isinstance(values, ChainMap) and len(values.maps) == 2 and values.maps[1] is base:
-        changed = [n for n, v in values.maps[0].items() if n in base and v != base[n]]
+    own = _path_map(model, values)
+    if own is not None:
+        changed = [n for n, v in own.items() if n in base and v != base[n]]
     else:
         try:
             changed = [name for name, value in base.items() if values[name] != value]
@@ -668,7 +674,27 @@ def substitute(
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:
-    return _lhs(model.objective, values)
+    """The objective at ``values``, with compensated summation.
+
+    On ``assignment_values``' overlay only the terms of the path's own map
+    are summed. Every objective variable (``x``, ``u``, ``dp``) is 0.0 in
+    ``model.baseline``, so the other terms are zeros; ``math.fsum`` rounds
+    the exact sum once and returns +0.0 for a zero sum, so leaving them out
+    is bit-identical. Any other mapping sums every term.
+    """
+    own = _path_map(model, values)
+    if own is None:
+        return _lhs(model.objective, values)
+    coeffs = model._objective_coeffs
+    return _lhs([(name, coeffs[name]) for name in own if name in coeffs], values)
+
+
+def _path_map(model: MilpModel, values: Mapping[str, float]) -> Mapping[str, float] | None:
+    """The path's own map when ``values`` is ``assignment_values``' overlay on
+    ``model.baseline``, else None."""
+    if isinstance(values, ChainMap) and len(values.maps) == 2 and values.maps[1] is model.baseline:
+        return values.maps[0]
+    return None
 
 
 def assignment_values(

@@ -3,9 +3,11 @@
 Construction walks randomly from start to goal over unused passable cells.
 Crossover splices a head of the first parent onto a tail of the second at a
 random cut, shifting the cut rightward until the junction is an adjacent
-move, then strips revisit loops and repairs entry levels. Mutation resamples
-a share of entry levels and perturbs the embedded weight. Every operator
-output validates against the world.
+move. Loop stripping and level repair run only when a splice needs them: a
+loop needs a head cell that comes back in the tail, and a repair needs an
+entry level outside its cell's band, which parents that validate never
+have. Mutation resamples a share of entry levels and perturbs the embedded
+weight. Every operator output validates against the world.
 
 Every ``rng`` may be a numpy Generator or a :class:`~overfly.draws.Draws` on
 one; both give the same draws.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,7 +170,7 @@ def _strip_revisits(
 
 
 def _repair_levels(
-    cells: list[Cell],
+    cells: Sequence[Cell],
     levels: list[int],
     env: Environment,
     rng: np.random.Generator | Draws,
@@ -186,23 +189,58 @@ def _repair_levels(
                 stats.level_repairs += 1
 
 
+def _in_bands(
+    cells: tuple[Cell, ...], levels: tuple[int, ...], bands: Mapping[Cell, tuple[int, int]]
+) -> bool:
+    """True when every entry level lies in its cell's band; an impassable or
+    off-grid cell has none. Gene 0 is checked too: :func:`_repair_levels`
+    leaves it alone, so a miss there costs only the repair's own scan."""
+    try:
+        for cell, level in zip(cells, levels):
+            lo, hi = bands[cell]
+            if not lo <= level <= hi:
+                return False
+    except KeyError:
+        return False
+    return True
+
+
 def _splice(
-    head_cells: tuple[Cell, ...],
-    head_levels: tuple[int, ...],
-    tail_cells: tuple[Cell, ...],
-    tail_levels: tuple[int, ...],
-    weight_a: float,
-    weight_b: float,
+    parent_a: Chromosome,
+    parent_b: Chromosome,
+    head_end: int,
+    tail_start: int,
+    bands: Mapping[Cell, tuple[int, int]],
     env: Environment,
     rng: np.random.Generator | Draws,
     stats: OperatorStats | None,
-) -> Chromosome:
-    cells = list(head_cells + tail_cells)
-    levels = list(head_levels + tail_levels)
-    _strip_revisits(cells, levels, stats)
-    _repair_levels(cells, levels, env, rng, stats)
-    alpha = rng.random()
-    return Chromosome(tuple(cells), tuple(levels), alpha * weight_a + (1.0 - alpha) * weight_b)
+) -> tuple[tuple[Cell, ...], tuple[int, ...], bool]:
+    """The cells and entry levels of ``parent_a`` up to ``head_end`` joined
+    to ``parent_b`` from ``tail_start``, loops stripped and levels repaired,
+    and whether the join needed neither.
+
+    The genes equal :func:`_strip_revisits` then :func:`_repair_levels` on
+    lists, with the same draws, but each runs only when the join needs it.
+    A parent never revisits a cell, so a loop needs a head cell that comes
+    back in the tail. Levels are checked against ``bands`` (``env.bands``)
+    first, and only a gene outside its cell's band sends the whole join
+    through the repair; parents that validate never need it.
+    """
+    head = parent_a.cells[: head_end + 1]
+    tail = parent_b.cells[tail_start:]
+    cells = head + tail
+    levels = parent_a.entry_levels[: head_end + 1] + parent_b.entry_levels[tail_start:]
+    clean = set(head).isdisjoint(tail)
+    if not clean:
+        cell_list, level_list = list(cells), list(levels)
+        _strip_revisits(cell_list, level_list, stats)
+        cells, levels = tuple(cell_list), tuple(level_list)
+    if not _in_bands(cells, levels, bands):
+        clean = False
+        level_list = list(levels)
+        _repair_levels(cells, level_list, env, rng, stats)
+        levels = tuple(level_list)
+    return cells, levels, clean
 
 
 def crossover(
@@ -221,48 +259,45 @@ def crossover(
     ``parent_b`` only; child two shifts both indices in lockstep. A child
     whose shift budget runs out falls back to its parent unchanged (counted
     as a splice failure).
+
+    A spliced child has its revisit loops stripped and its out-of-band entry
+    levels resampled, but each step runs only when the splice needs it (see
+    ``_splice``), and when both children join at the cut itself, child two
+    takes child one's genes if they needed neither. The children, stats and
+    draws are those of running both steps on every child. Valid parents
+    never need a level repair.
     """
     cfg = config if config is not None else OperatorConfig()
     a_cells, b_cells = parent_a.cells, parent_b.cells
-    a_levels, b_levels = parent_a.entry_levels, parent_b.entry_levels
+    wa, wb = parent_a.weight, parent_b.weight
     la, lb = len(a_cells), len(b_cells)
     cut = int(rng.integers(0, min(la, lb) - 1))  # head may not already end at the goal
     limit = cfg.max_shift if cfg.max_shift is not None else max(la, lb)
+    adjacency, bands = env.adjacency, env.bands
 
     # Child one: shift the tail start rightward along parent_b only.
     child_one: Chromosome | None = None
-    nbrs = env.successors(a_cells[cut])
+    clean = False
+    nbrs = adjacency[a_cells[cut]]
     for tail_start in range(cut + 1, min(cut + 1 + limit, lb - 1) + 1):
         if b_cells[tail_start] in nbrs:
-            child_one = _splice(
-                a_cells[: cut + 1],
-                a_levels[: cut + 1],
-                b_cells[tail_start:],
-                b_levels[tail_start:],
-                parent_a.weight,
-                parent_b.weight,
-                env,
-                rng,
-                stats,
-            )
+            cells, levels, clean = _splice(parent_a, parent_b, cut, tail_start, bands, env, rng, stats)
+            alpha = rng.random()
+            child_one = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
             break
 
     # Child two: shift the head end and the tail start in lockstep.
     child_two: Chromosome | None = None
     for head_end in range(cut, cut + min(limit, la - 2 - cut, lb - 2 - cut) + 1):
         tail_start = head_end + 1
-        if b_cells[tail_start] in env.successors(a_cells[head_end]):
-            child_two = _splice(
-                a_cells[: head_end + 1],
-                a_levels[: head_end + 1],
-                b_cells[tail_start:],
-                b_levels[tail_start:],
-                parent_a.weight,
-                parent_b.weight,
-                env,
-                rng,
-                stats,
-            )
+        if b_cells[tail_start] in adjacency[a_cells[head_end]]:
+            # Unshifted, this is child one's junction (its first try
+            # succeeded too): its genes stand when they needed no strip and
+            # no repair, for then the join would draw nothing.
+            if not (head_end == cut and clean):
+                cells, levels, _ = _splice(parent_a, parent_b, head_end, tail_start, bands, env, rng, stats)
+            alpha = rng.random()
+            child_two = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
             break
 
     if stats is not None:

@@ -866,6 +866,7 @@ class TestRecordFields:
         ),
         "overrides-fractional-rows": (("gen",), {"overrides": {"rows": 4.5}}, "overrides.rows"),
         "tuner-misspelt-budget": (("solve", "tune"), {"tuner": {"budgte": 5}}, "tuner.budgte"),
+        "misspelt-run-size": (("solve", "tune"), {"populaton_size": 20}, "populaton_size"),
     }
 
     @pytest.mark.parametrize(
@@ -894,6 +895,31 @@ class TestRecordFields:
         assert f" {field} " in captured.err or f" {field}\n" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_every_solve_config_key_is_read(self, tmp_path, capsys):
+        # A config holding every top-level key runs under each command that
+        # takes one: the unknown-key check refuses no key a solve config may
+        # hold, and check and lp-export still take such a config.
+        instance = str(tmp_path / "i1.json")
+        save_tiny(instance, 1)
+        cfg = tmp_path / "run.json"
+        config = write_solve_config(
+            cfg,
+            ["i1.json"],
+            oracle=False,
+            reference_point_divisions=4,
+            drone={},
+            operators={},
+            tuner={"budget": 1, "population_sizes": [8]},
+        )
+        assert set(config) == cli._CONFIG_KEYS
+        for argv in (
+            ["solve", "--out", str(tmp_path / "s")],
+            ["tune", "--out", str(tmp_path / "t")],
+            ["check", instance],
+            ["lp-export", instance, "--out", str(tmp_path / "m.lp")],
+        ):
+            assert main([*argv, "--config", str(cfg)]) == 0, argv
 
     def test_integral_float_is_stored_as_an_integer(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)

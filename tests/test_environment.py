@@ -572,6 +572,29 @@ class TestInstanceBytesMatchStreamingWriter:
             reference_save_instance(env, ref)
             assert ours.read_bytes() == ref.read_bytes()
 
+    def test_hand_built_worlds(self, tmp_path):
+        # Obstacles, lowered ceilings and risk lists (with -0.0, a third and
+        # a subnormal), integer altitudes and cell size, and a world that
+        # lists no cell at all.
+        obstacle = np.zeros((3, 4))
+        obstacle[0, 1], obstacle[2, 2] = 10.0, 12.5
+        ceiling = np.full((3, 4), 20.0)
+        ceiling[0, 2], ceiling[2, 1] = 10.0, 15.0
+        risk = np.zeros((3, 4, 3))
+        risk[0, 1] = [-0.0, 0.1, 1.0]
+        risk[2, 3] = [0.3, -0.0, 2.0**-1074]
+        risk[1, 1] = 1.0 / 3.0
+        worlds = [
+            build_env(obstacle=obstacle, ceiling=ceiling, risk=risk),
+            build_env(levels=(0, 10, 20), cell_size=5, obstacle=obstacle, risk=0.5),
+            build_env(rows=1, cols=2),
+        ]
+        for k, env in enumerate(worlds):
+            ours, ref = tmp_path / f"{k}.json", tmp_path / f"{k}.ref.json"
+            save_instance(env, ours)
+            reference_save_instance(env, ref)
+            assert ours.read_bytes() == ref.read_bytes(), k
+
     def test_risk_rows_keep_each_float(self):
         risk = np.zeros((3, 4, 3))
         risk[0, 1] = [-0.0, 0.1, 1.0]

@@ -628,6 +628,19 @@ class TestObjectiveVariants:
                 for got, want in zip((length, energy, risk), m.objectives.as_tuple()):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("index", [0, 4], ids=["T1-1", "T2-1"])
+    def test_overlay_sum_is_bit_identical_to_full_sum(self, index):
+        # On assignment_values' overlay only the path's own terms are summed;
+        # the same values as a plain dict go through every term.
+        _id, settings, seed = suite_settings(0)[index]
+        env = generate(settings, seed)
+        members = enumerate_front(env, PARAMS).members
+        for model in model_variants(env).values():
+            for m in members:
+                values = assignment_values(model, env, m.cells, m.entry_levels)
+                full = objective_value(model, dict(values))
+                assert objective_value(model, values).hex() == full.hex()
+
     def test_epsilon_adds_risk_cap_row(self):
         env = tiny_env()
         cap = 1.25

@@ -1,5 +1,6 @@
 """Initialization, crossover, repair, and mutation operators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from overfly import (
     sample_entry_level,
     validate,
 )
+from overfly.draws import Draws
 from overfly.operators import _repair_levels, _strip_revisits
 
 from helpers import build_env, generated_worlds
@@ -221,6 +223,101 @@ class TestCrossover:
         pb = initialize(env, rng)
         crossover(pa, pb, env, rng, None, stats)
         assert stats.crossovers == 1
+
+
+def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
+    """``crossover`` as the plain composition: every child is spliced on
+    lists, then goes through ``_strip_revisits`` and ``_repair_levels``."""
+    a_cells, b_cells = parent_a.cells, parent_b.cells
+    la, lb = len(a_cells), len(b_cells)
+    cut = int(rng.integers(0, min(la, lb) - 1))
+    limit = config.max_shift if config.max_shift is not None else max(la, lb)
+
+    def splice(head_end, tail_start):
+        cells = list(a_cells[: head_end + 1] + b_cells[tail_start:])
+        levels = list(parent_a.entry_levels[: head_end + 1] + parent_b.entry_levels[tail_start:])
+        _strip_revisits(cells, levels, stats)
+        _repair_levels(cells, levels, env, rng, stats)
+        alpha = rng.random()
+        weight = alpha * parent_a.weight + (1.0 - alpha) * parent_b.weight
+        return Chromosome(tuple(cells), tuple(levels), weight)
+
+    child_one = child_two = None
+    for tail_start in range(cut + 1, min(cut + 1 + limit, lb - 1) + 1):
+        if b_cells[tail_start] in env.successors(a_cells[cut]):
+            child_one = splice(cut, tail_start)
+            break
+    for head_end in range(cut, cut + min(limit, la - 2 - cut, lb - 2 - cut) + 1):
+        if b_cells[head_end + 1] in env.successors(a_cells[head_end]):
+            child_two = splice(head_end, head_end + 1)
+            break
+    stats.splice_failures += (child_one is None) + (child_two is None)
+    stats.crossovers += 1
+    return (
+        parent_a if child_one is None else child_one,
+        parent_b if child_two is None else child_two,
+    )
+
+
+def _out_of_band(ch, env, gene):
+    """``ch`` with entry level ``gene`` (>= 1) one above its cell's band."""
+    levels = list(ch.entry_levels)
+    levels[gene] = env.feasible_levels(ch.cells[gene])[1] + 1
+    return Chromosome(ch.cells, tuple(levels), ch.weight)
+
+
+def _assert_matches_reference(parents, env, seed, config=OperatorConfig()):
+    """Every ordered parent pair: same children, same stats, and the same
+    next draw as the reference composition. Returns each pair's stats."""
+    all_stats = []
+    for pa, pb in itertools.permutations(parents, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stats, ref_stats = OperatorStats(), OperatorStats()
+        children = crossover(pa, pb, env, Draws(rng), config, stats)
+        expected = _reference_crossover(pa, pb, env, ref_rng, config, ref_stats)
+        assert children == expected
+        assert stats == ref_stats
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+        all_stats.append(stats)
+        seed += 1
+    return all_stats
+
+
+class TestSpliceKernel:
+    """``crossover`` strips loops and repairs levels only when a splice needs
+    it; the result must equal doing both on every child."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_matches_reference_composition(self, env, seed, force_miss, data):
+        rng = np.random.default_rng(seed)
+        parents = [initialize(env, rng) for _ in range(4)]
+        if force_miss and len(parents[0]) > 1:
+            gene = data.draw(st.integers(1, len(parents[0]) - 1))
+            parents[0] = _out_of_band(parents[0], env, gene)
+        _assert_matches_reference(parents, env, seed)
+
+    def test_loops_and_repairs_both_run(self):
+        # Open worlds let random walks wander north and south, so splices
+        # often close loops; one parent per pool carries a gene above its
+        # band, which only the repair can fix.
+        env = generate(GeneratorSettings(rows=6, cols=6, obstacle_density=0.1), 3)
+        rng = np.random.default_rng(8)
+        all_stats = []
+        for pool in range(10):
+            parents = [initialize(env, rng) for _ in range(6)]
+            parents[0] = _out_of_band(parents[0], env, len(parents[0]) // 2)
+            all_stats += _assert_matches_reference(parents, env, pool)
+        assert len(all_stats) == 300
+        assert sum(s.loop_removals for s in all_stats) > 0
+        assert sum(s.level_repairs for s in all_stats) > 0
+
+    def test_max_shift_limits_match_reference(self):
+        env = generate(GeneratorSettings(rows=5, cols=5, obstacle_density=0.2), 5)
+        rng = np.random.default_rng(4)
+        parents = [initialize(env, rng) for _ in range(6)]
+        for shift in (0, 1, 2):
+            _assert_matches_reference(parents, env, 17, OperatorConfig(max_shift=shift))
 
 
 class TestMutate:
