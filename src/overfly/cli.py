@@ -71,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    """The argparse type of a seed or a sample count: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # -- shared helpers ----------------------------------------------------------
 
 
@@ -444,6 +455,9 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     seeds = args.seed or _config_value(tuple[int, ...], config.get("seeds", [0]), "seeds")
     if not seeds:
         raise _UsageError("at least one seed is required")
+    for k, seed in enumerate(seeds):  # --seed values are checked by the parser
+        if seed < 0:
+            raise _UsageError(f"config field seeds[{k}] must be >= 0, got {seed}")
     drone, base, tuner = _settings(config)
     oracle = config.get("oracle", False)
     if not isinstance(oracle, bool):
@@ -890,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate the instance suite")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative_int, default=0)
     p_gen.add_argument("--config", help="JSON file with generator overrides")
     p_gen.set_defaults(handler=_cmd_gen)
 
@@ -901,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", action="append", choices=list(ALGORITHMS))
     p_solve.add_argument("--tuned", action="store_true")
     p_solve.add_argument("--untuned", action="store_true")
-    p_solve.add_argument("--seed", action="append", type=int)
+    p_solve.add_argument("--seed", action="append", type=_non_negative_int)
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_tune = sub.add_parser("tune", help="random-search parameter tuning")
@@ -923,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="exact-oracle verification")
     p_check.add_argument("instance", help="instance JSON file")
     p_check.add_argument("--config", help="JSON file with drone parameters")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=int, default=100)
+    p_check.add_argument("--seed", type=_non_negative_int, default=0)
+    p_check.add_argument("--samples", type=_non_negative_int, default=100)
     p_check.set_defaults(handler=_cmd_check)
 
     p_lp = sub.add_parser("lp-export", help="write the integer program as LP text")

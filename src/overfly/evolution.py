@@ -63,6 +63,8 @@ class AlgoConfig:
             raise ValueError("archive_size must be >= 2")
         if self.reference_point_divisions < 1:
             raise ValueError("reference_point_divisions must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- building blocks ---------------------------------------------------------

@@ -23,10 +23,11 @@ Substitution works against a per-model baseline, the unused-arc assignment
 ``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc).
 ``assignment_values`` overlays a path's values on it; ``substitute``
 re-sums only the rows holding a variable whose value differs from the
-baseline, and its report keeps only those rows. That is exact: ``math.fsum``
-returns the correctly rounded sum of its nonzero terms and +0.0 when there
-are none, so with finite coefficients a row none of whose variables changed
-sums to the baseline's left-hand side bit for bit.
+baseline, and takes the baseline's sums for the rest, of which only eq3 and
+eq4 fail. That is exact: ``math.fsum`` returns the correctly rounded sum of
+its nonzero terms and +0.0 when there are none, so with finite coefficients
+a row none of whose variables changed sums to the baseline's left-hand side
+bit for bit. Its report is a value: the tolerance and the failing rows.
 
 ``build_model`` counts its rows from the world before it builds any
 (``row_count``, O(arcs)) and refuses a model above ``MAX_ROWS`` with
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import ChainMap, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -161,14 +162,14 @@ class MilpModel:
         return dict(self.objective)
 
     @cached_property
-    def _baseline_sums(self) -> tuple[list[tuple[float, float]], list[int]]:
-        """Each row's (lhs, slack) at ``baseline`` and the rows failing there.
+    def _baseline_failures(self) -> tuple[tuple[int, float, float], ...]:
+        """(row, lhs, slack) of each row failing at ``baseline`` (eq3, eq4).
         Only ``y`` rows are summed: the rest have all-zero terms, sum +0.0."""
-        base = self.baseline
+        base, rows = self.baseline, self.rows
         summed = {r for name, value in base.items() if value for r in self._rows_of.get(name, ())}
-        lhs = [_lhs(row.coeffs, base) if r in summed else 0.0 for r, row in enumerate(self.rows)]
-        sums = [(total, _slack(row, total)) for total, row in zip(lhs, self.rows)]
-        return sums, [r for r, (_, slack) in enumerate(sums) if not slack >= 0.0]
+        sums = ((r, _lhs(row.coeffs, base) if r in summed else 0.0) for r, row in enumerate(rows))
+        checks = ((r, lhs, _slack(rows[r], lhs)) for r, lhs in sums)
+        return tuple(check for check in checks if not check[2] >= 0.0)
 
 
 # -- naming ------------------------------------------------------------------
@@ -588,33 +589,21 @@ class RowCheck(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubstitutionReport:
-    """``rows``: the re-summed rows by index; the rest check as at baseline."""
+    """The rows an assignment breaks: ``failing`` holds their checks, in row
+    order, judged at ``tol``. A plain value, compared by value."""
 
-    model: MilpModel = field(repr=False)
     tol: float
-    rows: Mapping[int, RowCheck]
-
-    def _check(self, r: int) -> RowCheck:
-        if r in self.rows:
-            return self.rows[r]
-        name, family, _, sense, rhs = self.model.rows[r]
-        lhs, slack = self.model._baseline_sums[0][r]
-        return RowCheck(name, family, lhs, sense, rhs, slack, slack >= -self.tol)
-
-    @property
-    def checks(self) -> tuple[RowCheck, ...]:
-        return tuple(map(self._check, range(len(self.model.rows))))
+    failing: tuple[RowCheck, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures()
+        return not self.failing
 
     def failures(self) -> tuple[RowCheck, ...]:
-        """In row order; only re-summed or baseline-failing rows can fail."""
-        candidates = sorted({*self.rows, *self.model._baseline_sums[1]})
-        return tuple(check for check in map(self._check, candidates) if not check.ok)
+        """The failing rows' checks, in row order."""
+        return self.failing
 
 
 def _lhs(coeffs: Sequence[tuple[str, float]], values: Mapping[str, float]) -> float:
@@ -634,17 +623,19 @@ def _slack(row: LpRow, lhs: float) -> float:
 def substitute(
     model: MilpModel, values: Mapping[str, float], tol: float = 0.0
 ) -> SubstitutionReport:
-    """Evaluate every row at a concrete assignment.
+    """Evaluate every row at a concrete assignment; the report holds the
+    rows that fail.
 
     Every model variable must be present in ``values`` (extra keys are
     ignored); rows are checked with compensated summation and the given
     tolerance (>= 0). Only the rows holding a variable whose value ``!=``
-    its ``model.baseline`` value are re-summed and kept in the report. That
-    is bit-identical to re-summing every row: a value equal to 0.0 or 1.0
-    converts to a float of that value (a zero possibly negative), and
-    ``math.fsum`` skips zero terms and returns +0.0 for none, so the row's
-    terms and sum are the baseline's. A NaN or a value of another type that
-    compares unequal is re-summed as any other change. Of
+    its ``model.baseline`` value are re-summed; each other row takes its
+    baseline sum, and of those only the rows failing at the baseline can
+    fail. That is bit-identical to re-summing every row: a value equal to
+    0.0 or 1.0 converts to a float of that value (a zero possibly negative),
+    and ``math.fsum`` skips zero terms and returns +0.0 for none, so the
+    row's terms and sum are the baseline's. A NaN or a value of another type
+    that compares unequal is re-summed as any other change. Of
     ``assignment_values``' overlay only the path's own map is compared.
     """
     if not tol >= 0.0:
@@ -661,16 +652,22 @@ def substitute(
             raise ValueError(
                 f"assignment is missing {len(missing)} variable(s), e.g. {sorted(missing)[0]}"
             ) from None
-    rows_of = model._rows_of
+    rows, rows_of = model.rows, model._rows_of
     # Row order, so that a value float() rejects raises where a full pass would.
     touched = sorted({r for name in changed for r in rows_of.get(name, ())})
-    checks = {}
+    sums = {}
     for r in touched:
-        row = model.rows[r]
-        lhs = _lhs(row.coeffs, values)
-        slack = _slack(row, lhs)
-        checks[r] = RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack, slack >= -tol)
-    return SubstitutionReport(model, tol, MappingProxyType(checks))
+        lhs = _lhs(rows[r].coeffs, values)
+        sums[r] = lhs, _slack(rows[r], lhs)
+    for r, lhs, slack in model._baseline_failures:
+        sums.setdefault(r, (lhs, slack))
+    failing = []
+    for r in sorted(sums):
+        lhs, slack = sums[r]
+        if not slack >= -tol:
+            name, family, _, sense, rhs = rows[r]
+            failing.append(RowCheck(name, family, lhs, sense, rhs, slack, False))
+    return SubstitutionReport(tol, tuple(failing))
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:

@@ -64,6 +64,10 @@ class OperatorConfig:
             raise ValueError("max_shift must be >= 0")
 
 
+# The settings of every operator call made with ``config=None``, built once.
+_DEFAULT_CONFIG = OperatorConfig()
+
+
 @dataclass
 class OperatorStats:
     """Counters surfaced in run reports."""
@@ -115,7 +119,7 @@ def initialize(
     Raises:
         InitializationError: when every retry dead-ended.
     """
-    cfg = config if config is not None else OperatorConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     spec = env.spec
     for _ in range(cfg.max_init_retries):
         cells: list[Cell] = [spec.start_cell]
@@ -267,7 +271,7 @@ def crossover(
     draws are those of running both steps on every child. Valid parents
     never need a level repair.
     """
-    cfg = config if config is not None else OperatorConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     a_cells, b_cells = parent_a.cells, parent_b.cells
     wa, wb = parent_a.weight, parent_b.weight
     la, lb = len(a_cells), len(b_cells)
@@ -311,7 +315,7 @@ def crossover(
 
 def mutate(
     ch: Chromosome,
-    config: OperatorConfig,
+    config: OperatorConfig | None,
     env: Environment,
     rng: np.random.Generator | Draws,
     stats: OperatorStats | None = None,
@@ -325,7 +329,7 @@ def mutate(
     (sigma 0.1) clamped back into [0, 1]. When neither fires, ``ch`` itself
     is returned.
     """
-    cfg = config if config is not None else OperatorConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     p = cfg.mutation_probability
     cells, levels, weight = ch.cells, ch.entry_levels, ch.weight
     n = len(cells)

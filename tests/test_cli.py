@@ -665,6 +665,54 @@ class TestCheck:
         assert main(["check", str(tmp_path / "i1.json"), "--samples", "5"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    # SHA-256 of ``check --samples 20`` stdout on the two worlds above: the
+    # check lines, counts and worst gap must not change with the LP code.
+    EXPECTED_STDOUT = {
+        "tiny": "4b08b02a7e95b538800738608f2947e0bf588f1ad75f6c86ab020924811d97d0",
+        "six-by-six": "896dd8562ede16d5c97b2e1ddbcf903776b5d2644aad251c6bb58a9a58c1d51b",
+    }
+
+    def test_stdout_bytes(self, tmp_path, capsys):
+        save_tiny(tmp_path / "tiny.json", 1)
+        save_tiny(tmp_path / "six-by-six.json", 1, rows=6, cols=6, levels=3)
+        digests = {}
+        for name in self.EXPECTED_STDOUT:
+            assert main(["check", str(tmp_path / f"{name}.json"), "--samples", "20"]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == self.EXPECTED_STDOUT
+
+
+class TestNegativeSeeds:
+    # Each case: the command line after the instance or config, and the
+    # flag or field the error must name.
+    CASES = {
+        "check-samples": (["check", "{world}", "--samples", "-5"], "argument --samples"),
+        "check-seed": (["check", "{world}", "--seed", "-1"], "argument --seed"),
+        "gen-seed": (["gen", "--out", "{out}", "--seed", "-1"], "argument --seed"),
+        "solve-seed": (
+            ["solve", "--config", "{config}", "--out", "{out}", "--seed", "-1"], "argument --seed"
+        ),
+        "config-seeds": (["solve", "--config", "{bad_config}", "--out", "{out}"], "seeds[1]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_naming_it_with_no_output(self, tmp_path, capsys, case):
+        argv, name = self.CASES[case]
+        save_tiny(tmp_path / "i1.json", 1)
+        write_solve_config(tmp_path / "run.json", ["i1.json"])
+        write_solve_config(tmp_path / "bad.json", ["i1.json"], seeds=[0, -3])
+        paths = {
+            "world": tmp_path / "i1.json",
+            "out": tmp_path / "o",
+            "config": tmp_path / "run.json",
+            "bad_config": tmp_path / "bad.json",
+        }
+        assert main([arg.format_map(paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
 
 class TestLpExport:
     def test_writes_lp_text(self, tmp_path, capsys):

@@ -130,10 +130,11 @@ class TestAlgoConfig:
             {"evaluation_budget": 10, "population_size": 20},
             {"archive_size": 1},
             {"reference_point_divisions": 0},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             AlgoConfig(**kwargs)
 
     def test_defaults(self):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -87,9 +88,12 @@ def hex_checks(checks):
 
 
 def checked_substitute(model, values, tol=0.0):
-    """``substitute``, asserted field by field against ``full_report``."""
+    """``substitute``, its failures asserted field by field against
+    ``full_report``'s failing rows."""
     report = substitute(model, values, tol)
-    assert hex_checks(report.checks) == full_report(model, values, tol)
+    reference = full_report(model, values, tol)
+    assert hex_checks(report.failures()) == [check for check in reference if not check[-1]]
+    assert report.ok == all(check[-1] for check in reference)
     return report
 
 
@@ -467,7 +471,7 @@ class TestSubstitution:
             values[name] = value
             checked_substitute(model, values)
         extra = dict(base, not_a_model_variable=5.0)
-        assert checked_substitute(model, extra).checks == substitute(model, base).checks
+        assert checked_substitute(model, extra) == substitute(model, base)
         missing = dict(base)
         del missing[zero]
         with pytest.raises(ValueError, match=f"missing 1 variable\\(s\\), e.g. {zero}$"):
@@ -505,13 +509,15 @@ class TestSubstitution:
             overlay[pool[index % len(pool)]] = value
         plain = dict(overlay)
         reference = full_report(model, plain, tol)
+        failing = [c for c in reference if not c[-1]]
         for values in (overlay, plain):
             report = substitute(model, values, tol)
-            assert hex_checks(report.checks) == reference
             assert report.ok == all(check[-1] for check in reference)
-            assert hex_checks(report.failures()) == [c for c in reference if not c[-1]]
+            assert hex_checks(report.failures()) == failing
         overlay["not_a_model_variable"] = math.nan
-        assert hex_checks(substitute(model, overlay, tol).checks) == reference
+        report = substitute(model, overlay, tol)
+        assert report.ok == all(check[-1] for check in reference)
+        assert hex_checks(report.failures()) == failing
 
     def test_report_slack_signs(self):
         env = tiny_env()
@@ -519,9 +525,23 @@ class TestSubstitution:
         cells = all_simple_paths(env)[0]
         levels = next(iter(iter_assignments(env, cells)))
         values = assignment_values(model, env, cells, levels)
-        report = substitute(model, values)
-        assert all(c.slack >= 0.0 for c in report.checks)
-        assert {c.sense for c in report.checks} <= {"<=", ">=", "="}
+        assert substitute(model, values).ok
+        for row in model.rows:
+            name, value = violate_row(row, values)
+            report = substitute(model, {**values, name: value})
+            assert report.failures()
+            assert all(c.slack < 0.0 for c in report.failures())
+            assert {c.sense for c in report.failures()} <= {"<=", ">=", "="}
+
+    def test_report_is_a_value_without_its_model(self):
+        env, model, members, _names, _y_names = substitution_world("tiny")
+        m = members[0]
+        values = assignment_values(model, env, m.cells, m.entry_levels)
+        name, value = violate_row(model.rows[0], values)
+        for report in (substitute(model, values), substitute(model, {**values, name: value})):
+            data = pickle.dumps(report)
+            assert pickle.loads(data) == report
+            assert b"MilpModel" not in data
 
 
 class TestCorruptions:

@@ -47,6 +47,23 @@ class TestOperatorConfig:
         with pytest.raises(ValueError):
             OperatorConfig(**kwargs)
 
+    def test_default_built_once_not_per_call(self, monkeypatch):
+        env = build_env(rows=5, cols=5)
+        rng = np.random.default_rng(3)
+        parents = [initialize(env, rng) for _ in range(2)]
+        built = []
+        check = OperatorConfig.__post_init__
+
+        def counted_check(cfg):
+            built.append(cfg)
+            check(cfg)
+
+        monkeypatch.setattr(OperatorConfig, "__post_init__", counted_check)
+        for _ in range(100):
+            parents = list(crossover(*parents, env, rng, config=None))
+            parents[0] = mutate(parents[0], None, env, rng)
+        assert len(built) == 0
+
 
 class TestSampleEntryLevel:
     def test_stays_in_feasible_band(self):
