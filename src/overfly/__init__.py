@@ -58,7 +58,6 @@ from .evolution import (
     tune,
 )
 from .exact import (
-    EnumerationCaps,
     EnumerationLimitError,
     ExactFront,
     ExactMember,
@@ -137,7 +136,6 @@ __all__ = [
     "ChromosomeError",
     "CombinedPoint",
     "DroneParams",
-    "EnumerationCaps",
     "EnumerationLimitError",
     "Environment",
     "ExactFront",

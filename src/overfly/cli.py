@@ -24,7 +24,7 @@ import typing
 import zlib
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .environment import (
     Environment,
@@ -580,10 +580,66 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 # -- table -------------------------------------------------------------------
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _is_list(value: object, item: Callable[[object], bool], length: int | None = None) -> bool:
+    return isinstance(value, list) and length in (None, len(value)) and all(map(item, value))
+
+
+_MEMBER_NUMBERS = ("weight", "length_m", "energy_j", "risk", "cost", "combined_risk")
+
+
 def _read_front_file(path: Path) -> dict:
+    """A front or report file with every field that ``table`` and ``plot``
+    read checked, and its ``bounds`` as a :class:`NormBounds`. A bad file is
+    a usage error naming it and the field."""
     payload = _load_json(path)
     if payload.get("schema") not in ("overfly.front/1", "overfly.report/1"):
         raise _UsageError(f"{path} is not a front or report file")
+
+    def field(record: dict, key: str, name: str, ok: Callable[[object], bool], want: str) -> object:
+        if key not in record:
+            raise _UsageError(f"{path}: field {name} is missing")
+        if not ok(record[key]):
+            raise _UsageError(f"{path}: field {name} must be {want}, got {record[key]!r}")
+        return record[key]
+
+    instance = field(payload, "instance", "instance", lambda v: isinstance(v, dict), "an object")
+    field(instance, "id", "instance.id", lambda v: isinstance(v, str), "a string")
+    field(payload, "algorithm", "algorithm", lambda v: isinstance(v, str), "a string")
+    field(payload, "tuned", "tuned", lambda v: isinstance(v, bool), "true or false")
+    field(payload, "seed", "seed", _is_int, "an integer")
+    field(
+        payload, "hv_trace", "hv_trace",
+        lambda v: _is_list(v, lambda pair: _is_list(pair, _is_number, 2)),
+        "a list of [evaluations, hypervolume] pairs",
+    )
+    for key in ("front", "archive"):
+        members = field(payload, key, key, lambda v: _is_list(v, lambda m: isinstance(m, dict)),
+                        "a list of objects")
+        for k, member in enumerate(members):
+            name = f"{key}[{k}]"
+            for number in _MEMBER_NUMBERS:
+                field(member, number, f"{name}.{number}", _is_number, "a finite number")
+            cells = field(member, "cells", f"{name}.cells",
+                          lambda v: _is_list(v, lambda c: _is_list(c, _is_int, 2)),
+                          "a list of [row, col] pairs")
+            field(member, "entry_levels", f"{name}.entry_levels",
+                  lambda v: _is_list(v, _is_int, len(cells)), f"a list of {len(cells)} integers")
+            field(member, "entry_altitudes_m", f"{name}.entry_altitudes_m",
+                  lambda v: _is_list(v, _is_number, len(cells)),
+                  f"a list of {len(cells)} finite numbers")
+    try:
+        bounds = _config_fields(NormBounds, payload.get("bounds"), "bounds")
+        payload["bounds"] = _build(NormBounds, "bounds", bounds)
+    except (_UsageError, TypeError) as exc:  # TypeError: a bound is missing
+        raise _UsageError(f"{path}: {exc}") from None
     return payload
 
 
@@ -599,7 +655,7 @@ def _table_summaries(payloads: list[dict]) -> list[FrontSummary]:
         )
         hvs = archive_hypervolumes(
             [[(m["length_m"], m["energy_j"], m["risk"]) for m in p["archive"]] for p in runs],
-            [NormBounds(**p["bounds"]) for p in runs],
+            [p["bounds"] for p in runs],
         )
         cells: dict[tuple[str, bool], list[tuple[int, float, int]]] = {}
         for p, hv in zip(runs, hvs):
@@ -654,10 +710,10 @@ def _series_label(payload: dict) -> str:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    out = _require_out(args)
     payloads = [(_read_front_file(Path(p)), Path(p)) for p in sorted(args.files)]
     if not payloads:
         raise _UsageError("plot needs at least one front or report file")
+    out = _require_out(args)
 
     scatter_series: list[Series] = []
     trace_series: list[Series] = []
@@ -790,7 +846,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for ch in candidates:
         a = evaluate(ch, env, params)
         b = evaluate_assignment(chromosome_arcs(ch), env, params)
-        for va, vb in zip(a.as_tuple(), b.as_tuple()):
+        for va, vb in zip(a, b):
             denom = max(1.0, abs(va), abs(vb))
             worst = max(worst, abs(va - vb) / denom)
             if not _rel_close(va, vb):
@@ -856,15 +912,11 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
             raise _UsageError(
                 f"weighted objective requires {', '.join(missing)}"
             )
-        bounds = NormBounds(
-            length_lo=args.length_lo,
-            length_hi=args.length_hi,
-            energy_lo=args.energy_lo,
-            energy_hi=args.energy_hi,
-        )
     if args.objective == "epsilon" and args.risk_cap is None:
         raise _UsageError("epsilon objective requires --risk-cap")
     try:
+        if args.objective == "weighted":
+            bounds = NormBounds(args.length_lo, args.length_hi, args.energy_lo, args.energy_hi)
         model = build_model(
             env,
             params,
@@ -881,7 +933,9 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
         # A message about one argument opens with its name; each of these
         # comes straight from the flag of the same name.
         keyword, _, rest = str(exc).partition(" ")
-        if keyword not in ("weight", "risk_cap", "big_m"):
+        if keyword not in (
+            "weight", "risk_cap", "big_m", "length_lo", "length_hi", "energy_lo", "energy_hi"
+        ):
             raise
         raise _UsageError(f"--{keyword.replace('_', '-')} {rest}") from exc
     text = render_lp(model)

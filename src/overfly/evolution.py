@@ -358,9 +358,10 @@ def _norm_column(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
 
 
-def combined_points(triples: np.ndarray, weights, bounds: NormBounds) -> np.ndarray:
-    """(cost, risk) images of raw objective triples under given weights."""
-    t = np.asarray(triples, dtype=float).reshape(-1, 3)
+def combined_points(vectors, weights, bounds: NormBounds) -> np.ndarray:
+    """(cost, risk) images of raw (length, energy, risk) vectors under given
+    weights; a single vector counts as a sequence of one."""
+    t = np.asarray(vectors, dtype=float).reshape(-1, 3)
     nl = _norm_column(t[:, 0], bounds.length_lo, bounds.length_hi)
     ne = _norm_column(t[:, 1], bounds.energy_lo, bounds.energy_hi)
     w = np.asarray(weights, dtype=float)
@@ -371,7 +372,7 @@ def combined_points(triples: np.ndarray, weights, bounds: NormBounds) -> np.ndar
 def archive_hypervolumes(archives: Sequence, bounds: Sequence[NormBounds]) -> list[float]:
     """Hypervolume of each run's archive, comparable across the runs.
 
-    Each archive holds raw (length, energy, risk) triples and each run has
+    Each archive holds raw (length, energy, risk) vectors and each run has
     its own bounds. Every archive is blended at weight 0.5 under the merged
     bounds and measured against one shared reference. ``tune`` scores its
     trials this way, and ``overfly table`` the runs of one instance.
@@ -379,7 +380,7 @@ def archive_hypervolumes(archives: Sequence, bounds: Sequence[NormBounds]) -> li
     merged = bounds[0]
     for b in bounds[1:]:
         merged = merged.merge(b)
-    point_sets = [combined_points(triples, 0.5, merged) for triples in archives]
+    point_sets = [combined_points(vectors, 0.5, merged) for vectors in archives]
     ref = shared_reference(point_sets)
     return [hypervolume_2d(pts, ref) for pts in point_sets]
 
@@ -392,16 +393,14 @@ def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) ->
     reference point taken from the exact front, so the ratio compares like
     with like.
     """
-    exact = enumerate_front(env, params)
-    triples = np.asarray([m.objectives.as_tuple() for m in exact.members])
-    bounds = NormBounds.from_vectors([m.objectives for m in exact.members])
-    exact_pts = combined_points(triples, 0.5, bounds)
+    exact_vecs = [m.objectives for m in enumerate_front(env, params).members]
+    bounds = NormBounds.from_vectors(exact_vecs)
+    exact_pts = combined_points(exact_vecs, 0.5, bounds)
     ref = shared_reference([exact_pts])
     exact_hv = hypervolume_2d(exact_pts, ref)
     if exact_hv == 0.0:
         return 1.0
-    run_triples = np.asarray([m.objectives.as_tuple() for m in result.archive])
-    run_pts = combined_points(run_triples, 0.5, bounds)
+    run_pts = combined_points([m.objectives for m in result.archive], 0.5, bounds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_hv = hypervolume_2d(run_pts, ref)
@@ -409,12 +408,12 @@ def oracle_hv_ratio(env: Environment, params: DroneParams, result: RunResult) ->
 
 
 def _archived(
-    items: list[Chromosome], triples: list[tuple[float, float, float]]
-) -> tuple[list[Chromosome], list[tuple[float, float, float]]]:
+    items: list[Chromosome], vecs: list[ObjectiveVector]
+) -> tuple[list[Chromosome], list[ObjectiveVector]]:
     """Non-dominated subset under raw 3-objective dominance, in input order;
-    the first copy of a duplicated triple wins."""
-    keep = nondominated(triples)
-    return [items[i] for i in keep], [triples[i] for i in keep]
+    the first copy of a duplicated vector wins."""
+    keep = nondominated(vecs)
+    return [items[i] for i in keep], [vecs[i] for i in keep]
 
 
 def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
@@ -445,11 +444,9 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     pop = [initialize(env, draws, opcfg, stats) for _ in range(pop_size)]
     vecs = [evaluate(ch, env, params) for ch in pop]
     evaluations = pop_size
-    all_triples: list[tuple[float, float, float]] = [v.as_tuple() for v in vecs]
-    archive, archive_triples = _archived(pop, all_triples)
-    snapshots: list[tuple[int, tuple[tuple[float, float, float], ...]]] = [
-        (evaluations, tuple(archive_triples))
-    ]
+    all_vecs = list(vecs)
+    archive, archive_vecs = _archived(pop, all_vecs)
+    snapshots: list[tuple[int, tuple[ObjectiveVector, ...]]] = [(evaluations, tuple(archive_vecs))]
 
     ref_dirs = (
         reference_points(2, cfg.reference_point_divisions) if cfg.algorithm == "nsga3" else None
@@ -457,9 +454,6 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     arch_pop: list[Chromosome] = []
     arch_vecs: list[ObjectiveVector] = []
     generations = 0
-
-    def triples_of(vectors: Sequence[ObjectiveVector]) -> np.ndarray:
-        return np.asarray([v.as_tuple() for v in vectors], dtype=float)
 
     def weights_of(chroms: Sequence[Chromosome]) -> np.ndarray:
         return np.asarray([c.weight for c in chroms], dtype=float)
@@ -501,7 +495,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             union_pop = pop + arch_pop
             union_vecs = vecs + arch_vecs
             bounds = NormBounds.from_vectors(union_vecs)
-            pts = combined_points(triples_of(union_vecs), weights_of(union_pop), bounds)
+            pts = combined_points(union_vecs, weights_of(union_pop), bounds)
             fitness = spea2_fitness(pts)
             keep = _spea2_archive_select(pts, fitness, cfg.archive_size)
             arch_pop = [union_pop[i] for i in keep]
@@ -521,7 +515,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             offspring = vary(pick_spea2)
         else:
             bounds = NormBounds.from_vectors(vecs)
-            pts = combined_points(triples_of(vecs), weights_of(pop), bounds)
+            pts = combined_points(vecs, weights_of(pop), bounds)
             fronts = fast_nondominated_sort(pts)
             rank = [0] * len(pop)
             crowd = [0.0] * len(pop)
@@ -543,9 +537,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]
         evaluations += pop_size
-        child_triples = [v.as_tuple() for v in child_vecs]
-        all_triples.extend(child_triples)
-        archive, archive_triples = _archived(archive + offspring, archive_triples + child_triples)
+        all_vecs.extend(child_vecs)
+        archive, archive_vecs = _archived(archive + offspring, archive_vecs + child_vecs)
 
         if cfg.algorithm == "spea2":
             pop, vecs = offspring, child_vecs
@@ -553,7 +546,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             union_pop = pop + offspring
             union_vecs = vecs + child_vecs
             union_bounds = NormBounds.from_vectors(union_vecs)
-            upts = combined_points(triples_of(union_vecs), weights_of(union_pop), union_bounds)
+            upts = combined_points(union_vecs, weights_of(union_pop), union_bounds)
             if cfg.algorithm == "nsga2":
                 sel = _nsga2_select(upts, pop_size)
             else:
@@ -562,32 +555,25 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             vecs = [union_vecs[i] for i in sel]
 
         generations += 1
-        snapshots.append((evaluations, tuple(archive_triples)))
+        snapshots.append((evaluations, tuple(archive_vecs)))
 
     # -- reporting ----------------------------------------------------------
 
-    report_bounds = NormBounds.from_vectors(all_triples)
+    report_bounds = NormBounds.from_vectors(all_vecs)
     degenerate = report_bounds.degenerate_length or report_bounds.degenerate_energy
-    all_combined = combined_points(np.asarray(all_triples), 0.5, report_bounds)
+    all_combined = combined_points(all_vecs, 0.5, report_bounds)
     trace_ref = shared_reference([all_combined])
     hv_trace = tuple(
-        (evals, hypervolume_2d(combined_points(np.asarray(snap), 0.5, report_bounds), trace_ref))
+        (evals, hypervolume_2d(combined_points(snap, 0.5, report_bounds), trace_ref))
         for evals, snap in snapshots
     )
 
-    pool_pop = list(pop) + arch_pop + archive
-    pool_vecs = vecs + arch_vecs + [ObjectiveVector(*v) for v in archive_triples]
-    seen: set[tuple] = set()
-    uniq_pop: list[Chromosome] = []
-    uniq_vecs: list[ObjectiveVector] = []
-    for ch, v in zip(pool_pop, pool_vecs):
-        key = (ch.cells, ch.entry_levels, ch.weight)
-        if key in seen:
-            continue
-        seen.add(key)
-        uniq_pop.append(ch)
-        uniq_vecs.append(v)
-    final_pts = combined_points(triples_of(uniq_vecs), weights_of(uniq_pop), report_bounds)
+    # The first copy of a chromosome, with its vector, represents it.
+    pool: dict[Chromosome, ObjectiveVector] = {}
+    for ch, v in zip(pop + arch_pop + archive, vecs + arch_vecs + archive_vecs):
+        pool.setdefault(ch, v)
+    uniq_pop, uniq_vecs = list(pool), list(pool.values())
+    final_pts = combined_points(uniq_vecs, weights_of(uniq_pop), report_bounds)
     nd = fast_nondominated_sort(final_pts)[0]
     front_members = [
         FrontMember(
@@ -601,10 +587,10 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         key=lambda fm: (fm.combined.cost, fm.combined.risk, fm.objectives.length_m, fm.chromosome.cells)
     )
 
-    archive_pts = combined_points(np.asarray(archive_triples), 0.5, report_bounds)
+    archive_pts = combined_points(archive_vecs, 0.5, report_bounds)
     archive_members = [
-        FrontMember(ch, ObjectiveVector(*v), CombinedPoint(float(p[0]), float(p[1])))
-        for ch, v, p in zip(archive, archive_triples, archive_pts)
+        FrontMember(ch, v, CombinedPoint(float(p[0]), float(p[1])))
+        for ch, v, p in zip(archive, archive_vecs, archive_pts)
     ]
     archive_members.sort(
         key=lambda fm: (fm.objectives.length_m, fm.objectives.energy_j, fm.objectives.risk, fm.chromosome.cells)
@@ -705,7 +691,7 @@ def tune(
         results.append(run(env, params, cfg))
 
     hvs = archive_hypervolumes(
-        [[m.objectives.as_tuple() for m in res.archive] for res in results],
+        [[m.objectives for m in res.archive] for res in results],
         [res.bounds for res in results],
     )
     best_index = int(np.argmax(hvs))

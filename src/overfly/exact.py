@@ -6,9 +6,9 @@ every feasible (cell path, entry-level assignment) pair; an arc-based
 evaluator recomputes the objectives from the flow form of a candidate,
 independently of the chromosome evaluator. Both exist to check the search
 algorithms and the integer-program exporter. The only size guard is
-``EnumerationCaps.max_states``, a budget of label extensions: every world of
-the generated T1-T5 suite fits it, and a world that does not is refused,
-never truncated.
+``MAX_STATES``, a budget of label extensions: every world of the generated
+T1-T5 suite fits it, and a world that does not is refused, never truncated.
+Grid size and level count are not capped.
 """
 
 from __future__ import annotations
@@ -22,28 +22,16 @@ from .metrics import nondominated
 from .physics import DroneParams, air_density
 from .solution import Chromosome, ObjectiveVector, arc_costs
 
+# The most label extensions the exact front may process; past it
+# ``enumerate_front`` raises rather than return a partial answer.
+MAX_STATES = 10_000_000
+
 
 class FlowError(ValueError):
     """An arc set does not encode one simple start-to-goal path.
 
     Messages cite the violated row family (eq3..eq8) of the flow model.
     """
-
-
-@dataclass(frozen=True)
-class EnumerationCaps:
-    """Size guard for the exact front.
-
-    ``max_states`` bounds the number of label extensions processed; going
-    past it raises :class:`EnumerationLimitError` rather than returning a
-    partial answer. Grid size and level count are not capped.
-    """
-
-    max_states: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,11 +71,7 @@ def _prune(labels: list[Label]) -> list[Label]:
     return [labels[i] for i in nondominated([lab[0] for lab in labels])]
 
 
-def enumerate_front(
-    env: Environment,
-    params: DroneParams,
-    caps: EnumerationCaps | None = None,
-) -> ExactFront:
+def enumerate_front(env: Environment, params: DroneParams) -> ExactFront:
     """Exact tri-objective Pareto front by multicriteria label setting.
 
     Moves never go west and revisits are banned, so inside one column a path
@@ -103,10 +87,9 @@ def enumerate_front(
     extensions.
 
     Raises:
-        EnumerationLimitError: when ``caps.max_states`` would be exceeded
-            (never truncates).
+        EnumerationLimitError: when ``MAX_STATES`` would be exceeded (never
+            truncates).
     """
-    caps = caps or EnumerationCaps()
     spec = env.spec
     start, goal = spec.start_cell, spec.goal_cell
     costs = arc_costs(env, params)
@@ -158,9 +141,9 @@ def enumerate_front(
                     arcs = costs.geometry[env.distance(cell, to)][la]
                     lo, hi = env.feasible_levels(to)
                     states += len(labels) * (hi - lo + 1)
-                    if states > caps.max_states:
+                    if states > MAX_STATES:
                         raise EnumerationLimitError(
-                            f"enumeration exceeded {caps.max_states} label extensions"
+                            f"enumeration exceeded {MAX_STATES} label extensions"
                         )
                     for lb in range(lo, hi + 1):
                         dl, de, dr = arcs[lb][0], arcs[lb][1], risks[lb]

@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .environment import Cell, Environment
 from .physics import DroneParams, average_density, segment_energy, traversal_energy
@@ -33,26 +33,21 @@ class ChromosomeError(ValueError):
     """A candidate violated its structural contract."""
 
 
-@dataclass(frozen=True)
-class Chromosome:
+class Chromosome(NamedTuple):
     """Two-row path encoding plus an embedded objective weight."""
 
     cells: tuple[Cell, ...]
     entry_levels: tuple[int, ...]
     weight: float
 
-    def __len__(self) -> int:
-        return len(self.cells)
 
-
-@dataclass(frozen=True)
-class ObjectiveVector:
+class ObjectiveVector(NamedTuple):
     length_m: float
     energy_j: float
     risk: float
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.length_m, self.energy_j, self.risk)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -74,17 +69,10 @@ def validate(ch: Chromosome, env: Environment) -> ValidationReport:
     issues: list[Violation] = []
 
     if len(ch.cells) != len(ch.entry_levels):
-        issues.append(
-            Violation(
-                "shape",
-                0,
-                f"{len(ch.cells)} cells but {len(ch.entry_levels)} entry levels",
-            )
-        )
-        return ValidationReport(False, tuple(issues))
+        detail = f"{len(ch.cells)} cells but {len(ch.entry_levels)} entry levels"
+        return ValidationReport(False, (Violation("shape", 0, detail),))
     if len(ch.cells) < 2:
-        issues.append(Violation("shape", 0, "a path needs at least two cells"))
-        return ValidationReport(False, tuple(issues))
+        return ValidationReport(False, (Violation("shape", 0, "a path needs at least two cells"),))
 
     if not (0.0 <= ch.weight <= 1.0):
         issues.append(Violation("weight", 0, f"weight {ch.weight} outside [0, 1]"))
@@ -229,17 +217,27 @@ def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> Objective
 
 @dataclass(frozen=True)
 class NormBounds:
-    """Min-max normalization bounds for the length and energy objectives."""
+    """Min-max normalization bounds for the length and energy objectives:
+    finite, each upper bound at or above its lower one (equal is degenerate)."""
 
     length_lo: float
     length_hi: float
     energy_lo: float
     energy_hi: float
 
+    def __post_init__(self) -> None:
+        for lo, hi in (("length_lo", "length_hi"), ("energy_lo", "energy_hi")):
+            for name in (lo, hi):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if getattr(self, hi) < getattr(self, lo):
+                raise ValueError(f"{hi} must be >= {lo} ({getattr(self, lo)}), got {getattr(self, hi)}")
+
     @classmethod
     def from_vectors(cls, vectors) -> "NormBounds":
-        lengths = [v[0] if isinstance(v, tuple) else v.length_m for v in vectors]
-        energies = [v[1] if isinstance(v, tuple) else v.energy_j for v in vectors]
+        """Bounds spanning the (length, energy, risk) vectors given."""
+        lengths = [v[0] for v in vectors]
+        energies = [v[1] for v in vectors]
         if not lengths:
             raise ValueError("cannot derive bounds from an empty collection")
         return cls(min(lengths), max(lengths), min(energies), max(energies))

@@ -606,6 +606,53 @@ class TestTable:
         assert main(["table", str(bogus), "--out", str(tmp_path / "t")]) == 1
 
 
+class TestFrontFileChecks:
+    """``table`` and ``plot`` refuse a malformed front file before writing
+    anything, naming the file and the field."""
+
+    def make_fronts(self, tmp_path):
+        save_tiny(tmp_path / "i1.json", 1)
+        write_solve_config(tmp_path / "run.json", ["i1.json"], algorithms=["nsga2", "spea2"])
+        runs = tmp_path / "runs"
+        assert main(["solve", "--config", str(tmp_path / "run.json"), "--out", str(runs)]) == 0
+        return sorted(runs.glob("*.front.json"))
+
+    @pytest.mark.parametrize("command", ["table", "plot"])
+    def test_schema_only_file_names_the_missing_field(self, tmp_path, capsys, command):
+        bare = tmp_path / "bare.front.json"
+        bare.write_text(json.dumps({"schema": "overfly.front/1"}))
+        out = tmp_path / "out"
+        assert main([command, str(bare), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bare}: field instance is missing\n"
+        assert not out.exists()
+
+    def test_plot_checks_every_file_before_writing(self, tmp_path, capsys):
+        good, bad = self.make_fronts(tmp_path)
+        payload = json.loads(bad.read_text())
+        payload["front"][0]["cells"][1] = "east"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "figs"
+        assert main(["plot", str(good), str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {bad}: field front[0].cells must be a list of [row, col] pairs, "
+            f"got {payload['front'][0]['cells']!r}\n"
+        )
+        assert not out.exists()
+
+    def test_table_rejects_non_finite_bounds(self, tmp_path, capsys):
+        fronts = self.make_fronts(tmp_path)
+        payload = json.loads(fronts[0].read_text())
+        payload["bounds"]["length_lo"] = float("nan")
+        fronts[0].write_text(json.dumps(payload))
+        out = tmp_path / "table"
+        assert main(["table", *map(str, fronts), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {fronts[0]}: bad bounds: length_lo must be finite, got nan\n"
+        )
+        assert not out.exists()
+
+
 class TestPlot:
     def test_writes_figures_and_csv(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
@@ -770,6 +817,31 @@ class TestLpExport:
                 ["--objective", "weighted", "--weight", "2", "--length-lo", "0",
                  "--length-hi", "1", "--energy-lo", "0", "--energy-hi", "1"],
                 "--weight must be in [0, 1], got 2.0",
+            ),
+            (
+                ["--objective", "weighted", "--length-lo", "nan", "--length-hi", "100",
+                 "--energy-lo", "0", "--energy-hi", "10"],
+                "--length-lo must be finite, got nan",
+            ),
+            (
+                ["--objective", "weighted", "--length-lo", "0", "--length-hi", "inf",
+                 "--energy-lo", "0", "--energy-hi", "10"],
+                "--length-hi must be finite, got inf",
+            ),
+            (
+                ["--objective", "weighted", "--length-lo", "100", "--length-hi", "50",
+                 "--energy-lo", "0", "--energy-hi", "10"],
+                "--length-hi must be >= length_lo (100.0), got 50.0",
+            ),
+            (
+                ["--objective", "weighted", "--length-lo", "0", "--length-hi", "100",
+                 "--energy-lo", "nan", "--energy-hi", "10"],
+                "--energy-lo must be finite, got nan",
+            ),
+            (
+                ["--objective", "weighted", "--length-lo", "0", "--length-hi", "100",
+                 "--energy-lo", "10", "--energy-hi", "5"],
+                "--energy-hi must be >= energy_lo (10.0), got 5.0",
             ),
         ],
     )

@@ -25,3 +25,23 @@ def test_demo_runs_and_cleans_up(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # The README's "Library quickstart" block, cut out the way CI cuts out
+    # its shell session: from the heading to the end of the next fence.
+    script = subprocess.run(
+        ["awk", '/^## Library quickstart/ {found = 1} found && /^```python/ {inside = 1; next} '
+                'inside && /^```/ {exit} inside', str(ROOT / "README.md")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "enumerate_front" in script
+    (tmp_path / "quickstart.py").write_text(script)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "quickstart.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "true front size:" in done.stdout

@@ -1,15 +1,14 @@
 """Exhaustive enumeration, arc-flow checking, and the independent evaluator."""
 
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import overfly.exact as exact
 from overfly import (
     Chromosome,
     DroneParams,
-    EnumerationCaps,
     EnumerationLimitError,
     FlowError,
     GeneratorSettings,
@@ -77,8 +76,7 @@ def hand_built_worlds():
 class TestCaps:
     def test_default_caps(self):
         # The label budget is the only guard: grid size and levels are free.
-        assert [f.name for f in dataclasses.fields(EnumerationCaps)] == ["max_states"]
-        assert EnumerationCaps().max_states == 10_000_000
+        assert exact.MAX_STATES == 10_000_000
 
     @pytest.mark.parametrize(
         "env",
@@ -89,22 +87,21 @@ class TestCaps:
         ],
         ids=["cells", "levels"],
     )
-    def test_refused_by_state_budget_only(self, env):
+    def test_refused_by_state_budget_only(self, env, monkeypatch):
         front = enumerate_front(env, PARAMS)
         assert front.members
         budget = front.states_processed
-        assert enumerate_front(env, PARAMS, EnumerationCaps(max_states=budget)) == front
+        monkeypatch.setattr(exact, "MAX_STATES", budget)
+        assert enumerate_front(env, PARAMS) == front
+        monkeypatch.setattr(exact, "MAX_STATES", budget - 1)
         with pytest.raises(EnumerationLimitError, match=f"exceeded {budget - 1} label"):
-            enumerate_front(env, PARAMS, EnumerationCaps(max_states=budget - 1))
+            enumerate_front(env, PARAMS)
 
-    def test_state_budget_enforced_not_truncated(self):
+    def test_state_budget_enforced_not_truncated(self, monkeypatch):
         env = build_env(rows=4, cols=4)
+        monkeypatch.setattr(exact, "MAX_STATES", 100)
         with pytest.raises(EnumerationLimitError):
-            enumerate_front(env, PARAMS, EnumerationCaps(max_states=100))
-
-    def test_caps_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationCaps(max_states=0)
+            enumerate_front(env, PARAMS)
 
 
 class TestPathCounts:

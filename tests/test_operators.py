@@ -309,8 +309,8 @@ class TestSpliceKernel:
     def test_matches_reference_composition(self, env, seed, force_miss, data):
         rng = np.random.default_rng(seed)
         parents = [initialize(env, rng) for _ in range(4)]
-        if force_miss and len(parents[0]) > 1:
-            gene = data.draw(st.integers(1, len(parents[0]) - 1))
+        if force_miss and len(parents[0].cells) > 1:
+            gene = data.draw(st.integers(1, len(parents[0].cells) - 1))
             parents[0] = _out_of_band(parents[0], env, gene)
         _assert_matches_reference(parents, env, seed)
 
@@ -323,7 +323,7 @@ class TestSpliceKernel:
         all_stats = []
         for pool in range(10):
             parents = [initialize(env, rng) for _ in range(6)]
-            parents[0] = _out_of_band(parents[0], env, len(parents[0]) // 2)
+            parents[0] = _out_of_band(parents[0], env, len(parents[0].cells) // 2)
             all_stats += _assert_matches_reference(parents, env, pool)
         assert len(all_stats) == 300
         assert sum(s.loop_removals for s in all_stats) > 0

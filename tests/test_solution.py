@@ -159,6 +159,19 @@ class TestMaxRiskBetween:
         assert max_risk_between(env, (1, 1), 0, 2) == (0.7, 0)
 
 
+class TestRecords:
+    def test_records_are_tuples_of_their_fields(self):
+        env = build_env()
+        ch = straight_path(env)
+        vec = evaluate(ch, env, PARAMS)
+        assert vec == vec.as_tuple() and type(vec.as_tuple()) is tuple
+        fields = (ch.cells, ch.entry_levels, ch.weight)
+        assert ch == fields and hash(ch) == hash(fields)
+        assert repr(ch) == (
+            f"Chromosome(cells={ch.cells!r}, entry_levels={ch.entry_levels!r}, weight=0.5)"
+        )
+
+
 class TestEvaluate:
     def test_triangle_length(self):
         # One eastward move of 30 m climbing 40 m: length 50 m exactly.
@@ -248,6 +261,22 @@ class TestNormBounds:
         assert b.degenerate_length and not b.degenerate_energy
         lengths = combined_points([(5.0, 1.0, 0.0), (99.0, 1.0, 0.0)], 1.0, b)
         assert lengths[:, 0].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((math.nan, 1.0, 0.0, 1.0), "length_lo must be finite, got nan"),
+            ((0.0, math.inf, 0.0, 1.0), "length_hi must be finite, got inf"),
+            ((0.0, 1.0, -math.inf, 1.0), "energy_lo must be finite, got -inf"),
+            ((0.0, 1.0, 0.0, math.nan), "energy_hi must be finite, got nan"),
+            ((100.0, 50.0, 0.0, 10.0), "length_hi must be >= length_lo (100.0), got 50.0"),
+            ((0.0, 1.0, 2.0, 1.5), "energy_hi must be >= energy_lo (2.0), got 1.5"),
+        ],
+    )
+    def test_rejects_non_finite_or_inverted_bounds(self, bounds, message):
+        with pytest.raises(ValueError) as excinfo:
+            NormBounds(*bounds)
+        assert str(excinfo.value) == message
 
     def test_merge_widens(self):
         a = NormBounds(0.0, 10.0, 5.0, 6.0)
