@@ -15,7 +15,7 @@ exceed the enumeration's label budget.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -515,6 +515,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # there are jobs.
     workers = min(args.workers, len(jobs))
     if workers > 1:
+        # Imported here, not at the top: it brings in logging, which every
+        # other command would pay for at start-up.
+        import concurrent.futures
+
         # One future per job, read in job order: a worker that dies fails
         # only the runs of the jobs it breaks, and the manifest is still
         # written.
@@ -635,10 +639,15 @@ def _read_front_file(path: Path) -> dict:
             field(member, "entry_altitudes_m", f"{name}.entry_altitudes_m",
                   lambda v: _is_list(v, _is_number, len(cells)),
                   f"a list of {len(cells)} finite numbers")
+    bounds = field(payload, "bounds", "bounds", lambda v: isinstance(v, dict), "an object")
+    names = [f.name for f in fields(NormBounds)]
+    for name in names:
+        # Any number here: NormBounds itself names a non-finite bound.
+        field(bounds, name, f"bounds.{name}", lambda v: _is_int(v) or isinstance(v, float),
+              "a number")
     try:
-        bounds = _config_fields(NormBounds, payload.get("bounds"), "bounds")
-        payload["bounds"] = _build(NormBounds, "bounds", bounds)
-    except (_UsageError, TypeError) as exc:  # TypeError: a bound is missing
+        payload["bounds"] = _build(NormBounds, "bounds", {name: bounds[name] for name in names})
+    except _UsageError as exc:
         raise _UsageError(f"{path}: {exc}") from None
     return payload
 
@@ -677,10 +686,7 @@ def _table_summaries(payloads: list[dict]) -> list[FrontSummary]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    paths = sorted(Path(p) for p in args.files)
-    if not paths:
-        raise _UsageError("table needs at least one front or report file")
-    payloads = [_read_front_file(p) for p in paths]
+    payloads = [_read_front_file(p) for p in sorted(Path(p) for p in args.files)]
     summaries = _table_summaries(payloads)
     combos = {(s.algorithm, s.tuned) for s in summaries}
     for instance_id in sorted({s.instance_id for s in summaries}):
@@ -711,8 +717,6 @@ def _series_label(payload: dict) -> str:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     payloads = [(_read_front_file(Path(p)), Path(p)) for p in sorted(args.files)]
-    if not payloads:
-        raise _UsageError("plot needs at least one front or report file")
     out = _require_out(args)
 
     scatter_series: list[Series] = []
@@ -1012,10 +1016,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves no state on it. It
+    binds each command's handler when built, so a test patches what a
+    handler calls, not the handler."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,6 +194,8 @@ class Environment:
             (r, c): (lo_rows[r][c], hi_rows[r][c]) for r, c in succ if lo_rows[r][c] <= hi_rows[r][c]
         }
         self._pred = {cell: tuple(v) for cell, v in pred.items()}
+        self._adjacency = MappingProxyType(succ)
+        self._bands_view = MappingProxyType(self._bands)
         self._dist = dist
         # Plain nested tuples for the evaluation hot path.
         self._risk_rows: tuple[tuple[tuple[float, ...], ...], ...] = tuple(
@@ -230,7 +232,7 @@ class Environment:
     def adjacency(self) -> Mapping[Cell, tuple[Cell, ...]]:
         """Read-only view of :meth:`successors` for every on-grid cell, for
         loops that would otherwise pay a method call per lookup."""
-        return MappingProxyType(self._succ)
+        return self._adjacency
 
     def successors(self, cell: Cell) -> tuple[Cell, ...]:
         """Cells reachable from ``cell`` in one move (N, S, E, NE, SE order)."""
@@ -272,7 +274,7 @@ class Environment:
     def bands(self) -> Mapping[Cell, tuple[int, int]]:
         """Read-only view of :meth:`feasible_levels` for every passable cell;
         impassable and off-grid cells are absent."""
-        return MappingProxyType(self._bands)
+        return self._bands_view
 
     def feasible_levels(self, cell: Cell) -> tuple[int, int]:
         """Inclusive (lowest, highest) feasible level index band of a cell.
@@ -309,6 +311,10 @@ class Environment:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        # The read-only views do not pickle; a copy is rebuilt from its arrays.
+        return (Environment, (self.spec, self.obstacle_m, self.ceiling_m, self.risk))
 
     def __repr__(self) -> str:
         s = self.spec
@@ -602,59 +608,44 @@ def save_instance(env: Environment, path: str) -> None:
     """Write a world as a JSON instance file; ``load_instance`` inverts it.
 
     Only cells that differ from the defaults (no obstacle, top-altitude
-    ceiling, all-zero risk) are listed.
+    ceiling, all-zero risk) are listed. The bytes are those of
+    ``json.dump(doc, fh, indent=2)`` plus a newline, written without the json
+    module: with an indent it skips its C encoder, and that pure-Python path
+    was most of a suite's writing time.
     """
     spec = env.spec
     top = spec.levels_m[-1]
     obstacle, ceiling = env.obstacle_m.tolist(), env.ceiling_m.tolist()
-    cells = []
+    entries = []
+    # The terrain arrays hold Python floats once listed, and json writes a
+    # float as its repr; only the spec's numbers may be ints.
     for r, c in env.cells():
-        entry: dict = {"cell": [r, c]}
+        extra = ""
         if obstacle[r][c] != 0.0:
-            entry["obstacle_m"] = obstacle[r][c]
+            extra += f',\n      "obstacle_m": {obstacle[r][c]!r}'
         if ceiling[r][c] != top:
-            entry["ceiling_m"] = ceiling[r][c]
+            extra += f',\n      "ceiling_m": {ceiling[r][c]!r}'
         risk = env._risk_rows[r][c]
         if any(risk):
-            entry["risk"] = list(risk)
-        if len(entry) > 1:
-            cells.append(entry)
-    doc = {
-        "grid": {"rows": spec.rows, "cols": spec.cols, "cell_size_m": spec.cell_size_m},
-        "levels_m": list(spec.levels_m),
-        "start": {"cell": list(spec.start_cell), "level": spec.start_level},
-        "goal": {"cell": list(spec.goal_cell)},
-        "default_risk": 0.0,
-        "cells": cells,
-    }
+            extra += ',\n      "risk": [\n        ' + ",\n        ".join(map(repr, risk)) + "\n      ]"
+        if extra:
+            entries.append(f'    {{\n      "cell": [\n        {r},\n        {c}\n      ]{extra}\n    }}')
+    cells = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    levels = ",\n    ".join(map(_json_number, spec.levels_m))
+    (start_r, start_c), (goal_r, goal_c) = spec.start_cell, spec.goal_cell
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_indented(doc, "") + "\n")
-
-
-def _indented(value: dict | list | float | int, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for an instance document, written at
-    indent ``pad``.
-
-    With an indent, CPython's json module skips its C encoder, and that
-    pure-Python path was most of a suite's writing time. An instance
-    document holds only objects with plain ASCII keys, lists, ints and
-    finite floats, and those few cases are all this emitter covers.
-    """
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'"{key}": {_indented(v, inner)}' for key, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if not isinstance(value, list):
-        return _json_number(value)
-    if not value:
-        return "[]"
-    if isinstance(value[0], (dict, list)):
-        items = [_indented(v, inner) for v in value]
-    else:
-        items = map(_json_number, value)
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        fh.write(
+            "{\n"
+            f'  "grid": {{\n    "rows": {spec.rows},\n    "cols": {spec.cols},\n'
+            f'    "cell_size_m": {_json_number(spec.cell_size_m)}\n  }},\n'
+            f'  "levels_m": [\n    {levels}\n  ],\n'
+            f'  "start": {{\n    "cell": [\n      {start_r},\n      {start_c}\n    ],\n'
+            f'    "level": {spec.start_level}\n  }},\n'
+            f'  "goal": {{\n    "cell": [\n      {goal_r},\n      {goal_c}\n    ]\n  }},\n'
+            '  "default_risk": 0.0,\n'
+            f'  "cells": {cells}\n'
+            "}\n"
+        )
 
 
 def _json_number(value: float | int) -> str:

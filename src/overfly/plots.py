@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 _MARKERS = ("circle", "square", "triangle", "diamond")
@@ -25,6 +24,13 @@ _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 48.0
 _MARGIN_BOTTOM = 56.0
 _TICKS = 5
+
+
+def escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``>`` and ``<`` as entities,
+    replaced in that order, as ``xml.sax.saxutils.escape`` does. Quotes stay
+    as they are; no attribute value is escaped."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ import hashlib
 import json
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from overfly.cli import main
 import overfly.cli as cli
 
 from helpers import build_env
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def save_tiny(path, seed=0, rows=3, cols=3, levels=2):
@@ -652,6 +657,19 @@ class TestFrontFileChecks:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["table", "plot"])
+    def test_bounds_of_wrong_type_name_the_field(self, tmp_path, capsys, command):
+        fronts = self.make_fronts(tmp_path)
+        payload = json.loads(fronts[0].read_text())
+        payload["bounds"]["length_lo"] = "x"
+        fronts[0].write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main([command, *map(str, fronts), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {fronts[0]}: field bounds.length_lo must be a number, got 'x'\n"
+        )
+        assert not out.exists()
+
 
 class TestPlot:
     def test_writes_figures_and_csv(self, tmp_path, capsys):
@@ -867,6 +885,28 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", ["table", "plot"])
+    def test_no_front_files(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 1
+        assert "the following arguments are required: files" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_leaves_out_network_and_pool_modules(self):
+        # Start-up cost: none of these is needed to import the command, and
+        # the pool is imported only by `solve --workers N` with N > 1.
+        unwanted = ["xml.sax", "urllib.request", "http.client", "email", "ssl",
+                    "concurrent.futures"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, overfly.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "[]\n"
 
     def test_unknown_algo_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

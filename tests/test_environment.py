@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 import tempfile
 from collections import deque
@@ -180,6 +181,23 @@ class TestEnvironmentConstruction:
         env = build_env()
         with pytest.raises(ValueError):
             env.obstacle_m[0, 0] = 5.0
+
+    def test_views_are_read_only_and_built_once(self):
+        env = build_env()
+        assert env.adjacency is env.adjacency and env.bands is env.bands
+        with pytest.raises(TypeError):
+            env.adjacency[(0, 0)] = ()
+        with pytest.raises(TypeError):
+            env.bands[(0, 0)] = (0, 0)
+
+    def test_pickle_round_trip(self):
+        obstacle = np.zeros((3, 4))
+        obstacle[0, 1] = 10.0
+        env = build_env(obstacle=obstacle, risk=0.25)
+        copy = pickle.loads(pickle.dumps(env))
+        assert copy == env and copy.spec == env.spec
+        assert dict(copy.adjacency) == dict(env.adjacency)
+        assert dict(copy.bands) == dict(env.bands)
 
 
 class TestMoves:

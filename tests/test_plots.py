@@ -1,5 +1,7 @@
 """SVG rendering and CSV writing."""
 
+from xml.sax.saxutils import escape as sax_escape
+
 import pytest
 
 from overfly.plots import Series, render_svg, write_csv
@@ -65,6 +67,18 @@ class TestRenderSvg:
             title="t", x_label="x", y_label="y",
         )
         assert svg.count('class="legend-entry"') == 2
+
+    def test_markup_escaped_as_saxutils_does(self):
+        texts = ['a & b <c> "d"', "'e' &amp; >f<", "&&<<>>", '"', ""]
+        for text in texts:
+            svg = render_svg(
+                [Series(label=f"label {text}", points=((0.0, 0.0),))],
+                title=f"title {text}", x_label=f"x {text}", y_label=f"y {text}",
+                annotation=f"note {text}",
+            )
+            for kind in ("label", "title", "x", "y", "note"):
+                assert f">{sax_escape(f'{kind} {text}')}</text>" in svg, (kind, text)
+            assert "<c>" not in svg and ">f<" not in svg
 
 
 class TestWriteCsv:
