@@ -13,7 +13,8 @@ Modules:
 - ``physics``: air density and per-segment energy.
 - ``solution``: chromosomes, validation, the arc-cost table, objective
   evaluation, normalization.
-- ``operators``: random-walk initialization, crossover, repair, mutation.
+- ``operators``: random-walk initialization, crossover of valid parents,
+  mutation.
 - ``draws``: cheap scalar draws on a numpy Generator's own stream.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
 - ``exact``: the exact front by label setting (under a label budget) and a

@@ -379,6 +379,9 @@ def _execute_run(
     try:
         params = job["drone"]
         result = run(env, params, cfg)
+        # The oracle may raise (past ``exact.MAX_STATES``); it runs before
+        # any file is written, so a failed run leaves none behind.
+        ratio = oracle_hv_ratio(env, params, result) if job["oracle"] else None
         front = _front_payload(result, env, params, job)
         out_dir = Path(job["out_dir"])
         front_path = out_dir / f"{run_id}.front.json"
@@ -391,8 +394,8 @@ def _execute_run(
         report["operator_stats"] = asdict(result.stats)
         if tuning_info:
             report["tuning"] = tuning_info
-        if job["oracle"]:
-            report["oracle_hv_ratio"] = oracle_hv_ratio(env, params, result)
+        if ratio is not None:
+            report["oracle_hv_ratio"] = ratio
         _dump_json(report_path, report)
         write_csv(conv_path, ["evaluations", "hypervolume"], result.hv_trace)
         entry = {
@@ -403,8 +406,8 @@ def _execute_run(
             "convergence": conv_path.name,
             "front_size": len(result.front),
         }
-        if job["oracle"]:
-            entry["oracle_hv_ratio"] = report["oracle_hv_ratio"]
+        if ratio is not None:
+            entry["oracle_hv_ratio"] = ratio
         return entry
     except Exception as exc:  # noqa: BLE001 - per-run isolation by contract
         return _failed_entry(run_id, exc)

@@ -195,7 +195,6 @@ class Environment:
         }
         self._pred = {cell: tuple(v) for cell, v in pred.items()}
         self._adjacency = MappingProxyType(succ)
-        self._bands_view = MappingProxyType(self._bands)
         self._dist = dist
         # Plain nested tuples for the evaluation hot path.
         self._risk_rows: tuple[tuple[tuple[float, ...], ...], ...] = tuple(
@@ -270,12 +269,6 @@ class Environment:
         self._require(cell)
         return self._risk_rows[cell[0]][cell[1]]
 
-    @property
-    def bands(self) -> Mapping[Cell, tuple[int, int]]:
-        """Read-only view of :meth:`feasible_levels` for every passable cell;
-        impassable and off-grid cells are absent."""
-        return self._bands_view
-
     def feasible_levels(self, cell: Cell) -> tuple[int, int]:
         """Inclusive (lowest, highest) feasible level index band of a cell.
 
@@ -313,7 +306,8 @@ class Environment:
         return self._hash
 
     def __reduce__(self) -> tuple:
-        # The read-only views do not pickle; a copy is rebuilt from its arrays.
+        # The read-only adjacency view does not pickle; a copy is rebuilt
+        # from its arrays.
         return (Environment, (self.spec, self.obstacle_m, self.ceiling_m, self.risk))
 
     def __repr__(self) -> str:

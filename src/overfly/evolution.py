@@ -438,7 +438,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     opcfg = cfg.operators
     pop_size = cfg.population_size
 
-    # The operators and tournaments draw through ``draws``, which shares
+    # The operators and the tournament draw through ``draws``, which shares
     # ``rng``'s stream at a fraction of the per-call cost.
     draws = Draws(rng)
     pop = [initialize(env, draws, opcfg, stats) for _ in range(pop_size)]
@@ -459,11 +459,26 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         return np.asarray([c.weight for c in chroms], dtype=float)
 
     seen_genotypes: set[tuple] = {(ch.cells, ch.entry_levels) for ch in pop}
-    # The tournaments draw an index by ``bounded(n - 1)``, which is
+    # The tournament draws an index by ``bounded(n - 1)``, which is
     # ``integers(n)`` for n >= 2: AlgoConfig holds population_size >= 4 and
     # archive_size >= 2, and an archive holds min(archive_size, union) members.
     random, bounded = draws.random, draws.bounded
     crossover_probability = opcfg.crossover_probability
+
+    def tournament(members: list[Chromosome], keys: list) -> Callable[[], Chromosome]:
+        """Binary tournament: the lower key wins, a tie goes to a coin."""
+        n = len(members)
+
+        def pick() -> Chromosome:
+            i = bounded(n - 1)
+            j = bounded(n - 1)
+            if keys[i] < keys[j]:
+                return members[i]
+            if keys[j] < keys[i]:
+                return members[j]
+            return members[i] if random() < 0.5 else members[j]
+
+        return pick
 
     def vary(pick: Callable[[], Chromosome]) -> list[Chromosome]:
         children: list[Chromosome] = []
@@ -500,40 +515,17 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             keep = _spea2_archive_select(pts, fitness, cfg.archive_size)
             arch_pop = [union_pop[i] for i in keep]
             arch_vecs = [union_vecs[i] for i in keep]
-            arch_fitness = fitness[keep].tolist()
-            n_arch = len(arch_pop)
-
-            def pick_spea2() -> Chromosome:
-                i = bounded(n_arch - 1)
-                j = bounded(n_arch - 1)
-                if arch_fitness[i] < arch_fitness[j]:
-                    return arch_pop[i]
-                if arch_fitness[j] < arch_fitness[i]:
-                    return arch_pop[j]
-                return arch_pop[i] if random() < 0.5 else arch_pop[j]
-
-            offspring = vary(pick_spea2)
+            offspring = vary(tournament(arch_pop, fitness[keep].tolist()))
         else:
             bounds = NormBounds.from_vectors(vecs)
             pts = combined_points(vecs, weights_of(pop), bounds)
             fronts = fast_nondominated_sort(pts)
-            rank = [0] * len(pop)
-            crowd = [0.0] * len(pop)
+            # The lower front wins, then the larger crowding distance.
+            keys: list[tuple[int, float]] = [(0, 0.0)] * len(pop)
             for fi, front in enumerate(fronts):
                 for i, d in zip(front, crowding_distance(pts[front]).tolist()):
-                    rank[i] = fi
-                    crowd[i] = d
-
-            def pick_ranked() -> Chromosome:
-                i = bounded(pop_size - 1)
-                j = bounded(pop_size - 1)
-                if rank[i] != rank[j]:
-                    return pop[i] if rank[i] < rank[j] else pop[j]
-                if crowd[i] != crowd[j]:
-                    return pop[i] if crowd[i] > crowd[j] else pop[j]
-                return pop[i] if random() < 0.5 else pop[j]
-
-            offspring = vary(pick_ranked)
+                    keys[i] = (fi, -d)
+            offspring = vary(tournament(pop, keys))
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]
         evaluations += pop_size

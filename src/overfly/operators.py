@@ -3,11 +3,14 @@
 Construction walks randomly from start to goal over unused passable cells.
 Crossover splices a head of the first parent onto a tail of the second at a
 random cut, shifting the cut rightward until the junction is an adjacent
-move. Loop stripping and level repair run only when a splice needs them: a
-loop needs a head cell that comes back in the tail, and a repair needs an
-entry level outside its cell's band, which parents that validate never
-have. Mutation resamples a share of entry levels and perturbs the embedded
-weight. Every operator output validates against the world.
+move, and cuts out the loop where a head cell comes back in the tail.
+Mutation resamples a share of entry levels and perturbs the embedded weight.
+
+Parents must validate (:func:`~overfly.solution.validate`); then every
+operator output validates against the world too, for a spliced child keeps
+its parents' (cell, level) genes and mutation draws each level inside its
+cell's band. The operators do not check their inputs: ``evaluate`` and
+``validate`` stay the boundary that rejects an invalid candidate.
 
 Every ``rng`` may be a numpy Generator or a :class:`~overfly.draws.Draws` on
 one; both give the same draws.
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +77,6 @@ class OperatorStats:
     walk_restarts: int = 0
     splice_failures: int = 0
     loop_removals: int = 0
-    level_repairs: int = 0
     crossovers: int = 0
     mutations: int = 0
 
@@ -146,105 +147,32 @@ def initialize(
     )
 
 
-def _strip_revisits(
-    cells: list[Cell],
-    levels: list[int],
-    stats: OperatorStats | None,
-) -> None:
-    """Delete loops in place: everything between the first and last occurrence
-    of a duplicated cell goes, keeping the first occurrence's entry level."""
-    if len(set(cells)) == len(cells):
-        return
-    while True:
-        first_at: dict[Cell, int] = {}
-        dup: Cell | None = None
-        for idx, cell in enumerate(cells):
-            if cell in first_at:
-                dup = cell
-            else:
-                first_at[cell] = idx
-        if dup is None:
-            return
-        first = first_at[dup]
-        last = max(i for i, cell in enumerate(cells) if cell == dup)
-        del cells[first + 1 : last + 1]
-        del levels[first + 1 : last + 1]
-        if stats is not None:
-            stats.loop_removals += 1
-
-
-def _repair_levels(
-    cells: Sequence[Cell],
-    levels: list[int],
-    env: Environment,
-    rng: np.random.Generator | Draws,
-    stats: OperatorStats | None,
-) -> None:
-    """Resample any entry level outside its cell's feasible band (gene 0 is
-    pinned to the start level and never touched).
-
-    Raises:
-        GridError: when a cell is off the grid or impassable.
-    """
-    for t in range(1, len(cells)):
-        if not env.level_ok(cells[t], levels[t]):
-            levels[t] = sample_entry_level(cells[t], levels[t - 1], env, rng)
-            if stats is not None:
-                stats.level_repairs += 1
-
-
-def _in_bands(
-    cells: tuple[Cell, ...], levels: tuple[int, ...], bands: Mapping[Cell, tuple[int, int]]
-) -> bool:
-    """True when every entry level lies in its cell's band; an impassable or
-    off-grid cell has none. Gene 0 is checked too: :func:`_repair_levels`
-    leaves it alone, so a miss there costs only the repair's own scan."""
-    try:
-        for cell, level in zip(cells, levels):
-            lo, hi = bands[cell]
-            if not lo <= level <= hi:
-                return False
-    except KeyError:
-        return False
-    return True
-
-
 def _splice(
-    parent_a: Chromosome,
-    parent_b: Chromosome,
-    head_end: int,
-    tail_start: int,
-    bands: Mapping[Cell, tuple[int, int]],
-    env: Environment,
-    rng: np.random.Generator | Draws,
-    stats: OperatorStats | None,
+    parent_a: Chromosome, parent_b: Chromosome, head_end: int, tail_start: int
 ) -> tuple[tuple[Cell, ...], tuple[int, ...], bool]:
-    """The cells and entry levels of ``parent_a`` up to ``head_end`` joined
-    to ``parent_b`` from ``tail_start``, loops stripped and levels repaired,
-    and whether the join needed neither.
+    """The genes of ``parent_a`` up to ``head_end`` joined to those of
+    ``parent_b`` from ``tail_start``, and whether the join cut a loop.
 
-    The genes equal :func:`_strip_revisits` then :func:`_repair_levels` on
-    lists, with the same draws, but each runs only when the join needs it.
-    A parent never revisits a cell, so a loop needs a head cell that comes
-    back in the tail. Levels are checked against ``bands`` (``env.bands``)
-    first, and only a gene outside its cell's band sends the whole join
-    through the repair; parents that validate never need it.
+    Both parents must validate, so neither revisits a cell and a loop can
+    only be a head cell that comes back in the tail. One cut removes every
+    loop: the child keeps the head up to the head cell whose return in the
+    tail comes last, then the tail after that return. Each gene keeps its
+    parent's entry level, so every (cell, level) gene of the child is a gene
+    of a parent.
     """
     head = parent_a.cells[: head_end + 1]
     tail = parent_b.cells[tail_start:]
-    cells = head + tail
-    levels = parent_a.entry_levels[: head_end + 1] + parent_b.entry_levels[tail_start:]
-    clean = set(head).isdisjoint(tail)
-    if not clean:
-        cell_list, level_list = list(cells), list(levels)
-        _strip_revisits(cell_list, level_list, stats)
-        cells, levels = tuple(cell_list), tuple(level_list)
-    if not _in_bands(cells, levels, bands):
-        clean = False
-        level_list = list(levels)
-        _repair_levels(cells, level_list, env, rng, stats)
-        levels = tuple(level_list)
-    return cells, levels, clean
+    a_levels, b_levels = parent_a.entry_levels, parent_b.entry_levels
+    if set(head).isdisjoint(tail):
+        return head + tail, a_levels[: head_end + 1] + b_levels[tail_start:], False
+    head_at = {cell: i for i, cell in enumerate(head)}
+    back = next(j for j in range(len(tail) - 1, -1, -1) if tail[j] in head_at)
+    keep = head_at[tail[back]] + 1
+    return (
+        head[:keep] + tail[back + 1 :],
+        a_levels[:keep] + b_levels[tail_start + back + 1 :],
+        True,
+    )
 
 
 def crossover(
@@ -262,14 +190,12 @@ def crossover(
     head's last cell, child one shifts the tail start rightward along
     ``parent_b`` only; child two shifts both indices in lockstep. A child
     whose shift budget runs out falls back to its parent unchanged (counted
-    as a splice failure).
+    as a splice failure). A head cell that comes back in the tail closes a
+    loop, which :func:`_splice` cuts out (counted as a loop removal).
 
-    A spliced child has its revisit loops stripped and its out-of-band entry
-    levels resampled, but each step runs only when the splice needs it (see
-    ``_splice``), and when both children join at the cut itself, child two
-    takes child one's genes if they needed neither. The children, stats and
-    draws are those of running both steps on every child. Valid parents
-    never need a level repair.
+    Both parents must validate; then both children do too. Nothing here
+    checks that: :func:`~overfly.solution.evaluate` and
+    :func:`~overfly.solution.validate` reject an invalid candidate.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     a_cells, b_cells = parent_a.cells, parent_b.cells
@@ -277,15 +203,16 @@ def crossover(
     la, lb = len(a_cells), len(b_cells)
     cut = int(rng.integers(0, min(la, lb) - 1))  # head may not already end at the goal
     limit = cfg.max_shift if cfg.max_shift is not None else max(la, lb)
-    adjacency, bands = env.adjacency, env.bands
+    adjacency = env.adjacency
+    loops = 0
 
     # Child one: shift the tail start rightward along parent_b only.
     child_one: Chromosome | None = None
-    clean = False
     nbrs = adjacency[a_cells[cut]]
     for tail_start in range(cut + 1, min(cut + 1 + limit, lb - 1) + 1):
         if b_cells[tail_start] in nbrs:
-            cells, levels, clean = _splice(parent_a, parent_b, cut, tail_start, bands, env, rng, stats)
+            cells, levels, looped = _splice(parent_a, parent_b, cut, tail_start)
+            loops += looped
             alpha = rng.random()
             child_one = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
             break
@@ -296,15 +223,16 @@ def crossover(
         tail_start = head_end + 1
         if b_cells[tail_start] in adjacency[a_cells[head_end]]:
             # Unshifted, this is child one's junction (its first try
-            # succeeded too): its genes stand when they needed no strip and
-            # no repair, for then the join would draw nothing.
-            if not (head_end == cut and clean):
-                cells, levels, _ = _splice(parent_a, parent_b, head_end, tail_start, bands, env, rng, stats)
+            # succeeded too), so child one's genes and loop stand.
+            if head_end != cut:
+                cells, levels, looped = _splice(parent_a, parent_b, head_end, tail_start)
+            loops += looped
             alpha = rng.random()
             child_two = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
             break
 
     if stats is not None:
+        stats.loop_removals += loops
         stats.splice_failures += (child_one is None) + (child_two is None)
         stats.crossovers += 1
     return (

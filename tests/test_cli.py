@@ -317,6 +317,18 @@ class TestSolve:
         assert job["status"] == "ok"
         assert 0.0 <= job["oracle_hv_ratio"] <= 1.0 + 1e-9
 
+    def test_failed_oracle_leaves_no_run_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("overfly.exact.MAX_STATES", 1)
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], oracle=True)
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        job = json.loads((out / "manifest.json").read_text())["jobs"][0]
+        assert job["status"] == "failed"
+        assert job["error"].startswith("EnumerationLimitError")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
         save_tiny(tmp_path / "i2.json", 2)

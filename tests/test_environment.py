@@ -184,11 +184,9 @@ class TestEnvironmentConstruction:
 
     def test_views_are_read_only_and_built_once(self):
         env = build_env()
-        assert env.adjacency is env.adjacency and env.bands is env.bands
+        assert env.adjacency is env.adjacency
         with pytest.raises(TypeError):
             env.adjacency[(0, 0)] = ()
-        with pytest.raises(TypeError):
-            env.bands[(0, 0)] = (0, 0)
 
     def test_pickle_round_trip(self):
         obstacle = np.zeros((3, 4))
@@ -197,7 +195,6 @@ class TestEnvironmentConstruction:
         copy = pickle.loads(pickle.dumps(env))
         assert copy == env and copy.spec == env.spec
         assert dict(copy.adjacency) == dict(env.adjacency)
-        assert dict(copy.bands) == dict(env.bands)
 
 
 class TestMoves:

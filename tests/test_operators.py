@@ -1,4 +1,4 @@
-"""Initialization, crossover, repair, and mutation operators."""
+"""Initialization, crossover, and mutation operators."""
 
 import itertools
 import math
@@ -22,7 +22,6 @@ from overfly import (
     validate,
 )
 from overfly.draws import Draws
-from overfly.operators import _repair_levels, _strip_revisits
 
 from helpers import build_env, generated_worlds
 
@@ -148,58 +147,6 @@ class TestInitialize:
         assert stats.walk_restarts == 50
 
 
-class TestStripRevisits:
-    def test_removes_loop_keeping_first_entry(self):
-        cells = [(1, 0), (0, 1), (1, 1), (0, 1), (1, 2)]
-        levels = [0, 1, 2, 1, 0]
-        _strip_revisits(cells, levels, None)
-        assert cells == [(1, 0), (0, 1), (1, 2)]
-        assert levels == [0, 1, 0]
-
-    def test_nested_loops_all_removed(self):
-        cells = [(1, 0), (1, 1), (2, 1), (1, 1), (0, 1), (1, 1), (1, 2)]
-        levels = [0, 0, 1, 2, 1, 2, 0]
-        stats = OperatorStats()
-        _strip_revisits(cells, levels, stats)
-        assert cells == [(1, 0), (1, 1), (1, 2)]
-        assert levels == [0, 0, 0]
-        assert stats.loop_removals >= 1
-
-    def test_no_loop_untouched(self):
-        cells = [(1, 0), (1, 1), (1, 2)]
-        levels = [0, 1, 2]
-        _strip_revisits(cells, levels, None)
-        assert cells == [(1, 0), (1, 1), (1, 2)] and levels == [0, 1, 2]
-
-
-class TestRepairLevels:
-    def test_resamples_only_infeasible_genes(self):
-        obstacle = np.zeros((3, 4))
-        obstacle[1, 2] = 15.0
-        env = build_env(obstacle=obstacle)
-        cells = [(1, 0), (1, 1), (1, 2), (1, 3)]
-        levels = [0, 1, 0, 1]  # level 0 at (1,2) sits under the 15 m obstacle
-        stats = OperatorStats()
-        _repair_levels(cells, levels, env, np.random.default_rng(0), stats)
-        assert levels[0] == 0 and levels[1] == 1 and levels[3] == 1
-        assert levels[2] == 2
-        assert stats.level_repairs == 1
-
-    def test_impassable_cell_raises(self):
-        obstacle = np.zeros((3, 4))
-        obstacle[1, 2] = 100.0  # above the top level
-        env = build_env(obstacle=obstacle)
-        cells = [(1, 0), (1, 1), (1, 2), (1, 3)]
-        with pytest.raises(GridError, match="impassable"):
-            _repair_levels(cells, [0, 1, 2, 1], env, np.random.default_rng(0), None)
-
-    def test_off_grid_cell_raises(self):
-        env = build_env()
-        cells = [(1, 0), (1, 1), (1, 4)]
-        with pytest.raises(GridError, match="outside"):
-            _repair_levels(cells, [0, 1, 1], env, np.random.default_rng(0), None)
-
-
 class TestCrossover:
     def test_children_are_valid(self):
         env = generate(GeneratorSettings(rows=6, cols=6, obstacle_density=0.3), 9)
@@ -242,9 +189,30 @@ class TestCrossover:
         assert stats.crossovers == 1
 
 
+def _strip_revisits(cells, levels, stats):
+    """Delete loops in place until no cell repeats: everything after the
+    first occurrence of a repeated cell up to its last occurrence goes,
+    keeping the first occurrence's entry level."""
+    while True:
+        first_at = {}
+        dup = None
+        for idx, cell in enumerate(cells):
+            if cell in first_at:
+                dup = cell
+            else:
+                first_at[cell] = idx
+        if dup is None:
+            return
+        first = first_at[dup]
+        last = max(i for i, cell in enumerate(cells) if cell == dup)
+        del cells[first + 1 : last + 1]
+        del levels[first + 1 : last + 1]
+        stats.loop_removals += 1
+
+
 def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
     """``crossover`` as the plain composition: every child is spliced on
-    lists, then goes through ``_strip_revisits`` and ``_repair_levels``."""
+    lists, then goes through ``_strip_revisits``."""
     a_cells, b_cells = parent_a.cells, parent_b.cells
     la, lb = len(a_cells), len(b_cells)
     cut = int(rng.integers(0, min(la, lb) - 1))
@@ -254,7 +222,6 @@ def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
         cells = list(a_cells[: head_end + 1] + b_cells[tail_start:])
         levels = list(parent_a.entry_levels[: head_end + 1] + parent_b.entry_levels[tail_start:])
         _strip_revisits(cells, levels, stats)
-        _repair_levels(cells, levels, env, rng, stats)
         alpha = rng.random()
         weight = alpha * parent_a.weight + (1.0 - alpha) * parent_b.weight
         return Chromosome(tuple(cells), tuple(levels), weight)
@@ -276,13 +243,6 @@ def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
     )
 
 
-def _out_of_band(ch, env, gene):
-    """``ch`` with entry level ``gene`` (>= 1) one above its cell's band."""
-    levels = list(ch.entry_levels)
-    levels[gene] = env.feasible_levels(ch.cells[gene])[1] + 1
-    return Chromosome(ch.cells, tuple(levels), ch.weight)
-
-
 def _assert_matches_reference(parents, env, seed, config=OperatorConfig()):
     """Every ordered parent pair: same children, same stats, and the same
     next draw as the reference composition. Returns each pair's stats."""
@@ -300,34 +260,70 @@ def _assert_matches_reference(parents, env, seed, config=OperatorConfig()):
     return all_stats
 
 
+class TestStripRevisits:
+    """The reference loop strip that ``crossover`` is checked against."""
+
+    def test_removes_loop_keeping_first_entry(self):
+        cells = [(1, 0), (0, 1), (1, 1), (0, 1), (1, 2)]
+        levels = [0, 1, 2, 1, 0]
+        stats = OperatorStats()
+        _strip_revisits(cells, levels, stats)
+        assert cells == [(1, 0), (0, 1), (1, 2)]
+        assert levels == [0, 1, 0]
+        assert stats.loop_removals == 1
+
+    def test_nested_loops_all_removed(self):
+        cells = [(1, 0), (1, 1), (2, 1), (1, 1), (0, 1), (1, 1), (1, 2)]
+        levels = [0, 0, 1, 2, 1, 2, 0]
+        stats = OperatorStats()
+        _strip_revisits(cells, levels, stats)
+        assert cells == [(1, 0), (1, 1), (1, 2)]
+        assert levels == [0, 0, 0]
+        assert stats.loop_removals >= 1
+
+    def test_no_loop_untouched(self):
+        cells = [(1, 0), (1, 1), (1, 2)]
+        levels = [0, 1, 2]
+        stats = OperatorStats()
+        _strip_revisits(cells, levels, stats)
+        assert cells == [(1, 0), (1, 1), (1, 2)] and levels == [0, 1, 2]
+        assert stats.loop_removals == 0
+
+
 class TestSpliceKernel:
-    """``crossover`` strips loops and repairs levels only when a splice needs
-    it; the result must equal doing both on every child."""
+    """``crossover`` joins valid parents with one cut; the result must equal
+    stripping loops until no cell repeats on every child."""
 
     @settings(max_examples=40, deadline=None)
-    @given(generated_worlds(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
-    def test_matches_reference_composition(self, env, seed, force_miss, data):
+    @given(generated_worlds(), st.integers(0, 2**32 - 1))
+    def test_matches_reference_composition(self, env, seed):
         rng = np.random.default_rng(seed)
         parents = [initialize(env, rng) for _ in range(4)]
-        if force_miss and len(parents[0].cells) > 1:
-            gene = data.draw(st.integers(1, len(parents[0].cells) - 1))
-            parents[0] = _out_of_band(parents[0], env, gene)
         _assert_matches_reference(parents, env, seed)
 
-    def test_loops_and_repairs_both_run(self):
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds(), st.integers(0, 2**32 - 1))
+    def test_child_genes_are_parent_genes(self, env, seed):
+        # The children need no level repair: each (cell, level) gene comes
+        # from a parent that validates.
+        rng = np.random.default_rng(seed)
+        parents = [initialize(env, rng) for _ in range(4)]
+        for pa, pb in itertools.permutations(parents, 2):
+            genes = set(zip(pa.cells, pa.entry_levels)) | set(zip(pb.cells, pb.entry_levels))
+            for child in crossover(pa, pb, env, rng):
+                assert set(zip(child.cells, child.entry_levels)) <= genes
+
+    def test_loops_are_cut(self):
         # Open worlds let random walks wander north and south, so splices
-        # often close loops; one parent per pool carries a gene above its
-        # band, which only the repair can fix.
+        # often close loops.
         env = generate(GeneratorSettings(rows=6, cols=6, obstacle_density=0.1), 3)
         rng = np.random.default_rng(8)
         all_stats = []
         for pool in range(10):
             parents = [initialize(env, rng) for _ in range(6)]
-            parents[0] = _out_of_band(parents[0], env, len(parents[0].cells) // 2)
             all_stats += _assert_matches_reference(parents, env, pool)
         assert len(all_stats) == 300
         assert sum(s.loop_removals for s in all_stats) > 0
-        assert sum(s.level_repairs for s in all_stats) > 0
 
     def test_max_shift_limits_match_reference(self):
         env = generate(GeneratorSettings(rows=5, cols=5, obstacle_density=0.2), 5)
