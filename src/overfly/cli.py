@@ -183,7 +183,10 @@ def _read_section(record: type[R], config: dict, section: str) -> R:
 
 def _require_out(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise _UsageError(f"--out {out} cannot be a directory: {exc.strerror}") from exc
     return out
 
 

@@ -12,6 +12,7 @@ allowed altitude), and one risk value per level. A cell is passable at level
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import deque
@@ -119,11 +120,46 @@ class CellData:
     risk: tuple[float, ...]
 
 
+# Each entry is a few dicts of a grid's size, so 64 geometries stay small.
+@functools.lru_cache(maxsize=64, typed=True)
+def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
+    dict[Cell, tuple[Cell, ...]],
+    Mapping[Cell, tuple[Cell, ...]],
+    dict[Cell, tuple[Cell, ...]],
+    dict[tuple[Cell, Cell], float],
+]:
+    """The successor map, its read-only view, the predecessor map and the
+    move distances of a ``rows x cols`` grid.
+
+    Built once per geometry and shared by every :class:`Environment` that
+    has it, so no caller may write to them. ``typed``: a straight move is
+    ``cell_size_m`` as given, so ``10`` and ``10.0`` get tables of their own.
+    """
+    succ: dict[Cell, tuple[Cell, ...]] = {}
+    pred: dict[Cell, list[Cell]] = {(r, c): [] for r in range(rows) for c in range(cols)}
+    dist: dict[tuple[Cell, Cell], float] = {}
+    diag = cell_size_m * math.sqrt(2.0)
+    for r in range(rows):
+        for c in range(cols):
+            out = []
+            for dr, dc in _MOVES:
+                nr, nc = r + dr, c + dc
+                if 0 <= nr < rows and 0 <= nc < cols:
+                    out.append((nr, nc))
+                    dist[((r, c), (nr, nc))] = diag if dc == 1 and dr != 0 else cell_size_m
+                    pred[(nr, nc)].append((r, c))
+            succ[(r, c)] = tuple(out)
+    return succ, MappingProxyType(succ), {cell: tuple(v) for cell, v in pred.items()}, dist
+
+
 class Environment:
     """Immutable world: grid spec plus per-cell terrain arrays.
 
-    Adjacency, move distances, and per-cell feasible level bands are
-    precomputed once; the arrays are frozen after construction.
+    The move tables (successors, predecessors and move distances) depend
+    only on the grid's rows, columns and cell size: they are built once per
+    such geometry and shared, read-only, by every world that has it. Each
+    world builds only its own terrain: the per-cell feasible level bands
+    and the risk rows. The arrays are frozen after construction.
     """
 
     def __init__(
@@ -172,30 +208,18 @@ class Environment:
         kmin = np.searchsorted(levels, obstacle, side="left").astype(int)
         kmax = (np.searchsorted(levels, ceiling, side="right") - 1).astype(int)
 
-        succ: dict[Cell, tuple[Cell, ...]] = {}
-        pred: dict[Cell, list[Cell]] = {(r, c): [] for r in range(spec.rows) for c in range(spec.cols)}
-        dist: dict[tuple[Cell, Cell], float] = {}
-        diag = spec.cell_size_m * math.sqrt(2.0)
-        for r in range(spec.rows):
-            for c in range(spec.cols):
-                out = []
-                for dr, dc in _MOVES:
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < spec.rows and 0 <= nc < spec.cols:
-                        out.append((nr, nc))
-                        dist[((r, c), (nr, nc))] = diag if dc == 1 and dr != 0 else spec.cell_size_m
-                        pred[(nr, nc)].append((r, c))
-                succ[(r, c)] = tuple(out)
-        self._succ = succ
+        # Shared by every world of this geometry; never written to.
+        self._succ, self._adjacency, self._pred, self._dist = _move_tables(
+            spec.rows, spec.cols, spec.cell_size_m
+        )
         # Band per passable cell; the accessors look a cell up here first and
         # check it, to raise or to answer "not passable", only on a miss.
         lo_rows, hi_rows = kmin.tolist(), kmax.tolist()
         self._bands: dict[Cell, tuple[int, int]] = {
-            (r, c): (lo_rows[r][c], hi_rows[r][c]) for r, c in succ if lo_rows[r][c] <= hi_rows[r][c]
+            (r, c): (lo_rows[r][c], hi_rows[r][c])
+            for r, c in self._succ
+            if lo_rows[r][c] <= hi_rows[r][c]
         }
-        self._pred = {cell: tuple(v) for cell, v in pred.items()}
-        self._adjacency = MappingProxyType(succ)
-        self._dist = dist
         # Plain nested tuples for the evaluation hot path.
         self._risk_rows: tuple[tuple[tuple[float, ...], ...], ...] = tuple(
             tuple(map(tuple, row)) for row in riskarr.tolist()

@@ -101,6 +101,60 @@ def write_solve_config(path, instances, **overrides):
 
 
 class TestGen:
+    # SHA-256 of each file that ``gen --seed 0`` writes. A changed digest
+    # means the generator, the suite settings or the instance file layout
+    # changed.
+    SEED_ZERO_SUITE = {
+        "T1-1.json":
+            "b287954b5302f6fa362f8409837f742363a24c926f01f8f058047de9b96ab5fe",
+        "T1-2.json":
+            "3a9485b2172ac3623268e8d854f9835e2e2c58a8511d2176246c8312dd23eaec",
+        "T1-3.json":
+            "2f6c7946e3b0040d2073801564fd3fec470580bae391c609a50086afab7de57e",
+        "T1-4.json":
+            "9a3cb448f1f6b367e8a80ffe97a16ff4feb531088e596bc163d050f91905588a",
+        "T2-1.json":
+            "bf434f2565ad7283861d9ba27ab8671c105c53faca4dfd29c72229d3ab5d2525",
+        "T2-2.json":
+            "a75edaae35107b7104de45909314ff3e35962d26d6fe432ba135c99e0c0e111c",
+        "T2-3.json":
+            "b68590ada645a8c51333ddba6834f99b8d71fdece177da4d973a9b7367c73633",
+        "T2-4.json":
+            "5fcfd74342d8a2cef5fb4defcd7d3a1790b9c62ee6519e1d96835b27700ae0fb",
+        "T3-1.json":
+            "cda9757ee27b4285e5e9ca71e07e103529364ab219effd3e395fc8783da07011",
+        "T3-2.json":
+            "31130ce4872364a339ce35890ff62151f335aa9af6c5fe1c902261239a72fd86",
+        "T3-3.json":
+            "ceab80ad0f5912dd6f7f07db3b18c1097cb750ef97af161d1dc0c4dec10e783c",
+        "T3-4.json":
+            "2ca6efcce860f16b86169e0ba1e5388dacdd8a724c6f9f74fe363ca6f7e110e9",
+        "T4-1.json":
+            "b13f7e620c43d4479ad03a7e02ccf221c2f065a40c28e6e4aeea29c9bc49ba0d",
+        "T4-2.json":
+            "1ccd68d10648ac384ef835696cb029d5afab48b79b655ec28bc98855980d4d2b",
+        "T4-3.json":
+            "2102443e042510868cf331acdfb772c65640e76dd4efe4382b57fd333195ac12",
+        "T4-4.json":
+            "4dc8f81faf1aee5a2de5aecd31406f5c7b1e0b1042361de98fc1e36f70bf1cc9",
+        "T5-1.json":
+            "67a9db56b7af7c0b4c32e7ce6d7f45dd0fef491d24b978ac52ff838ea5a4ae77",
+        "T5-2.json":
+            "826d0e201656d09a4cafef7c3a3b1a9d1137a01ef0efc110b5514036c50a1224",
+        "T5-3.json":
+            "322f4540e133a0d90aa5ab69401e45541b91a5bfcfc861749e6ced2cd39dbed4",
+        "T5-4.json":
+            "b6ad765d4757b0626ad10e2b42ed43af030e745385a6a79b8d2a92e6ea5dffe2",
+        "suite.json":
+            "e2c3a5b566a139f2345aec1b67af33ee3a85657fc515bd092edd962237a1e57f",
+    }
+
+    def test_seed_zero_suite_bytes(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert main(["gen", "--out", str(out), "--seed", "0"]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == self.SEED_ZERO_SUITE
+
     def test_writes_suite(self, tmp_path, capsys):
         out = tmp_path / "suite"
         assert main(["gen", "--out", str(out), "--seed", "3"]) == 0
@@ -904,6 +958,28 @@ class TestUsage:
         assert main([command, "--out", str(out)]) == 1
         assert "the following arguments are required: files" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "tune", "table", "plot"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], tuner={"budget": 2, "population_sizes": [8]})
+        fronts = []
+        if command in ("table", "plot"):
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+            fronts = sorted(str(p) for p in (tmp_path / "runs").glob("*.front.json"))
+        inputs = {"gen": [], "solve": ["--config", str(cfg)], "tune": ["--config", str(cfg)],
+                  "table": fronts, "plot": fronts}[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        # An existing file, and a path below one.
+        for out in (blocker, blocker / "below"):
+            capsys.readouterr()
+            assert main([command, *inputs, "--out", str(out)]) == 1
+            assert f"error: --out {out} cannot be a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text(encoding="utf-8") == "keep"
 
     def test_import_leaves_out_network_and_pool_modules(self):
         # Start-up cost: none of these is needed to import the command, and

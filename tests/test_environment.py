@@ -26,6 +26,7 @@ from overfly import (
 )
 
 from overfly.cli import suite_settings
+from overfly.environment import _move_tables
 
 from helpers import build_env, generated_worlds
 
@@ -194,7 +195,45 @@ class TestEnvironmentConstruction:
         env = build_env(obstacle=obstacle, risk=0.25)
         copy = pickle.loads(pickle.dumps(env))
         assert copy == env and copy.spec == env.spec
-        assert dict(copy.adjacency) == dict(env.adjacency)
+        # The copy takes the move tables of its geometry, as any world does.
+        assert copy.adjacency is env.adjacency
+
+
+class TestSharedMoveTables:
+    """Move tables depend only on (rows, cols, cell size): worlds of one
+    geometry share them, and nothing read from terrain is shared."""
+
+    def test_one_geometry_shares_one_adjacency(self):
+        obstacle = np.zeros((3, 4))
+        obstacle[0, 2] = 30.0  # impassable
+        a, b = build_env(risk=0.25), build_env(obstacle=obstacle, risk=0.5)
+        assert a.adjacency is b.adjacency
+        assert a.predecessors((1, 2)) is b.predecessors((1, 2))
+        assert a.passable((0, 2)) and not b.passable((0, 2))
+
+    def test_cell_sizes_keep_their_own_distances(self):
+        a, b = build_env(cell_size=10.0), build_env(cell_size=12.0)
+        assert a.distance((1, 1), (0, 1)) == 10.0
+        assert b.distance((1, 1), (0, 1)) == 12.0
+        assert a.distance((1, 1), (0, 2)) == 10.0 * math.sqrt(2.0)
+        assert b.distance((1, 1), (0, 2)) == 12.0 * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("sizes", [(10, 10.0), (10.0, 10)])
+    def test_int_and_float_cell_sizes_keep_their_types(self, sizes):
+        # 10 == 10.0, but a straight move is the cell size as given.
+        _move_tables.cache_clear()
+        envs = [build_env(cell_size=size) for size in sizes]
+        for size, env in zip(sizes, envs):
+            straight, diagonal = env.distance((1, 1), (1, 2)), env.distance((1, 1), (2, 2))
+            assert straight == size and type(straight) is type(size)
+            assert diagonal == size * math.sqrt(2.0) and type(diagonal) is float
+
+    def test_cache_is_bounded(self):
+        limit = _move_tables.cache_info().maxsize
+        assert limit is not None
+        for size in range(1, limit + 2):
+            build_env(rows=1, cols=2, cell_size=float(size))
+        assert _move_tables.cache_info().currsize == limit
 
 
 class TestMoves:

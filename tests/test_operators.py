@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from overfly import (
     Chromosome,
@@ -294,6 +294,10 @@ class TestSpliceKernel:
     """``crossover`` joins valid parents with one cut; the result must equal
     stripping loops until no cell repeats on every child."""
 
+    # An open 5x5 world whose random walks wander north and south, so some
+    # tails return to two head cells and only the later return cuts every
+    # loop; generated worlds rarely give that case.
+    @example(env=generate(GeneratorSettings(rows=5, cols=5, obstacle_density=0.1), 0), seed=0)
     @settings(max_examples=40, deadline=None)
     @given(generated_worlds(), st.integers(0, 2**32 - 1))
     def test_matches_reference_composition(self, env, seed):
