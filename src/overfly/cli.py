@@ -190,6 +190,20 @@ def _require_out(args: argparse.Namespace) -> Path:
     return out
 
 
+def _require_out_file(args: argparse.Namespace) -> Path:
+    """``--out`` as a file path, refused unless a file can be written there:
+    not a directory, and no existing file on the way to it. Makes nothing."""
+    out = Path(args.out)
+    if out.is_dir():
+        raise _UsageError(f"--out {out} is a directory, not a file")
+    for parent in out.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise _UsageError(f"--out {out} lies below {parent}, which is not a directory")
+            break
+    return out
+
+
 # -- gen ---------------------------------------------------------------------
 
 _SUITE_SIZES: dict[int, tuple[int, int, int]] = {
@@ -903,6 +917,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lp_export(args: argparse.Namespace) -> int:
+    out_path = _require_out_file(args)
     config = _load_json(args.config) if args.config else {}
     params = _read_section(DroneParams, config, "drone")
     env = load_instance(args.instance)
@@ -949,7 +964,6 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
             raise
         raise _UsageError(f"--{keyword.replace('_', '-')} {rest}") from exc
     text = render_lp(model)
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(text, encoding="utf-8")
     print(

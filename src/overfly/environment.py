@@ -13,6 +13,7 @@ allowed altitude), and one risk value per level. A cell is passable at level
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 from collections import deque
@@ -51,6 +52,30 @@ class GenerationError(RuntimeError):
 class EnumerationLimitError(RuntimeError):
     """The world is too large for an exact oracle: the label budget of the
     exact front or the row limit of the LP model. Nothing was truncated."""
+
+
+def collector_paused(func):
+    """``func`` with CPython's cyclic garbage collector paused for the
+    length of each call.
+
+    For the exact oracles' builders, which keep many small acyclic records
+    alive while they build: a running collector would scan them over and
+    over and free none. The caller's state comes back on return and on an
+    exception, so a caller that had the collector off keeps it off.
+    Reference counting still frees everything as usual.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)

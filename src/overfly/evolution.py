@@ -156,6 +156,28 @@ def reference_points(objectives: int = 2, divisions: int = 1) -> np.ndarray:
     return np.asarray(rows, dtype=float) / float(divisions)
 
 
+def _pair_distances(pts: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances, infinite on the diagonal. Squares are
+    summed one objective column at a time, so no (n, n, m) temporary is
+    made; column order is the order in which numpy summed the last axis of
+    that temporary, so the distances are the same floats."""
+    sq = np.zeros((len(pts), len(pts)))
+    for col in pts.T:
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        sq += diff
+    dist = np.sqrt(sq, out=sq)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _kth_smallest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest entry (k >= 1); zeros when k is 0."""
+    if k < 1:
+        return np.zeros(len(dist))
+    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+
+
 def spea2_fitness(points) -> np.ndarray:
     """Strength-based fitness: raw dominated-strength sum plus k-NN density.
 
@@ -172,11 +194,7 @@ def spea2_fitness(points) -> np.ndarray:
     dom = _dominance(pts)
     strength = dom.sum(axis=1).astype(float)
     raw = (dom * strength[:, None]).sum(axis=0)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    k = min(math.isqrt(n), n - 1)
-    sigma = np.sort(dist, axis=1)[:, k - 1] if k >= 1 else np.zeros(n)
+    sigma = _kth_smallest(_pair_distances(pts), min(math.isqrt(n), n - 1))
     return raw + 1.0 / (sigma + 2.0)
 
 
@@ -193,16 +211,12 @@ def spea2_truncate(points, target: int) -> list[int]:
         raise ValueError("target must be non-negative")
     if n <= target:
         return list(range(n))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+    dist = _pair_distances(pts)
     alive = np.ones(n, dtype=bool)
     remaining = n
     while remaining > target:
         idx = np.where(alive)[0]
-        sub = dist[np.ix_(idx, idx)]
-        k = min(math.isqrt(remaining), remaining - 1)
-        sigma = np.sort(sub, axis=1)[:, k - 1] if k >= 1 else np.zeros(remaining)
+        sigma = _kth_smallest(dist[np.ix_(idx, idx)], min(math.isqrt(remaining), remaining - 1))
         alive[idx[int(np.argmin(sigma))]] = False
         remaining -= 1
     return [int(i) for i in np.where(alive)[0]]

@@ -8,7 +8,9 @@ independently of the chromosome evaluator. Both exist to check the search
 algorithms and the integer-program exporter. The only size guard is
 ``MAX_STATES``, a budget of label extensions: every world of the generated
 T1-T5 suite fits it, and a world that does not is refused, never truncated.
-Grid size and level count are not capped.
+Grid size and level count are not capped. The front is built with the
+cyclic garbage collector paused (``environment.collector_paused``): its
+labels are acyclic tuples that reference counting frees.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .environment import Cell, EnumerationLimitError, Environment
+from .environment import Cell, EnumerationLimitError, Environment, collector_paused
 from .metrics import nondominated
 from .physics import DroneParams, air_density
 from .solution import Chromosome, ObjectiveVector, arc_costs
@@ -71,6 +73,7 @@ def _prune(labels: list[Label]) -> list[Label]:
     return [labels[i] for i in nondominated([lab[0] for lab in labels])]
 
 
+@collector_paused
 def enumerate_front(env: Environment, params: DroneParams) -> ExactFront:
     """Exact tri-objective Pareto front by multicriteria label setting.
 

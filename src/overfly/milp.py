@@ -13,9 +13,15 @@ Building and rendering pay for each row once. ``build_model``
 formats every cell, arc, ``x``, ``u`` and per-arc variable name once, into
 name tables local to the build that the variable list, the rows and the
 objective all read (the public ``x_name``, ``u_name`` and ``arc_var`` give
-the same strings). ``LpRow`` and ``RowCheck`` are ``NamedTuple`` records,
-about a quarter of a frozen dataclass's construction cost and half its
-size, with the same fields, ``repr`` and immutability. ``render_lp``
+the same strings). The product rows (eq12, eq13, add_ub), most of a
+model's rows, share their term records: one ``(x, -1.0)`` per ``x``
+variable and one ``(u, 1.0)`` per ``u``. ``LpVar``, ``LpRow`` and
+``RowCheck`` are ``NamedTuple`` records, about a quarter of a frozen
+dataclass's construction cost and half its size, with the same fields,
+``repr`` and immutability. ``build_model`` and the variable-to-rows index
+``MilpModel._rows_of`` run with the cyclic garbage collector paused
+(``environment.collector_paused``): their records hold no cycles, and a
+running collector would only scan them over and over. ``render_lp``
 formats each distinct coefficient once per call, and writes a row that fits
 the 72-column width in one join.
 
@@ -47,7 +53,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .environment import Cell, EnumerationLimitError, Environment
+from .environment import Cell, EnumerationLimitError, Environment, collector_paused
 from .physics import DroneParams
 from .solution import NormBounds, arc_costs
 
@@ -59,22 +65,32 @@ OBJECTIVES = ("z1", "weighted", "epsilon")
 MAX_ROWS = 500_000
 
 _SENSES = ("<=", ">=", "=")
+_VAR_KINDS = ("binary", "nonneg", "free")
 
 # The seven per-arc variables of the altitude-change split, and their kinds.
 _SPLIT_PREFIXES = ("d", "dp", "dm", "y", "yp", "pp", "pm")
 _SPLIT_KINDS = ("free", "nonneg", "nonneg", "binary", "binary", "nonneg", "nonneg")
 
 
-@dataclass(frozen=True)
-class LpVar:
-    """One model variable: binary, nonnegative continuous, or free."""
-
+class _LpVarFields(NamedTuple):
     name: str
     kind: str  # "binary" | "nonneg" | "free"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("binary", "nonneg", "free"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
+
+class LpVar(_LpVarFields):
+    """One model variable: binary, nonnegative continuous, or free."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str) -> LpVar:
+        if kind not in _VAR_KINDS:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        return tuple.__new__(cls, (name, kind))
+
+    @classmethod
+    def _make(cls, iterable) -> LpVar:
+        """Through ``__new__``, so that ``_replace`` checks its kind too."""
+        return cls(*iterable)
 
 
 class _LpRowFields(NamedTuple):
@@ -148,6 +164,7 @@ class MilpModel:
         return MappingProxyType(values)
 
     @cached_property
+    @collector_paused
     def _rows_of(self) -> defaultdict[str, list[int]]:
         """Variable name -> indices of the rows it appears in."""
         index: defaultdict[str, list[int]] = defaultdict(list)
@@ -235,6 +252,7 @@ def row_count(env: Environment, objective: str) -> int:
     return count
 
 
+@collector_paused
 def build_model(
     env: Environment,
     params: DroneParams,
@@ -384,17 +402,20 @@ def build_model(
     # eq12/eq13: product variable pinned between the two arc choices; add_ub
     # rows are the extra per-factor upper bounds (not part of the printed
     # family, flagged by their own label). The label tag is the u name
-    # without its "u_" prefix.
+    # without its "u_" prefix. The rows share their term records: one
+    # (x, -1.0) per x variable and one (u, 1.0) per u.
+    minus_x = {arc: [(x, -1.0) for x in names] for arc, names in xs.items()}
     for (i, j), block in products.items():
-        xij = xs[i, j]
+        xij = minus_x[i, j]
         for u, g, k, kp in block:
             xa = xij[k]
-            xb = xs[g, i][kp]
+            xb = minus_x[g, i][kp]
+            plus_u = (u, 1.0)
             tag = u[2:]
-            rows.append(LpRow(f"eq12_{tag}", "eq12", ((u, 1.0), (xa, -1.0), (xb, -1.0)), ">=", -1.0))
-            rows.append(LpRow(f"eq13_{tag}", "eq13", ((u, 2.0), (xa, -1.0), (xb, -1.0)), "<=", 0.0))
-            rows.append(LpRow(f"add_ub_a_{tag}", "add_ub", ((u, 1.0), (xa, -1.0)), "<=", 0.0))
-            rows.append(LpRow(f"add_ub_b_{tag}", "add_ub", ((u, 1.0), (xb, -1.0)), "<=", 0.0))
+            rows.append(LpRow(f"eq12_{tag}", "eq12", (plus_u, xa, xb), ">=", -1.0))
+            rows.append(LpRow(f"eq13_{tag}", "eq13", ((u, 2.0), xa, xb), "<=", 0.0))
+            rows.append(LpRow(f"add_ub_a_{tag}", "add_ub", (plus_u, xa), "<=", 0.0))
+            rows.append(LpRow(f"add_ub_b_{tag}", "add_ub", (plus_u, xb), "<=", 0.0))
 
     # eq15..eq23: ascent/descent split with big-M gating per arc.
     m = m_value

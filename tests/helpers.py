@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 from hypothesis import assume, strategies as st
 
@@ -109,3 +111,20 @@ def generated_worlds(draw):
         return generate(settings, draw(st.integers(0, 2**32 - 1)))
     except GenerationError:
         assume(False)
+
+
+def collections_started(call, *args, **kwargs) -> list[int]:
+    """The generation of each cyclic-GC collection that starts while
+    ``call(*args, **kwargs)`` runs."""
+    started: list[int] = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        call(*args, **kwargs)
+    finally:
+        gc.callbacks.remove(count)
+    return started

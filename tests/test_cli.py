@@ -981,6 +981,22 @@ class TestUsage:
         assert sorted(tmp_path.rglob("*")) == before
         assert blocker.read_text(encoding="utf-8") == "keep"
 
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["directory", "below-a-file"])
+    def test_lp_export_out_that_cannot_be_a_file(self, tmp_path, capsys, monkeypatch, below_a_file):
+        save_tiny(tmp_path / "i1.json", 1)
+        blocker = tmp_path / "blocker"
+        if below_a_file:
+            blocker.write_text("keep", encoding="utf-8")
+            out, expected = blocker / "m.lp", f"--out {blocker / 'm.lp'} lies below {blocker}"
+        else:
+            blocker.mkdir()
+            out, expected = blocker, f"--out {blocker} is a directory"
+        monkeypatch.setattr(cli, "build_model", refuse_to_run)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["lp-export", str(tmp_path / "i1.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_import_leaves_out_network_and_pool_modules(self):
         # Start-up cost: none of these is needed to import the command, and
         # the pool is imported only by `solve --workers N` with N > 1.

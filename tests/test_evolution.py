@@ -119,6 +119,57 @@ class TestSpea2Primitives:
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert spea2_truncate(pts, 3) == [0, 1]
 
+    @staticmethod
+    def reference_distances(pts):
+        """The (n, n, m) difference formula with a full sort, as the kernels
+        computed it before they summed squares one column at a time."""
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        return dist
+
+    def reference_fitness(self, pts):
+        if len(pts) == 0:
+            return np.zeros(0)
+        le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
+        lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
+        dom = le & lt
+        raw = (dom * dom.sum(axis=1).astype(float)[:, None]).sum(axis=0)
+        n = len(pts)
+        k = min(math.isqrt(n), n - 1)
+        dist = self.reference_distances(pts)
+        sigma = np.sort(dist, axis=1)[:, k - 1] if k >= 1 else np.zeros(n)
+        return raw + 1.0 / (sigma + 2.0)
+
+    def reference_truncate(self, pts, target):
+        n = len(pts)
+        if n <= target:
+            return list(range(n))
+        dist = self.reference_distances(pts)
+        alive = np.ones(n, dtype=bool)
+        remaining = n
+        while remaining > target:
+            idx = np.where(alive)[0]
+            sub = dist[np.ix_(idx, idx)]
+            k = min(math.isqrt(remaining), remaining - 1)
+            sigma = np.sort(sub, axis=1)[:, k - 1] if k >= 1 else np.zeros(remaining)
+            alive[idx[int(np.argmin(sigma))]] = False
+            remaining -= 1
+        return [int(i) for i in np.where(alive)[0]]
+
+    def test_kernels_match_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(0, 150))
+            pts = rng.random((n, int(rng.choice([2, 3])))) * rng.choice([1e-3, 1.0, 1e3])
+            if n > 3 and trial % 3 == 0:  # duplicated points
+                pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
+            fitness = spea2_fitness(pts)
+            assert fitness.tobytes() == self.reference_fitness(pts).tobytes(), trial
+            if trial % 5 == 0:
+                target = int(rng.integers(0, n + 1))
+                assert spea2_truncate(pts, target) == self.reference_truncate(pts, target), trial
+
 
 class TestAlgoConfig:
     @pytest.mark.parametrize(

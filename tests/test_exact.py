@@ -1,5 +1,6 @@
 """Exhaustive enumeration, arc-flow checking, and the independent evaluator."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -21,7 +22,9 @@ from overfly import (
     validate,
 )
 
-from helpers import all_simple_paths, build_env
+from overfly.cli import suite_settings
+
+from helpers import all_simple_paths, build_env, collections_started
 
 PARAMS = DroneParams()
 
@@ -102,6 +105,34 @@ class TestCaps:
         monkeypatch.setattr(exact, "MAX_STATES", 100)
         with pytest.raises(EnumerationLimitError):
             enumerate_front(env, PARAMS)
+
+
+class TestCollectorPaused:
+    """The front is built with the cyclic collector paused, and the
+    caller's collector state comes back however the call ends."""
+
+    def test_collector_on_after_the_front(self):
+        assert gc.isenabled()
+        enumerate_front(build_env(rows=4, cols=4), PARAMS)
+        assert gc.isenabled()
+
+    def test_collector_stays_off_for_a_caller_that_turned_it_off(self):
+        gc.disable()
+        try:
+            enumerate_front(build_env(rows=4, cols=4), PARAMS)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_back_on_after_the_budget_refuses(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_STATES", 100)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_front(build_env(rows=4, cols=4), PARAMS)
+        assert gc.isenabled()
+
+    def test_no_collection_starts_while_the_front_builds(self):
+        _id, settings, seed = suite_settings(0)[8]  # T3-1
+        assert collections_started(enumerate_front, generate(settings, seed), PARAMS) == []
 
 
 class TestPathCounts:

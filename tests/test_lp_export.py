@@ -1,6 +1,10 @@
 """Integer-program construction, LP text rendering, and substitution checks."""
 
+import contextlib
 import functools
+import gc
+import hashlib
+import io
 import math
 import pickle
 import re
@@ -29,11 +33,12 @@ from overfly import (
     substitute,
     validate,
 )
-from overfly.cli import suite_settings
-from overfly import milp
+from overfly.cli import main, suite_settings
+from overfly import milp, save_instance
 from overfly.milp import (
     MAX_ROWS,
     LpRow,
+    LpVar,
     MilpModel,
     RowCheck,
     arc_var,
@@ -43,7 +48,7 @@ from overfly.milp import (
     x_name,
 )
 
-from helpers import all_simple_paths, build_env
+from helpers import all_simple_paths, build_env, collections_started
 
 PARAMS = DroneParams()
 
@@ -370,6 +375,71 @@ class TestBuildModel:
                 assert u.startswith("u_") and row.name.endswith("_" + u[2:])
 
 
+class TestCollectorPaused:
+    """The model and its variable-to-rows index are built with the cyclic
+    collector paused, and the caller's collector state comes back."""
+
+    def test_collector_on_after_the_build(self):
+        assert gc.isenabled()
+        model = build_model(tiny_env(), PARAMS, "z1")
+        assert gc.isenabled()
+        assert model._rows_of and gc.isenabled()
+
+    def test_collector_stays_off_for_a_caller_that_turned_it_off(self):
+        gc.disable()
+        try:
+            model = build_model(tiny_env(), PARAMS, "z1")
+            assert not gc.isenabled()
+            assert model._rows_of and not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_no_collection_starts_while_the_model_builds(self):
+        _id, settings, seed = suite_settings(0)[8]  # T3-1
+        env = generate(settings, seed)
+        assert collections_started(build_model, env, PARAMS, "z1") == []
+
+    def test_product_rows_share_their_term_records(self):
+        _id, settings, seed = suite_settings(0)[0]
+        model = build_model(generate(settings, seed), PARAMS, "z1")
+        terms = {}
+        for row in model.rows:
+            if row.family in ("eq12", "eq13", "add_ub"):
+                for term in row.coeffs:
+                    if term[1] != 2.0:
+                        assert terms.setdefault(term, term) is term, row.name
+        assert len(terms) > 0
+
+
+# SHA-256 of the LP text `lp-export` writes for T1-1 and T2-1 of
+# `gen --seed 0`, taken before the builder shared its term records and
+# paused the collector: the model content, not only its formatting.
+LP_EXPORT_FLAGS = {
+    "z1": [],
+    "weighted": ["--objective", "weighted", "--weight", "0.3", "--length-lo", "30",
+                 "--length-hi", "75.5", "--energy-lo", "1200", "--energy-hi", "4000.25"],
+    "epsilon": ["--objective", "epsilon", "--risk-cap", "2.5"],
+}
+LP_EXPORT_DIGESTS = {
+    ("T1-1", "z1"): "73e550e7ff33260f8c6ac7e306a42cd5a6e9ec7858ecacb6cd2a55bcde93e826",
+    ("T1-1", "weighted"): "21cabe7b0192378454dd70143274cb1f853740c079b5bd862040849af67e8c65",
+    ("T1-1", "epsilon"): "58164368ef1799e8d32b50ad77e73820ef325f32cfd83f7dc9c0a450d180fe64",
+    ("T2-1", "z1"): "21ce093351f0ba28fc18d6f21c1a46902b30a61d5a9d23416a2ff908199b9027",
+    ("T2-1", "weighted"): "1c74e9e489280639d88a2b7cb5c7997da9d0ebb4b9ccabca0451f17c3771703c",
+    ("T2-1", "epsilon"): "86f6bbdd19082d6aaac65ca308c7b3289b96ca9edb08ba118de81f4231b20aed",
+}
+
+
+@pytest.mark.parametrize("world, objective", sorted(LP_EXPORT_DIGESTS), ids="-".join)
+def test_lp_export_text_is_pinned(tmp_path, world, objective):
+    _id, settings, seed = {w[0]: w for w in suite_settings(0)}[world]
+    instance, out = tmp_path / f"{world}.json", tmp_path / "model.lp"
+    save_instance(generate(settings, seed), str(instance))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["lp-export", str(instance), "--out", str(out), *LP_EXPORT_FLAGS[objective]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LP_EXPORT_DIGESTS[world, objective]
+
+
 class TestRecords:
     def test_fields_keep_their_order(self):
         assert LpRow._fields == ("name", "family", "coeffs", "sense", "rhs")
@@ -384,6 +454,19 @@ class TestRecords:
         assert repr(row) == (
             "LpRow(name='eq16_a', family='eq16', coeffs=(('y_a', 1.0),), sense='=', rhs=1.0)"
         )
+
+    def test_variable_record(self):
+        assert LpVar._fields == ("name", "kind")
+        var = LpVar("x_a_k0", "binary")
+        assert repr(var) == "LpVar(name='x_a_k0', kind='binary')"
+        assert pickle.loads(pickle.dumps(var)) == var
+        assert type(pickle.loads(pickle.dumps(var))) is LpVar
+        with pytest.raises(AttributeError):
+            var.kind = "free"
+        with pytest.raises(ValueError, match="unknown variable kind 'integer'"):
+            LpVar("x", "integer")
+        with pytest.raises(ValueError, match="unknown variable kind 'integer'"):
+            var._replace(kind="integer")
 
     def test_fields_cannot_be_assigned(self):
         check = RowCheck("eq3", "eq3", 1.0, "=", 1.0, 0.0, True)
