@@ -57,9 +57,7 @@ settings = GeneratorSettings(
     risk_high=0.95,
 )
 world = generate(settings, seed=42)
-blocked = sum(
-    world.cell_data((r, c)).obstacle_m > 0 for r in range(6) for c in range(6)
-)
+blocked = int((world.obstacle_m > 0).sum())
 print(f"\nrandom 6x6 world: {blocked} obstacle cells, always start-goal feasible")
 
 # -- file round-trip --------------------------------------------------------------

@@ -29,7 +29,7 @@ for algo in ("nsga2", "nsga3", "spea2"):
                      archive_size=40, seed=7)
     res = run(env, params, cfg)
     trace = [hv for _, hv in res.hv_trace]
-    best = min(res.front, key=lambda m: m.combined.cost)
+    best = min(res.front, key=lambda m: m.cost)
     print(f"{algo:6s}: front {len(res.front):2d}, archive {len(res.archive):2d}, "
           f"HV {trace[0]:.3f} -> {trace[-1]:.3f} over {res.generations} generations, "
           f"{res.wall_clock_s * 1000:.0f} ms")

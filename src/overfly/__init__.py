@@ -29,7 +29,6 @@ Modules:
 """
 
 from .environment import (
-    CellData,
     Environment,
     GenerationError,
     GeneratorSettings,
@@ -115,7 +114,6 @@ from .solution import (
     ArcCosts,
     Chromosome,
     ChromosomeError,
-    CombinedPoint,
     NormBounds,
     ObjectiveVector,
     ValidationReport,
@@ -132,10 +130,8 @@ __all__ = [
     "ALGORITHMS",
     "AlgoConfig",
     "ArcCosts",
-    "CellData",
     "Chromosome",
     "ChromosomeError",
-    "CombinedPoint",
     "DroneParams",
     "EnumerationLimitError",
     "Environment",

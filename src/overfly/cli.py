@@ -29,6 +29,7 @@ from typing import Callable, Sequence, TypeVar
 from .environment import (
     Environment,
     GeneratorSettings,
+    InstanceFormatError,
     generate,
     load_instance,
     save_instance,
@@ -96,6 +97,17 @@ def _load_json(path: str | Path) -> dict:
     if not isinstance(payload, dict):
         raise _UsageError(f"{path}: expected a JSON object at the top level")
     return payload
+
+
+def _load_world(path: str) -> Environment:
+    """The instance file named on the command line; one that cannot be read
+    or parsed is a usage error naming it."""
+    try:
+        return load_instance(path)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except InstanceFormatError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _dump_json(path: str | Path, payload: dict) -> None:
@@ -336,8 +348,8 @@ def _member_payload(member, env: Environment) -> dict:
         "length_m": member.objectives.length_m,
         "energy_j": member.objectives.energy_j,
         "risk": member.objectives.risk,
-        "cost": member.combined.cost,
-        "combined_risk": member.combined.risk,
+        "cost": member.cost,
+        "combined_risk": member.objectives.risk,
     }
 
 
@@ -828,7 +840,7 @@ def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_json(args.config) if args.config else {}
     params = _read_section(DroneParams, config, "drone")
-    env = load_instance(args.instance)
+    env = _load_world(args.instance)
     try:
         # The model first: its row guard refuses a world at once, before a
         # long enumeration.
@@ -920,7 +932,7 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
     out_path = _require_out_file(args)
     config = _load_json(args.config) if args.config else {}
     params = _read_section(DroneParams, config, "drone")
-    env = load_instance(args.instance)
+    env = _load_world(args.instance)
     bounds = None
     if args.objective == "weighted":
         missing = [

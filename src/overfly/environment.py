@@ -136,15 +136,6 @@ class GridSpec:
         return len(self.levels_m)
 
 
-@dataclass(frozen=True)
-class CellData:
-    """Per-cell terrain record: obstacle height, ceiling, per-level risk."""
-
-    obstacle_m: float
-    ceiling_m: float
-    risk: tuple[float, ...]
-
-
 # Each entry is a few dicts of a grid's size, so 64 geometries stay small.
 @functools.lru_cache(maxsize=64, typed=True)
 def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
@@ -304,15 +295,6 @@ class Environment:
         return d
 
     # -- terrain -----------------------------------------------------------
-
-    def cell_data(self, cell: Cell) -> CellData:
-        self._require(cell)
-        r, c = cell
-        return CellData(
-            obstacle_m=float(self.obstacle_m[r, c]),
-            ceiling_m=float(self.ceiling_m[r, c]),
-            risk=self._risk_rows[r][c],
-        )
 
     def risk_at(self, cell: Cell) -> tuple[float, ...]:
         self._require(cell)
@@ -517,7 +499,7 @@ def generate(settings: GeneratorSettings, seed: int) -> Environment:
 
 
 def _fail(path: str, message: str) -> "InstanceFormatError":
-    return InstanceFormatError(f"{path}: {message}")
+    return InstanceFormatError(f"{path}: {message}" if path else message)
 
 
 def _get(mapping: Mapping, key: str, path: str):
@@ -560,15 +542,23 @@ def load_instance(path: str) -> Environment:
     ``default_risk`` (0 when absent).
 
     Raises:
-        InstanceFormatError: on schema or invariant violations, naming the
-            offending field path.
+        InstanceFormatError: on schema or invariant violations; the message
+            starts with the file path, then names the offending field path.
+        OSError: when the file cannot be read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return _parse_instance(doc)
+    except (InstanceFormatError, GridError) as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
+
+def _parse_instance(doc) -> Environment:
+    """The world an instance document describes; errors name the field."""
     grid = _get(doc, "grid", "")
     rows = _integer(_get(grid, "rows", "grid"), "grid.rows")
     cols = _integer(_get(grid, "cols", "grid"), "grid.cols")
@@ -591,18 +581,15 @@ def load_instance(path: str) -> Environment:
         if not (0.0 <= default_risk <= 1.0):
             raise _fail("default_risk", f"must lie in [0, 1], got {default_risk}")
 
-    try:
-        spec = GridSpec(
-            rows=rows,
-            cols=cols,
-            cell_size_m=cell_size,
-            levels_m=levels,
-            start_cell=start_cell,
-            goal_cell=goal_cell,
-            start_level=start_level,
-        )
-    except GridError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+    spec = GridSpec(
+        rows=rows,
+        cols=cols,
+        cell_size_m=cell_size,
+        levels_m=levels,
+        start_cell=start_cell,
+        goal_cell=goal_cell,
+        start_level=start_level,
+    )
 
     obstacle = np.zeros((rows, cols), dtype=float)
     ceiling = np.full((rows, cols), levels[-1], dtype=float)
@@ -641,10 +628,7 @@ def load_instance(path: str) -> Environment:
                     raise _fail(f"{where}.risk[{k}]", f"must lie in [0, 1] (cell [{r}, {c}])")
                 risk[r, c, k] = rv
 
-    try:
-        return Environment(spec, obstacle, ceiling, risk)
-    except GridError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+    return Environment(spec, obstacle, ceiling, risk)
 
 
 def save_instance(env: Environment, path: str) -> None:
@@ -668,7 +652,7 @@ def save_instance(env: Environment, path: str) -> None:
             extra += f',\n      "obstacle_m": {obstacle[r][c]!r}'
         if ceiling[r][c] != top:
             extra += f',\n      "ceiling_m": {ceiling[r][c]!r}'
-        risk = env._risk_rows[r][c]
+        risk = env.risk_at((r, c))
         if any(risk):
             extra += ',\n      "risk": [\n        ' + ",\n        ".join(map(repr, risk)) + "\n      ]"
         if extra:

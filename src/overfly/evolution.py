@@ -31,7 +31,6 @@ from .operators import OperatorConfig, OperatorStats, crossover, initialize, mut
 from .physics import DroneParams
 from .solution import (
     Chromosome,
-    CombinedPoint,
     NormBounds,
     ObjectiveVector,
     evaluate,
@@ -225,19 +224,27 @@ def spea2_truncate(points, target: int) -> list[int]:
 # -- survivor selection ------------------------------------------------------
 
 
-def _nsga2_select(points: np.ndarray, target: int) -> list[int]:
-    """Fill whole fronts in rank order; split the last by descending crowding."""
+def _whole_fronts(points: np.ndarray, target: int) -> tuple[list[int], list[int]]:
+    """The members of the fronts that fit whole into ``target``, in rank
+    order, and the first front that does not fit (empty when the whole
+    fronts fill ``target`` exactly)."""
     chosen: list[int] = []
     for front in fast_nondominated_sort(points):
-        if len(chosen) + len(front) <= target:
-            chosen.extend(front)
-            if len(chosen) == target:
-                break
-        else:
-            cd = crowding_distance(points[front])
-            order = np.argsort(-cd, kind="stable")
-            chosen.extend(front[i] for i in order[: target - len(chosen)])
+        if len(chosen) == target:
             break
+        if len(chosen) + len(front) > target:
+            return chosen, front
+        chosen.extend(front)
+    return chosen, []
+
+
+def _nsga2_select(points: np.ndarray, target: int) -> list[int]:
+    """Fill whole fronts in rank order; split the last by descending crowding."""
+    chosen, split = _whole_fronts(points, target)
+    if split:
+        cd = crowding_distance(points[split])
+        order = np.argsort(-cd, kind="stable")
+        chosen.extend(split[i] for i in order[: target - len(chosen)])
     return chosen
 
 
@@ -248,17 +255,9 @@ def _nsga3_select(
     rng: np.random.Generator,
 ) -> list[int]:
     """Fill whole fronts; resolve the split front by reference-point niching."""
-    fronts = fast_nondominated_sort(points)
-    chosen: list[int] = []
-    last: list[int] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= target:
-            chosen.extend(front)
-        else:
-            last = front
-            break
-    if len(chosen) == target or not last:
-        return chosen[:target]
+    chosen, last = _whole_fronts(points, target)
+    if not last:
+        return chosen
 
     pool = chosen + last
     m = points.shape[1]
@@ -346,9 +345,12 @@ def _spea2_archive_select(points: np.ndarray, fitness: np.ndarray, target: int) 
 
 @dataclass(frozen=True)
 class FrontMember:
+    """A reported solution. ``cost`` blends its normalized length and energy;
+    its other search coordinate is the raw ``objectives.risk``."""
+
     chromosome: Chromosome
     objectives: ObjectiveVector
-    combined: CombinedPoint
+    cost: float
 
 
 @dataclass(frozen=True)
@@ -359,11 +361,20 @@ class RunResult:
     hv_trace: tuple[tuple[int, float], ...]
     trace_reference: tuple[float, float]
     bounds: NormBounds
-    degenerate_normalization: bool
     stats: OperatorStats
     evaluations: int
-    generations: int
     wall_clock_s: float
+
+    @property
+    def generations(self) -> int:
+        """Generations after the initial population; each evaluates one
+        population."""
+        return self.evaluations // self.config.population_size - 1
+
+    @property
+    def degenerate_normalization(self) -> bool:
+        """True when the report bounds span no length or no energy range."""
+        return self.bounds.degenerate_length or self.bounds.degenerate_energy
 
 
 def _norm_column(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -467,7 +478,6 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     )
     arch_pop: list[Chromosome] = []
     arch_vecs: list[ObjectiveVector] = []
-    generations = 0
 
     def weights_of(chroms: Sequence[Chromosome]) -> np.ndarray:
         return np.asarray([c.weight for c in chroms], dtype=float)
@@ -560,13 +570,11 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             pop = [union_pop[i] for i in sel]
             vecs = [union_vecs[i] for i in sel]
 
-        generations += 1
         snapshots.append((evaluations, tuple(archive_vecs)))
 
     # -- reporting ----------------------------------------------------------
 
     report_bounds = NormBounds.from_vectors(all_vecs)
-    degenerate = report_bounds.degenerate_length or report_bounds.degenerate_energy
     all_combined = combined_points(all_vecs, 0.5, report_bounds)
     trace_ref = shared_reference([all_combined])
     hv_trace = tuple(
@@ -581,22 +589,14 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     uniq_pop, uniq_vecs = list(pool), list(pool.values())
     final_pts = combined_points(uniq_vecs, weights_of(uniq_pop), report_bounds)
     nd = fast_nondominated_sort(final_pts)[0]
-    front_members = [
-        FrontMember(
-            uniq_pop[i],
-            uniq_vecs[i],
-            CombinedPoint(float(final_pts[i, 0]), float(final_pts[i, 1])),
-        )
-        for i in nd
-    ]
+    front_members = [FrontMember(uniq_pop[i], uniq_vecs[i], float(final_pts[i, 0])) for i in nd]
     front_members.sort(
-        key=lambda fm: (fm.combined.cost, fm.combined.risk, fm.objectives.length_m, fm.chromosome.cells)
+        key=lambda fm: (fm.cost, fm.objectives.risk, fm.objectives.length_m, fm.chromosome.cells)
     )
 
-    archive_pts = combined_points(archive_vecs, 0.5, report_bounds)
+    archive_costs = combined_points(archive_vecs, 0.5, report_bounds)[:, 0].tolist()
     archive_members = [
-        FrontMember(ch, v, CombinedPoint(float(p[0]), float(p[1])))
-        for ch, v, p in zip(archive, archive_vecs, archive_pts)
+        FrontMember(ch, v, cost) for ch, v, cost in zip(archive, archive_vecs, archive_costs)
     ]
     archive_members.sort(
         key=lambda fm: (fm.objectives.length_m, fm.objectives.energy_j, fm.objectives.risk, fm.chromosome.cells)
@@ -609,10 +609,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         hv_trace=hv_trace,
         trace_reference=(float(trace_ref[0]), float(trace_ref[1])),
         bounds=report_bounds,
-        degenerate_normalization=degenerate,
         stats=stats,
         evaluations=evaluations,
-        generations=generations,
         wall_clock_s=time.perf_counter() - t_start,
     )
 

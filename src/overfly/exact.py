@@ -200,17 +200,12 @@ def chromosome_arcs(ch: Chromosome) -> tuple[Arc, ...]:
 
 @dataclass(frozen=True)
 class ArcTerm:
-    """Per-arc intermediates of the arc-form evaluator."""
+    """The terms of one arc that the arc-form evaluator sums: 3D length,
+    traversal energy, the ascent that feeds the climb term, and risk."""
 
-    frm: Cell
-    to: Cell
-    entry_from: int
-    entry_to: int
-    altitude_change_m: float
-    ascent_m: float
-    descent_m: float
     length_m: float
     energy_j: float
+    ascent_m: float
     risk: float
 
 
@@ -241,16 +236,10 @@ def assignment_terms(
         risk_row = env.risk_at(frm)
         out.append(
             ArcTerm(
-                frm=frm,
-                to=to,
-                entry_from=kf,
-                entry_to=kt,
-                altitude_change_m=dh,
-                ascent_m=dh if dh > 0.0 else 0.0,
-                descent_m=-dh if dh < 0.0 else 0.0,
                 length_m=math.sqrt(dh * dh + d * d),
                 energy_j=(theta / params.speed_mps)
                 * math.sqrt((dh * dh + d * d) / rho_pair),
+                ascent_m=dh if dh > 0.0 else 0.0,
                 risk=max(risk_row[k] for k in range(lo, hi + 1)),
             )
         )
@@ -346,16 +335,16 @@ def evaluate_assignment(
     cells, levels = _ordered_path(arcs, env)
     h = env.spec.levels_m
     for cell, level in zip(cells[1:], levels[1:]):
-        data = env.cell_data(cell)
-        if h[level] < data.obstacle_m:
+        obstacle, ceiling = float(env.obstacle_m[cell]), float(env.ceiling_m[cell])
+        if h[level] < obstacle:
             raise FlowError(
                 f"flow violates eq7: entering {cell} at altitude {h[level]} "
-                f"is below its obstacle top {data.obstacle_m}"
+                f"is below its obstacle top {obstacle}"
             )
-        if h[level] > data.ceiling_m:
+        if h[level] > ceiling:
             raise FlowError(
                 f"flow violates eq8: entering {cell} at altitude {h[level]} "
-                f"is above its ceiling {data.ceiling_m}"
+                f"is above its ceiling {ceiling}"
             )
     terms = assignment_terms(env, params, cells, levels)
     length = math.fsum(t.length_m for t in terms)

@@ -219,9 +219,7 @@ def default_big_m(env: Environment) -> float:
     """Strictly exceeds every altitude span, ceiling, and obstacle height."""
     spec = env.spec
     span = spec.levels_m[-1] - spec.levels_m[0]
-    ceilings = max(float(env.cell_data(c).ceiling_m) for c in env.cells())
-    obstacles = max(float(env.cell_data(c).obstacle_m) for c in env.cells())
-    return 1.0 + max(span, ceilings, obstacles)
+    return 1.0 + max(span, float(env.ceiling_m.max()), float(env.obstacle_m.max()))
 
 
 def row_count(env: Environment, objective: str) -> int:
@@ -368,7 +366,7 @@ def build_model(
     for j in env.cells():
         if j == start:
             continue
-        data = env.cell_data(j)
+        obstacle, ceiling = float(env.obstacle_m[j]), float(env.ceiling_m[j])
         for i in env.predecessors(j):
             a, x = arc_names[i, j], xs[i, j]
             add_row(
@@ -376,14 +374,14 @@ def build_model(
                 "eq7",
                 [(x[k], h[k] - m_value) for k in level_ids],
                 ">=",
-                float(data.obstacle_m) - m_value,
+                obstacle - m_value,
             )
             add_row(
                 f"eq8_{a}",
                 "eq8",
                 [(x[k], h[k]) for k in level_ids],
                 "<=",
-                float(data.ceiling_m),
+                ceiling,
             )
 
     # eq9 (start arcs) and eq11 (product form): altitude-change definitions.

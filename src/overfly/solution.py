@@ -59,8 +59,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate(ch: Chromosome, env: Environment) -> ValidationReport:
@@ -70,9 +73,9 @@ def validate(ch: Chromosome, env: Environment) -> ValidationReport:
 
     if len(ch.cells) != len(ch.entry_levels):
         detail = f"{len(ch.cells)} cells but {len(ch.entry_levels)} entry levels"
-        return ValidationReport(False, (Violation("shape", 0, detail),))
+        return ValidationReport((Violation("shape", 0, detail),))
     if len(ch.cells) < 2:
-        return ValidationReport(False, (Violation("shape", 0, "a path needs at least two cells"),))
+        return ValidationReport((Violation("shape", 0, "a path needs at least two cells"),))
 
     if not (0.0 <= ch.weight <= 1.0):
         issues.append(Violation("weight", 0, f"weight {ch.weight} outside [0, 1]"))
@@ -92,7 +95,7 @@ def validate(ch: Chromosome, env: Environment) -> ValidationReport:
     for t, cell in enumerate(ch.cells):
         if not env.in_bounds(cell):
             issues.append(Violation("cell-bounds", t, f"cell {cell} outside the grid"))
-            return ValidationReport(False, tuple(issues))
+            return ValidationReport(tuple(issues))
         if cell in seen:
             issues.append(Violation("revisit", t, f"cell {cell} visited twice"))
         seen.add(cell)
@@ -130,7 +133,7 @@ def validate(ch: Chromosome, env: Environment) -> ValidationReport:
                 )
             )
 
-    return ValidationReport(not issues, tuple(issues))
+    return ValidationReport(tuple(issues))
 
 
 def max_risk_between(env: Environment, cell: Cell, level_a: int, level_b: int) -> tuple[float, int]:
@@ -257,14 +260,3 @@ class NormBounds:
             min(self.energy_lo, other.energy_lo),
             max(self.energy_hi, other.energy_hi),
         )
-
-
-@dataclass(frozen=True)
-class CombinedPoint:
-    """Search-space image of a candidate: blended cost plus raw risk."""
-
-    cost: float
-    risk: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.cost, self.risk)

@@ -215,10 +215,9 @@ def _tiny_lp_worlds(count: int = 10):
         except GenerationError:
             seed += 1
             continue
-        cells = [env.cell_data((r, c)) for r in range(rows) for c in range(cols)]
         top = env.spec.levels_m[-1]
-        has_obstacle = any(d.obstacle_m > 0.0 for d in cells)
-        has_ceiling = any(d.ceiling_m < top for d in cells)
+        has_obstacle = bool((env.obstacle_m > 0.0).any())
+        has_ceiling = bool((env.ceiling_m < top).any())
         paths = all_simple_paths(env)
         n_assignments = sum(len(list(iter_assignments(env, p))) for p in paths)
         if has_obstacle and has_ceiling and 2 <= n_assignments <= 400:

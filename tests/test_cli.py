@@ -266,6 +266,18 @@ class TestSolve:
         failed = [j for j in manifest["jobs"] if j["status"] == "failed"][0]
         assert "error" in failed
 
+    def test_malformed_instance_fails_its_run_naming_the_file(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(json.dumps({"grid": {"rows": "x"}}), encoding="utf-8")
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["bad.json"])
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        [job] = json.loads((out / "manifest.json").read_text())["jobs"]
+        assert job["status"] == "failed"
+        assert job["error"] == (
+            f"InstanceFormatError: {tmp_path / 'bad.json'}: grid.rows: expected an integer, got str"
+        )
+
     def test_cli_flags_override_config(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
         cfg = tmp_path / "run.json"
@@ -996,6 +1008,24 @@ class TestUsage:
         assert main(["lp-export", str(tmp_path / "i1.json"), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {expected}")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["check", "lp-export"])
+    @pytest.mark.parametrize("case", ["missing", "malformed", "not-utf-8"])
+    def test_unreadable_instance_names_the_file(self, tmp_path, capsys, command, case):
+        path = tmp_path / "world.json"
+        if case == "malformed":
+            path.write_text(json.dumps({"grid": {"rows": "x"}}), encoding="utf-8")
+            expected = f"error: {path}: grid.rows: expected an integer, got str\n"
+        elif case == "not-utf-8":
+            path.write_bytes(b'{"grid": "\xff"}')
+            expected = f"error: {path}: not valid JSON ("
+        else:
+            expected = f"error: cannot read {path}: "
+        out = tmp_path / "m.lp"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "lp-export" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        assert not out.exists()
 
     def test_import_leaves_out_network_and_pool_modules(self):
         # Start-up cost: none of these is needed to import the command, and

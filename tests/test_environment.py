@@ -341,14 +341,12 @@ class TestTerrainBands:
                     env.feasible_levels((r, c))
         assert impassable > 0
 
-    def test_cell_data_and_risk(self):
+    def test_terrain_and_risk(self):
         risk = np.zeros((3, 4, 3))
         risk[1, 2] = [0.1, 0.5, 0.9]
         env = build_env(risk=risk)
-        data = env.cell_data((1, 2))
-        assert data.obstacle_m == 0.0
-        assert data.ceiling_m == 20.0
-        assert data.risk == (0.1, 0.5, 0.9)
+        assert env.obstacle_m[1, 2] == 0.0
+        assert env.ceiling_m[1, 2] == 20.0
         assert env.risk_at((1, 2)) == (0.1, 0.5, 0.9)
 
 
@@ -559,6 +557,19 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError, match="cell_size_m"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"grid": {"rows": "x"}}, "grid.rows: expected an integer, got str"),
+         ([], "expected an object, got list")],
+        ids=["field", "top-level"],
+    )
+    def test_error_starts_with_the_file_path(self, tmp_path, doc, message):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_sparse_cells_take_defaults(self, tmp_path):
         doc = {
             "grid": {"rows": 2, "cols": 3, "cell_size_m": 10.0},
@@ -571,10 +582,10 @@ class TestInstanceFiles:
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         env = load_instance(path)
-        assert env.cell_data((0, 0)).risk == (0.25, 0.25)
-        assert env.cell_data((1, 1)).obstacle_m == 10.0
-        assert env.cell_data((1, 1)).risk == (0.9, 0.8)
-        assert env.cell_data((0, 1)).ceiling_m == 10.0
+        assert env.risk_at((0, 0)) == (0.25, 0.25)
+        assert env.obstacle_m[1, 1] == 10.0
+        assert env.risk_at((1, 1)) == (0.9, 0.8)
+        assert env.ceiling_m[0, 1] == 10.0
 
 
 def reference_save_instance(env, path):
@@ -585,14 +596,15 @@ def reference_save_instance(env, path):
     cells = []
     for cell in env.cells():
         r, c = cell
-        data = env.cell_data(cell)
+        obstacle, ceiling = float(env.obstacle_m[cell]), float(env.ceiling_m[cell])
+        risk = env.risk_at(cell)
         entry = {}
-        if data.obstacle_m != 0.0:
-            entry["obstacle_m"] = data.obstacle_m
-        if data.ceiling_m != top:
-            entry["ceiling_m"] = data.ceiling_m
-        if any(v != 0.0 for v in data.risk):
-            entry["risk"] = list(data.risk)
+        if obstacle != 0.0:
+            entry["obstacle_m"] = obstacle
+        if ceiling != top:
+            entry["ceiling_m"] = ceiling
+        if any(v != 0.0 for v in risk):
+            entry["risk"] = list(risk)
         if entry:
             cells.append({"cell": [r, c], **entry})
     doc = {
@@ -672,4 +684,6 @@ class TestInstanceRoundTripProperty:
             assert first.read_bytes() == second.read_bytes()
         assert loaded.spec == env.spec
         for cell in env.cells():
-            assert loaded.cell_data(cell) == env.cell_data(cell)
+            assert loaded.obstacle_m[cell] == env.obstacle_m[cell]
+            assert loaded.ceiling_m[cell] == env.ceiling_m[cell]
+            assert loaded.risk_at(cell) == env.risk_at(cell)

@@ -198,7 +198,7 @@ class TestAlgoConfig:
         assert cfg.operators.mutation_probability == 0.1
 
 
-class TestCombinedPoints:
+class TestCostRiskProjection:
     def test_projection(self):
         triples = np.array([[10.0, 100.0, 0.3], [20.0, 50.0, 0.7]])
         bounds = NormBounds(10.0, 20.0, 50.0, 100.0)
@@ -225,7 +225,7 @@ class TestRun:
         for member in res.front:
             assert validate(member.chromosome, env).ok
         # mutual non-dominance in the reported (cost, risk) plane
-        pts = [(m.combined.cost, m.combined.risk) for m in res.front]
+        pts = [(m.cost, m.objectives.risk) for m in res.front]
         for i, (ci, ri) in enumerate(pts):
             for j, (cj, rj) in enumerate(pts):
                 if i != j:
@@ -251,6 +251,16 @@ class TestRun:
         assert evals[0] == cfg.population_size
         for prev, cur in zip(hvs, hvs[1:]):
             assert cur >= prev - 1e-12
+
+    def test_generations_are_read_from_the_evaluations(self, algorithm):
+        # The budget leaves 4 evaluations unspent: 8 initial + 6 x 8 = 56.
+        cfg = AlgoConfig(algorithm=algorithm, population_size=8,
+                         evaluation_budget=60, archive_size=8, seed=2)
+        res = run(small_env(8), PARAMS, cfg)
+        assert res.generations == 6
+        assert len(res.hv_trace) == res.generations + 1
+        assert res.evaluations == (res.generations + 1) * cfg.population_size
+        assert [e for e, _ in res.hv_trace] == [8 * (g + 1) for g in range(7)]
 
     def test_seed_changes_search(self, algorithm):
         env = small_env(4)
@@ -291,6 +301,15 @@ class TestRunReporting:
                                           archive_size=8, seed=0))
         assert res.wall_clock_s > 0.0
         assert res.generations >= 1
+
+    def test_degenerate_normalization_is_read_from_the_bounds(self):
+        cfg = AlgoConfig(population_size=4, evaluation_budget=8, archive_size=4, seed=0)
+        res = run(small_env(5), PARAMS, cfg)
+        assert not res.degenerate_normalization
+        # One level and two cells: every candidate flies the one route.
+        single = run(build_env(rows=1, cols=2, levels=(0.0,)), PARAMS, cfg)
+        assert single.bounds.degenerate_length and single.bounds.degenerate_energy
+        assert single.degenerate_normalization
 
 
 class TestTune:

@@ -48,7 +48,7 @@ from overfly.milp import (
     x_name,
 )
 
-from helpers import all_simple_paths, build_env, collections_started
+from helpers import all_simple_paths, build_env, collections_started, generated_worlds
 
 PARAMS = DroneParams()
 
@@ -170,6 +170,16 @@ def reference_lp(model):
     return "\n".join(out) + "\n"
 
 
+def reference_default_big_m(env):
+    """``default_big_m`` as a maximum over one terrain record per cell: the
+    formula it replaced, kept as its oracle."""
+    spec = env.spec
+    span = spec.levels_m[-1] - spec.levels_m[0]
+    ceilings = max(float(env.ceiling_m[c]) for c in env.cells())
+    obstacles = max(float(env.obstacle_m[c]) for c in env.cells())
+    return 1.0 + max(span, ceilings, obstacles)
+
+
 def model_variants(env):
     """The z1, weighted, epsilon and doubled-big-M models of one world."""
     objectives = [m.objectives for m in enumerate_front(env, PARAMS).members]
@@ -284,6 +294,18 @@ class TestBuildModel:
         assert model.big_m == default_big_m(env)
         bigger = build_model(env, PARAMS, "z1", big_m=99.0)
         assert bigger.big_m == 99.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(generated_worlds())
+    def test_default_big_m_matches_per_cell_formula(self, env):
+        assert default_big_m(env).hex() == reference_default_big_m(env).hex()
+
+    def test_default_big_m_matches_per_cell_formula_on_each_suite_size(self):
+        worlds = {w[0]: w for w in suite_settings(0)}
+        for world in ("T1-1", "T2-1", "T3-1", "T4-1", "T5-1"):
+            _id, settings_, seed = worlds[world]
+            env = generate(settings_, seed)
+            assert default_big_m(env).hex() == reference_default_big_m(env).hex(), world
 
     def test_big_m_too_small_rejected(self):
         env = tiny_env()

@@ -8,10 +8,11 @@ import pytest
 from overfly import (
     Chromosome,
     ChromosomeError,
-    CombinedPoint,
     DroneParams,
     NormBounds,
     ObjectiveVector,
+    ValidationReport,
+    Violation,
     arc_costs,
     average_density,
     climb_energy,
@@ -49,6 +50,10 @@ class TestValidate:
         env = build_env()
         report = validate(straight_path(env), env)
         assert report.ok and report.violations == ()
+
+    def test_ok_is_read_from_the_violations(self):
+        assert ValidationReport(()).ok
+        assert not ValidationReport((Violation("shape", 0, "two cells needed"),)).ok
 
     def test_shape_mismatch(self):
         env = build_env()
@@ -302,7 +307,8 @@ class TestCombine:
     def test_as_tuple(self):
         b = NormBounds(0.0, 1.0, 0.0, 1.0)
         cost, risk = combined_points(ObjectiveVector(0.5, 0.5, 0.2).as_tuple(), 0.5, b)[0]
-        assert CombinedPoint(float(cost), float(risk)).as_tuple() == (0.5, 0.2)
+        assert ObjectiveVector(0.5, 0.5, 0.2).as_tuple() == (0.5, 0.5, 0.2)
+        assert (float(cost), float(risk)) == (0.5, 0.2)
 
 
 class TestArcCosts:
