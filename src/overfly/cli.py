@@ -87,12 +87,14 @@ def _non_negative_int(text: str) -> int:
 
 
 def _load_json(path: str | Path) -> dict:
+    """A config or front file named on the command line; one that cannot be
+    read or parsed is a usage error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise _UsageError(f"{path}: expected a JSON object at the top level")

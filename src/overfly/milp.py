@@ -3,23 +3,22 @@
 Builds the full linearized formulation over binary arc-level choices and
 writes it in CPLEX-LP text. Row labels use the wire families eq3..eq23 (flow,
 altitude windows, altitude-change definitions, product linearization, and
-ascent/descent splitting), plus add_ub tightening rows and an optional
-risk_cap row. The module also substitutes concrete assignments into every
-row (the exporter's correctness oracle) and mutation-tests that oracle: each
-row in turn gets the one-variable change that breaks it, and only that row
-is re-evaluated, by the same row evaluator ``substitute`` uses.
+ascent/descent splitting), plus an optional risk_cap row. The module also
+substitutes concrete assignments into every row (the exporter's correctness
+oracle) and mutation-tests that oracle: each row in turn gets the
+one-variable change that breaks it, and only that row is re-evaluated, by
+the same row evaluator ``substitute`` uses.
 
 Building and rendering pay for each row once. ``build_model``
 formats every cell, arc, ``x``, ``u`` and per-arc variable name once, into
 name tables local to the build that the variable list, the rows and the
 objective all read (the public ``x_name``, ``u_name`` and ``arc_var`` give
-the same strings). The product rows (eq12, eq13, add_ub), most of a
-model's rows, share their term records: one ``(x, -1.0)`` per ``x``
-variable and one ``(u, 1.0)`` per ``u``. ``LpVar``, ``LpRow`` and
-``RowCheck`` are ``NamedTuple`` records, about a quarter of a frozen
-dataclass's construction cost and half its size, with the same fields,
-``repr`` and immutability. ``build_model`` and the variable-to-rows index
-``MilpModel._rows_of`` run with the cyclic garbage collector paused
+the same strings). The product rows (eq12, eq13), most of a model's rows,
+share their term records: one ``(x, -1.0)`` per ``x`` variable. ``LpVar``,
+``LpRow`` and ``RowCheck`` are ``NamedTuple`` records, about a quarter of a
+frozen dataclass's construction cost and half its size, with the same
+fields, ``repr`` and immutability. ``build_model`` and the variable-to-rows
+index ``MilpModel._rows_of`` run with the cyclic garbage collector paused
 (``environment.collector_paused``): their records hold no cycles, and a
 running collector would only scan them over and over. ``render_lp``
 formats each distinct coefficient once per call, and writes a row that fits
@@ -38,7 +37,7 @@ bit for bit. Its report is a value: the tolerance and the failing rows.
 ``build_model`` counts its rows from the world before it builds any
 (``row_count``, O(arcs)) and refuses a model above ``MAX_ROWS`` with
 ``EnumerationLimitError``. That is its only size guard: every world of the
-generated T1-T5 suite fits it (T5 is below 300,000 rows).
+generated T1-T5 suite fits it (T5 is below 160,000 rows).
 
 No solver is invoked here; the text is meant for external tools, and the
 exact Pareto front comes from the enumeration module instead.
@@ -60,8 +59,9 @@ from .solution import NormBounds, arc_costs
 OBJECTIVES = ("z1", "weighted", "epsilon")
 
 # The most rows ``build_model`` builds. A 12x12 world with five levels (T5)
-# takes under 300,000 rows and about 190 MB to build; a 16x16 world with six
-# takes about 800,000 rows and 480 MB.
+# takes under 160,000 rows and about 120 MB to build; a 16x16 world with six
+# takes about 405,000 rows and 275 MB; a 24x24 world with six, about 965,000
+# rows, is refused.
 MAX_ROWS = 500_000
 
 _SENSES = ("<=", ">=", "=")
@@ -226,8 +226,8 @@ def row_count(env: Environment, objective: str) -> int:
     """Rows ``build_model(env, ..., objective)`` builds, counted from the
     world alone in O(arcs): eq3, eq4, eq6 when the goal has successors, one
     eq5 per intermediate cell, eq7 and eq8 per arc into a non-start cell,
-    eq9 or eq11 and eq15..eq23 per arc, eq12, eq13 and two add_ub rows per
-    product variable, and the epsilon objective's risk_cap row.
+    eq9 or eq11 and eq15..eq23 per arc, eq12 and eq13 per product variable,
+    and the epsilon objective's risk_cap row.
 
     The count assumes no row is trimmed for having only zero coefficients.
     That can only fail on a one-level world whose level sits at altitude 0
@@ -246,7 +246,7 @@ def row_count(env: Environment, objective: str) -> int:
         count += 10 * succ
         if i != start:
             pred = len(env.predecessors(i))
-            count += 2 * pred + 4 * succ * pred * level_pairs
+            count += 2 * pred + 2 * succ * pred * level_pairs
     return count
 
 
@@ -397,23 +397,19 @@ def build_model(
     # The rows below have constant nonzero coefficients (m_value > 0), so
     # they skip add_row's zero trimming.
 
-    # eq12/eq13: product variable pinned between the two arc choices; add_ub
-    # rows are the extra per-factor upper bounds (not part of the printed
-    # family, flagged by their own label). The label tag is the u name
-    # without its "u_" prefix. The rows share their term records: one
-    # (x, -1.0) per x variable and one (u, 1.0) per u.
+    # eq12/eq13: product variable pinned between the two arc choices. For
+    # binary u and x, eq13 (2u <= x_a + x_b) already gives u <= x_a and
+    # u <= x_b. The label tag is the u name without its "u_" prefix. The
+    # rows share their term records: one (x, -1.0) per x variable.
     minus_x = {arc: [(x, -1.0) for x in names] for arc, names in xs.items()}
     for (i, j), block in products.items():
         xij = minus_x[i, j]
         for u, g, k, kp in block:
             xa = xij[k]
             xb = minus_x[g, i][kp]
-            plus_u = (u, 1.0)
             tag = u[2:]
-            rows.append(LpRow(f"eq12_{tag}", "eq12", (plus_u, xa, xb), ">=", -1.0))
+            rows.append(LpRow(f"eq12_{tag}", "eq12", ((u, 1.0), xa, xb), ">=", -1.0))
             rows.append(LpRow(f"eq13_{tag}", "eq13", ((u, 2.0), xa, xb), "<=", 0.0))
-            rows.append(LpRow(f"add_ub_a_{tag}", "add_ub", (plus_u, xa), "<=", 0.0))
-            rows.append(LpRow(f"add_ub_b_{tag}", "add_ub", (plus_u, xb), "<=", 0.0))
 
     # eq15..eq23: ascent/descent split with big-M gating per arc.
     m = m_value
@@ -458,8 +454,6 @@ def build_model(
         "  an ascent-side lower bound pp >= M*yp would pin pp to M on every",
         "  descent arc and make the split infeasible, so only this corrected",
         "  form is emitted.",
-        "rows labeled add_ub tighten the product linearization with per-factor",
-        "  upper bounds u <= x; they are additions next to families eq12/eq13.",
     ]
 
     if objective == "z1":

@@ -6,6 +6,7 @@ import gc
 
 import numpy as np
 from hypothesis import assume, strategies as st
+from scipy import optimize, sparse
 
 from overfly import Environment, GenerationError, GeneratorSettings, GridSpec, generate
 
@@ -128,3 +129,38 @@ def collections_started(call, *args, **kwargs) -> list[int]:
     finally:
         gc.callbacks.remove(count)
     return started
+
+
+def solve_lp(model, drop=()) -> float | None:
+    """The optimum of ``model`` as a mixed-integer program, solved by
+    ``scipy.optimize.milp`` (HiGHS) without the rows of the families in
+    ``drop``; None when the solver reports no optimum (infeasible or
+    unbounded)."""
+    column = {v.name: c for c, v in enumerate(model.variables)}
+    cost = np.zeros(len(column))
+    for name, coeff in model.objective:
+        cost[column[name]] = coeff
+    data, rows_at, cols_at, lower, upper = [], [], [], [], []
+    for row in model.rows:
+        if row.family in drop:
+            continue
+        r = len(lower)
+        for name, coeff in row.coeffs:
+            data.append(coeff)
+            rows_at.append(r)
+            cols_at.append(column[name])
+        lower.append(-np.inf if row.sense == "<=" else row.rhs)
+        upper.append(np.inf if row.sense == ">=" else row.rhs)
+    matrix = sparse.csr_array((data, (rows_at, cols_at)), shape=(len(lower), len(column)))
+    kinds = [v.kind for v in model.variables]
+    result = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=[kind == "binary" for kind in kinds],
+        bounds=optimize.Bounds(
+            [-np.inf if kind == "free" else 0.0 for kind in kinds],
+            [1.0 if kind == "binary" else np.inf for kind in kinds],
+        ),
+        options={"mip_rel_gap": 0.0},
+    )
+    return float(result.fun) if result.status == 0 else None

@@ -50,7 +50,8 @@ def _job_that_kills_its_worker(payload):
 
 
 def save_oversized(path):
-    """A 24x24 world with six levels: its LP model is above ``milp.MAX_ROWS``."""
+    """A 24x24 world with six levels: its LP model, about 965,000 rows, is
+    above ``milp.MAX_ROWS``."""
     save_instance(build_env(rows=24, cols=24, levels=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0)), path)
 
 
@@ -810,9 +811,10 @@ class TestCheck:
 
     # SHA-256 of ``check --samples 20`` stdout on the two worlds above: the
     # check lines, counts and worst gap must not change with the LP code.
+    # lp-mutation counts the model's 19 row families.
     EXPECTED_STDOUT = {
-        "tiny": "4b08b02a7e95b538800738608f2947e0bf588f1ad75f6c86ab020924811d97d0",
-        "six-by-six": "896dd8562ede16d5c97b2e1ddbcf903776b5d2644aad251c6bb58a9a58c1d51b",
+        "tiny": "0731f4e7499ef124c9db482120075087502d1e063f88e9574695939262547ff5",
+        "six-by-six": "04058d36508523d1e8508095c3448fe0873abf5774e43a18d8582645263fc6d3",
     }
 
     def test_stdout_bytes(self, tmp_path, capsys):
@@ -1023,6 +1025,27 @@ class TestUsage:
             expected = f"error: cannot read {path}: "
         out = tmp_path / "m.lp"
         argv = [command, str(path)] + (["--out", str(out)] if command == "lp-export" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check", "table"])
+    @pytest.mark.parametrize("case", ["not-utf-8", "directory"])
+    def test_unreadable_config_or_front_names_the_file(self, tmp_path, capsys, command, case):
+        save_tiny(tmp_path / "i1.json", 1)
+        path = tmp_path / "input.json"
+        if case == "directory":
+            path.mkdir()
+            expected = f"error: cannot read {path}: "
+        else:
+            path.write_bytes(b'{"seeds": "\xff"}')
+            expected = f"error: {path} is not valid JSON: "
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", "--config", str(path), "--out", str(out)],
+            "check": ["check", str(tmp_path / "i1.json"), "--config", str(path)],
+            "table": ["table", str(path), "--out", str(out)],
+        }[command]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(expected)
         assert not out.exists()

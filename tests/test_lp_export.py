@@ -267,7 +267,7 @@ class TestBuildModel:
         model = build_model(env, PARAMS, "z1")
         expected = {
             "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9", "eq11",
-            "eq12", "eq13", "add_ub", "eq15", "eq16", "eq17", "eq18",
+            "eq12", "eq13", "eq15", "eq16", "eq17", "eq18",
             "eq19", "eq20", "eq21", "eq22", "eq23",
         }
         assert set(model.families()) == expected
@@ -336,7 +336,7 @@ class TestBuildModel:
             build_model(env, PARAMS, "epsilon", risk_cap=value)
 
     def test_size_guard(self, monkeypatch):
-        # 24x24 cells, six levels: about 1.9 million rows.
+        # 24x24 cells, six levels: about 965,000 rows.
         env = build_env(rows=24, cols=24, levels=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
         count = row_count(env, "z1")
         assert count > MAX_ROWS
@@ -348,6 +348,19 @@ class TestBuildModel:
             monkeypatch.setattr(milp, name, never)
         with pytest.raises(EnumerationLimitError, match=f"{count} rows.* {MAX_ROWS}"):
             build_model(env, PARAMS, "z1")
+
+    def test_suite_row_counts(self):
+        counts = {
+            world: row_count(generate(settings, seed), "z1")
+            for world, settings, seed in suite_settings(0)
+            if world in ("T1-1", "T5-1")
+        }
+        assert counts == {"T1-1": 3_865, "T5-1": 151_897}
+
+    def test_sixteen_by_sixteen_with_six_levels_fits(self):
+        env = generate(GeneratorSettings(rows=16, cols=16, level_count=6), 0)
+        assert row_count(env, "z1") == 405_541
+        assert row_count(env, "epsilon") <= MAX_ROWS
 
     # T1-1..T4-4 and T5-1 of the generated suite.
     @pytest.mark.parametrize("world", range(17), ids=lambda w: suite_settings(0)[w][0])
@@ -392,7 +405,7 @@ class TestBuildModel:
         assert [v.name for v in model.variables] == expected
         # Product rows are labeled by their u variable's name minus "u_".
         for row in model.rows:
-            if row.family in ("eq12", "eq13", "add_ub"):
+            if row.family in ("eq12", "eq13"):
                 u = row.coeffs[0][0]
                 assert u.startswith("u_") and row.name.endswith("_" + u[2:])
 
@@ -426,16 +439,17 @@ class TestCollectorPaused:
         model = build_model(generate(settings, seed), PARAMS, "z1")
         terms = {}
         for row in model.rows:
-            if row.family in ("eq12", "eq13", "add_ub"):
+            if row.family in ("eq12", "eq13"):
                 for term in row.coeffs:
-                    if term[1] != 2.0:
+                    if term[1] == -1.0:
                         assert terms.setdefault(term, term) is term, row.name
         assert len(terms) > 0
 
 
 # SHA-256 of the LP text `lp-export` writes for T1-1 and T2-1 of
-# `gen --seed 0`, taken before the builder shared its term records and
-# paused the collector: the model content, not only its formatting.
+# `gen --seed 0`: the model content, not only its formatting. Each text is
+# that of the earlier model which also had the add_ub rows (u <= x_a and
+# u <= x_b beside eq12/eq13), less those rows and their two header notes.
 LP_EXPORT_FLAGS = {
     "z1": [],
     "weighted": ["--objective", "weighted", "--weight", "0.3", "--length-lo", "30",
@@ -443,16 +457,20 @@ LP_EXPORT_FLAGS = {
     "epsilon": ["--objective", "epsilon", "--risk-cap", "2.5"],
 }
 LP_EXPORT_DIGESTS = {
-    ("T1-1", "z1"): "73e550e7ff33260f8c6ac7e306a42cd5a6e9ec7858ecacb6cd2a55bcde93e826",
-    ("T1-1", "weighted"): "21cabe7b0192378454dd70143274cb1f853740c079b5bd862040849af67e8c65",
-    ("T1-1", "epsilon"): "58164368ef1799e8d32b50ad77e73820ef325f32cfd83f7dc9c0a450d180fe64",
-    ("T2-1", "z1"): "21ce093351f0ba28fc18d6f21c1a46902b30a61d5a9d23416a2ff908199b9027",
-    ("T2-1", "weighted"): "1c74e9e489280639d88a2b7cb5c7997da9d0ebb4b9ccabca0451f17c3771703c",
-    ("T2-1", "epsilon"): "86f6bbdd19082d6aaac65ca308c7b3289b96ca9edb08ba118de81f4231b20aed",
+    ("T1-1", "z1"): "186f5ede194d70145026714214aba2c27b02c098c02f09383a876a929ef092e1",
+    ("T1-1", "weighted"): "cc5d7294c453da1e5ebe69e7f095e9718a7f4720bf5958e1bddc937c24f0756d",
+    ("T1-1", "epsilon"): "7dde21891fb526feffcabb97461508844c693adc0328f150a9209e2d84e38375",
+    ("T2-1", "z1"): "ad10155a392df9a686c35e70e51f17d33b21cfdb3049915c6be9674a79aa3316",
+    ("T2-1", "weighted"): "ddd20fd360e1424b0621f64472075d0b716fc4f4037ea3965e2e42c40841fb7c",
+    ("T2-1", "epsilon"): "b7c5f1ea2bc287e2bcee116a1889c2edc4ad37a429a63572545f0026e0d9a183",
 }
 
 
-@pytest.mark.parametrize("world, objective", sorted(LP_EXPORT_DIGESTS), ids="-".join)
+@pytest.mark.parametrize(
+    "world, objective",
+    sorted(LP_EXPORT_DIGESTS),
+    ids=[f"{world}-{objective}" for world, objective in sorted(LP_EXPORT_DIGESTS)],
+)
 def test_lp_export_text_is_pinned(tmp_path, world, objective):
     _id, settings, seed = {w[0]: w for w in suite_settings(0)}[world]
     instance, out = tmp_path / f"{world}.json", tmp_path / "model.lp"
