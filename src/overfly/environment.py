@@ -27,6 +27,12 @@ from .physics import MAX_MODEL_ALTITUDE_M
 
 Cell = tuple[int, int]
 
+# Largest accepted ground-cell edge in metres. Squared lengths overflow a
+# float near 1e154 m, so every objective stays finite far below that.
+MAX_CELL_SIZE_M = 1e6
+
+MAX_ROUNDS = 100  # worlds ``generate`` samples before it gives up
+
 # (row delta, col delta) per direction; no westward moves exist.
 _MOVES: tuple[tuple[int, int], ...] = (
     (-1, 0),  # N
@@ -85,7 +91,8 @@ class GridSpec:
     Attributes:
         rows: Number of grid rows (row 0 is the north edge).
         cols: Number of grid columns (column 0 is the west edge).
-        cell_size_m: Edge length of a ground cell in metres.
+        cell_size_m: Edge length of a ground cell in metres, in
+            (0, :data:`MAX_CELL_SIZE_M`].
         levels_m: Strictly increasing flight altitudes in metres.
         start_cell: Departure cell; its column must not exceed the goal's.
         goal_cell: Destination cell.
@@ -103,8 +110,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise GridError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if not (0.0 < self.cell_size_m < math.inf):
-            raise GridError(f"cell_size_m must be positive and finite, got {self.cell_size_m}")
+        if not (0.0 < self.cell_size_m <= MAX_CELL_SIZE_M):
+            raise GridError(f"cell_size_m must lie in (0, {MAX_CELL_SIZE_M:g}], got {self.cell_size_m}")
         if len(self.levels_m) == 0:
             raise GridError("levels_m must not be empty")
         for k, h in enumerate(self.levels_m):
@@ -381,6 +388,8 @@ class GeneratorSettings:
     ``level_count`` sits one rung above the top altitude and makes the cell
     impassable (bypass only). A ``ceiling_fraction`` share of cells gets a
     reduced ceiling sampled from ``min_ceiling_level..level_count-1``.
+    :func:`generate` redraws a world with no feasible path up to
+    :data:`MAX_ROUNDS` times.
     """
 
     rows: int
@@ -398,7 +407,6 @@ class GeneratorSettings:
     start_cell: Cell | None = None
     goal_cell: Cell | None = None
     start_level: int = 0
-    max_rounds: int = 100
 
     def __post_init__(self) -> None:
         if self.level_count < 1:
@@ -414,8 +422,6 @@ class GeneratorSettings:
             raise GridError("max_obstacle_level must lie in 1..level_count")
         if not (1 <= self.min_ceiling_level <= self.level_count - 1 or self.level_count == 1):
             raise GridError("min_ceiling_level must lie in 1..level_count-1")
-        if self.max_rounds < 1:
-            raise GridError(f"max_rounds must be >= 1, got {self.max_rounds}")
         # Bad geometry fails here, when the settings are made, not in the
         # middle of a suite.
         self.grid_spec()
@@ -454,7 +460,7 @@ def generate(settings: GeneratorSettings, seed: int) -> Environment:
 
     Start and goal cells are cleared of obstacles (see
     ``GeneratorSettings.grid_spec`` for their placement). Worlds are
-    resampled (bounded by ``max_rounds``) until the goal is reachable.
+    resampled, at most :data:`MAX_ROUNDS` times, until the goal is reachable.
 
     Raises:
         GenerationError: when no feasible world was found within the budget.
@@ -469,7 +475,7 @@ def generate(settings: GeneratorSettings, seed: int) -> Environment:
         max_obs = max(s.level_count - 1, 1)
     top = levels[-1]
 
-    for _ in range(s.max_rounds):
+    for _ in range(MAX_ROUNDS):
         mask = rng.random((s.rows, s.cols)) < s.obstacle_density
         obstacle_levels = rng.integers(1, max_obs + 1, size=(s.rows, s.cols))
         obstacle = np.where(
@@ -490,7 +496,7 @@ def generate(settings: GeneratorSettings, seed: int) -> Environment:
         if has_feasible_path(env):
             return env
     raise GenerationError(
-        f"no feasible world within {s.max_rounds} rounds "
+        f"no feasible world within {MAX_ROUNDS} rounds "
         f"(density {s.obstacle_density}, grid {s.rows}x{s.cols})"
     )
 

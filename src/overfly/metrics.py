@@ -199,41 +199,37 @@ def _instance_sort_key(instance_id: str):
     return (1, 0, 0, instance_id)
 
 
-def table_csv(summaries: Sequence[FrontSummary]) -> str:
-    """Relative-hypervolume table as CSV (two-decimal percentages)."""
+def _table_body(
+    summaries: Sequence[FrontSummary], pct_format: str, missing: str
+) -> tuple[list[tuple[str, bool]], list[list[str]]]:
+    """The table's (algorithm, tuned) columns and one row per instance in
+    suite order: the instance id, then each column's relative hypervolume
+    through ``pct_format``, or ``missing`` where that run is absent."""
     rows = relative_hv_table(summaries)
     columns = _column_order(rows)
-    cells = {(s.instance_id, s.algorithm, s.tuned): s for s in rows}
+    pct = {(s.instance_id, s.algorithm, s.tuned): s.relative_pct for s in rows}
     instances = sorted({s.instance_id for s in rows}, key=_instance_sort_key)
+    return columns, [
+        [i] + [pct_format.format(pct[i, a, t]) if (i, a, t) in pct else missing for a, t in columns]
+        for i in instances
+    ]
+
+
+def table_csv(summaries: Sequence[FrontSummary]) -> str:
+    """Relative-hypervolume table as CSV (two-decimal percentages)."""
+    columns, body = _table_body(summaries, "{:.2f}", "")
     header = ["instance"] + [
         f"{algo}_{'tuned' if tuned else 'untuned'}_pct" for algo, tuned in columns
     ]
-    lines = [",".join(header)]
-    for instance in instances:
-        fields = [instance]
-        for algo, tuned in columns:
-            s = cells.get((instance, algo, tuned))
-            fields.append("" if s is None else f"{s.relative_pct:.2f}")
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(line) for line in [header, *body]) + "\n"
 
 
 def table_text(summaries: Sequence[FrontSummary]) -> str:
     """Relative-hypervolume table as aligned text."""
-    rows = relative_hv_table(summaries)
-    columns = _column_order(rows)
-    cells = {(s.instance_id, s.algorithm, s.tuned): s for s in rows}
-    instances = sorted({s.instance_id for s in rows}, key=_instance_sort_key)
+    columns, body = _table_body(summaries, "{:.2f}%", "-")
     headers = ["instance"] + [
         f"{algo} ({'tuned' if tuned else 'untuned'})" for algo, tuned in columns
     ]
-    body: list[list[str]] = []
-    for instance in instances:
-        line = [instance]
-        for algo, tuned in columns:
-            s = cells.get((instance, algo, tuned))
-            line.append("-" if s is None else f"{s.relative_pct:.2f}%")
-        body.append(line)
     widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h) for i, h in enumerate(headers)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     out = [fmt.format(*headers)]

@@ -140,7 +140,6 @@ class MilpModel:
     variables: tuple[LpVar, ...]
     rows: tuple[LpRow, ...]
     objective: tuple[tuple[str, float], ...]
-    objective_label: str
     big_m: float
     arcs: tuple[tuple[Cell, Cell], ...]
     notes: tuple[str, ...]
@@ -497,7 +496,6 @@ def build_model(
         variables=tuple(variables),
         rows=tuple(rows),
         objective=objective_terms,
-        objective_label=label,
         big_m=m_value,
         arcs=tuple(arcs),
         notes=tuple(notes),

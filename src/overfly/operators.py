@@ -32,9 +32,12 @@ class InitializationError(RuntimeError):
     """Random construction exhausted its retry budget."""
 
 
+MAX_INIT_RETRIES = 1000  # walk restarts before construction gives up
+
+
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Operator rates and safety limits.
+    """Operator rates.
 
     Attributes:
         crossover_probability: Chance a mating pair is recombined.
@@ -42,16 +45,11 @@ class OperatorConfig:
             and, independently, chance its weight is perturbed.
         mutation_rate: Share of mutable genes resampled per mutation
             (ceil(rate * (length - 1)) genes; the pinned first gene never).
-        max_init_retries: Walk restarts before construction gives up.
-        max_shift: Rightward cut shifts tried per child before the splice is
-            abandoned; None sweeps the whole parent.
     """
 
     crossover_probability: float = 0.9
     mutation_probability: float = 0.1
     mutation_rate: float = 0.2
-    max_init_retries: int = 1000
-    max_shift: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.crossover_probability <= 1.0):
@@ -60,10 +58,6 @@ class OperatorConfig:
             raise ValueError("mutation_probability must lie in [0, 1]")
         if not (0.0 < self.mutation_rate <= 1.0):
             raise ValueError("mutation_rate must lie in (0, 1]")
-        if self.max_init_retries < 1:
-            raise ValueError("max_init_retries must be >= 1")
-        if self.max_shift is not None and self.max_shift < 0:
-            raise ValueError("max_shift must be >= 0")
 
 
 # The settings of every operator call made with ``config=None``, built once.
@@ -115,14 +109,14 @@ def initialize(
     """Construct a random valid candidate by walking start to goal.
 
     Each step picks uniformly among unused passable successors; a dead end
-    abandons the walk and restarts, bounded by ``config.max_init_retries``.
+    abandons the walk and restarts, at most :data:`MAX_INIT_RETRIES` times.
+    No rate of ``config`` applies to construction.
 
     Raises:
         InitializationError: when every retry dead-ended.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
     spec = env.spec
-    for _ in range(cfg.max_init_retries):
+    for _ in range(MAX_INIT_RETRIES):
         cells: list[Cell] = [spec.start_cell]
         levels: list[int] = [spec.start_level]
         used = {spec.start_cell}
@@ -143,7 +137,7 @@ def initialize(
             continue
         return Chromosome(tuple(cells), tuple(levels), float(rng.random()))
     raise InitializationError(
-        f"no start-to-goal walk found in {cfg.max_init_retries} attempts"
+        f"no start-to-goal walk found in {MAX_INIT_RETRIES} attempts"
     )
 
 
@@ -189,27 +183,27 @@ def crossover(
     at a shared random cut. When the tail's first cell is not adjacent to the
     head's last cell, child one shifts the tail start rightward along
     ``parent_b`` only; child two shifts both indices in lockstep. A child
-    whose shift budget runs out falls back to its parent unchanged (counted
-    as a splice failure). A head cell that comes back in the tail closes a
-    loop, which :func:`_splice` cuts out (counted as a loop removal).
+    whose shifts run off a parent without an adjacent junction falls back to
+    its parent unchanged (counted as a splice failure). A head cell that
+    comes back in the tail closes a loop, which :func:`_splice` cuts out
+    (counted as a loop removal). No rate of ``config`` applies here; the
+    caller draws ``crossover_probability``.
 
     Both parents must validate; then both children do too. Nothing here
     checks that: :func:`~overfly.solution.evaluate` and
     :func:`~overfly.solution.validate` reject an invalid candidate.
     """
-    cfg = config if config is not None else _DEFAULT_CONFIG
     a_cells, b_cells = parent_a.cells, parent_b.cells
     wa, wb = parent_a.weight, parent_b.weight
     la, lb = len(a_cells), len(b_cells)
     cut = int(rng.integers(0, min(la, lb) - 1))  # head may not already end at the goal
-    limit = cfg.max_shift if cfg.max_shift is not None else max(la, lb)
     adjacency = env.adjacency
     loops = 0
 
     # Child one: shift the tail start rightward along parent_b only.
     child_one: Chromosome | None = None
     nbrs = adjacency[a_cells[cut]]
-    for tail_start in range(cut + 1, min(cut + 1 + limit, lb - 1) + 1):
+    for tail_start in range(cut + 1, lb):
         if b_cells[tail_start] in nbrs:
             cells, levels, looped = _splice(parent_a, parent_b, cut, tail_start)
             loops += looped
@@ -219,7 +213,7 @@ def crossover(
 
     # Child two: shift the head end and the tail start in lockstep.
     child_two: Chromosome | None = None
-    for head_end in range(cut, cut + min(limit, la - 2 - cut, lb - 2 - cut) + 1):
+    for head_end in range(cut, min(la, lb) - 1):
         tail_start = head_end + 1
         if b_cells[tail_start] in adjacency[a_cells[head_end]]:
             # Unshifted, this is child one's junction (its first try

@@ -106,7 +106,6 @@ def generated_worlds(draw):
         ceiling_fraction=draw(st.floats(0.0, 0.5)),
         risk_low=risk_low,
         risk_high=draw(st.floats(risk_low, 1.0)),
-        max_rounds=20,
     )
     try:
         return generate(settings, draw(st.integers(0, 2**32 - 1)))

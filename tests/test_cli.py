@@ -197,7 +197,7 @@ class TestGen:
         "overrides, field",
         [
             ({"start_level": 7}, "start_level"),
-            ({"max_rounds": 0}, "max_rounds"),
+            ({"cell_size_m": 1e154}, "cell_size_m"),
             ({"start_cell": [9, 0]}, "start_cell"),
             ({"base_altitude_m": 1e6}, "levels_m[0]"),
         ],
@@ -608,25 +608,25 @@ class TestOutputsUnchanged:
     # means the file layout or the search itself changed.
     EXPECTED = {
         "i1_nsga2_tuned_s0.front.json":
-            "e19d441287c22cf8bfb2d8cb8dda5b7312a06ad0ea3495f3d0bfb05bed9f578c",
+            "1d4869ed39cd13474d4d59739f11681a90c77c7f86f815a4308cc73c7594b7b5",
         "i1_nsga2_untuned_s0.front.json":
-            "8ca0b45fa305acc5aea71ed58d8fc71799fbe7e0544b396c3c84350425f90cec",
+            "6530f86b57a025728096da3e80a710fdae0a9f374b72f918e231cdc653e83875",
         "i1_nsga3_tuned_s0.front.json":
-            "8d0db030cda3c5c6bb318069c6d417e2bf0b8f03a178c3b20dce0baac66ca76a",
+            "ed95761ce1499089b19fb6a6a86809cbbc933d8260201f10cf7b4f89fd2a230e",
         "i1_nsga3_untuned_s0.front.json":
-            "8ed5282cc835c4f96cd2625581b313261c0539cb3a533c66cc9eedb4de7c841f",
+            "b38b3948ac32db16d279ed42b149d53f9bb87569690a60be0c34d58b124ef09d",
         "i1_spea2_tuned_s0.front.json":
-            "6000c51af7a3322824516d0a18857d5486103633f7a22b97cb6a97e256824901",
+            "9d8a14b57f5d4fac19641c888e97323b35dff753f46a5ecbd045d7105c215d6b",
         "i1_spea2_untuned_s0.front.json":
-            "7ec69e3e67878ffd559188b61b2a8c556e47c4ba3e83d622136ff42997462cf3",
+            "8e355f05ea123adde89bb7ca1390ff8d3c2d486ae37fd780ae3644f94bb82c80",
         "manifest.json":
             "1b6d3240e04c986fe30ce8de5a721135fa931dc9d209600fe2c3c0ddecbdbcfe",
         "i1_nsga2.tuning.json":
-            "53b53776778bc344b3691cb0b38799a05299bcac359db31616d0f021928bb1d7",
+            "388f223a9ce2bf386f1e36eb51c79d3f6a9d85cce386a1eb1d24af5c420ca6a3",
         "i1_nsga3.tuning.json":
-            "de49309e5661f9c8a76000f8090320b25c346f0b45339ee1e3d2c3a0230c8a01",
+            "ed31e606ed201a97390b41632318ef1aacda0932bdbac13a562367ea2765127d",
         "i1_spea2.tuning.json":
-            "76957ab89a38db63ee8494f7c960ea9b1fa1134c3acbecd6f97d4a6ce690843c",
+            "29936146965e9841374f25dba83a17851f44240dab254b95c5778fef9eb14740",
     }
 
     def test_front_manifest_and_tuning_bytes(self, tmp_path, capsys):
@@ -1012,10 +1012,17 @@ class TestUsage:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["check", "lp-export"])
-    @pytest.mark.parametrize("case", ["missing", "malformed", "not-utf-8"])
+    @pytest.mark.parametrize("case", ["missing", "malformed", "not-utf-8", "oversized-cell"])
     def test_unreadable_instance_names_the_file(self, tmp_path, capsys, command, case):
         path = tmp_path / "world.json"
-        if case == "malformed":
+        if case == "oversized-cell":
+            # Squared lengths would overflow to infinite objectives.
+            save_tiny(path, 1)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["grid"]["cell_size_m"] = 1e154
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            expected = f"error: {path}: cell_size_m must lie in (0, 1e+06], got 1e+154\n"
+        elif case == "malformed":
             path.write_text(json.dumps({"grid": {"rows": "x"}}), encoding="utf-8")
             expected = f"error: {path}: grid.rows: expected an integer, got str\n"
         elif case == "not-utf-8":
@@ -1156,7 +1163,8 @@ class TestConfigSections:
 class TestRecordFields:
     # Each case: the commands it applies to, config overrides, and the
     # field the usage error must name. Each of these once ran, or failed
-    # later without naming the field.
+    # later without naming the field. The work limits that became constants
+    # must be refused as unknown fields, not as values of the wrong type.
     DRONE_COMMANDS = ("solve", "tune", "check", "lp-export")
     BAD = {
         "drone-bool-weight": (DRONE_COMMANDS, {"drone": {"weight_kg": True}}, "drone.weight_kg"),
@@ -1165,10 +1173,12 @@ class TestRecordFields:
         "operators-fractional-retries": (
             ("solve", "tune"),
             {"operators": {"max_init_retries": 2.5}},
-            "operators.max_init_retries",
+            "unknown config field(s): operators.max_init_retries",
         ),
         "operators-fractional-shift": (
-            ("solve", "tune"), {"operators": {"max_shift": 1.5}}, "operators.max_shift"
+            ("solve", "tune"),
+            {"operators": {"max_shift": 1.5}},
+            "unknown config field(s): operators.max_shift",
         ),
         "operators-word-probability": (
             ("solve", "tune"),
@@ -1179,7 +1189,9 @@ class TestRecordFields:
             ("gen",), {"overrides": {"start_cell": [0.5, 0]}}, "overrides.start_cell"
         ),
         "overrides-fractional-rounds": (
-            ("gen",), {"overrides": {"max_rounds": 2.5}}, "overrides.max_rounds"
+            ("gen",),
+            {"overrides": {"max_rounds": 2.5}},
+            "unknown config field(s): overrides.max_rounds",
         ),
         "overrides-fractional-rows": (("gen",), {"overrides": {"rows": 4.5}}, "overrides.rows"),
         "tuner-misspelt-budget": (("solve", "tune"), {"tuner": {"budgte": 5}}, "tuner.budgte"),

@@ -13,20 +13,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overfly import (
+    Chromosome,
+    DroneParams,
     Environment,
     GenerationError,
     GeneratorSettings,
     GridError,
     GridSpec,
     InstanceFormatError,
+    NormBounds,
+    build_model,
+    chromosome_arcs,
+    enumerate_front,
+    evaluate,
+    evaluate_assignment,
     generate,
     has_feasible_path,
     load_instance,
+    render_lp,
     save_instance,
 )
+from overfly import environment
 
 from overfly.cli import suite_settings
-from overfly.environment import _move_tables
+from overfly.environment import MAX_CELL_SIZE_M, _move_tables
 
 from helpers import build_env, generated_worlds
 
@@ -83,6 +93,38 @@ class TestBoundaryRejectsNonFinite:
     def test_infinite_cell_size(self):
         with pytest.raises(GridError, match="cell_size_m"):
             GridSpec(**spec_kwargs(cell_size_m=math.inf))
+
+    # Squared lengths overflow near 1e154 m, so finite sizes need a cap too.
+    @pytest.mark.parametrize("size", [1e154, 1e200, math.nextafter(MAX_CELL_SIZE_M, math.inf)])
+    def test_oversized_cell(self, size):
+        with pytest.raises(GridError, match="cell_size_m"):
+            GridSpec(**spec_kwargs(cell_size_m=size))
+
+    def test_largest_cell_size_keeps_every_objective_finite(self):
+        # Levels up to 44 km also put the air density near its model floor,
+        # which the energy terms divide by.
+        settings = GeneratorSettings(
+            rows=3, cols=4, cell_size_m=MAX_CELL_SIZE_M, obstacle_density=0.0,
+            level_spacing_m=22_000.0,
+        )
+        env, params = generate(settings, 0), DroneParams()
+        members = enumerate_front(env, params).members
+        for m in members:
+            ch = Chromosome(m.cells, m.entry_levels, 0.5)
+            values = (
+                *m.objectives.as_tuple(),
+                *evaluate(ch, env, params).as_tuple(),
+                *evaluate_assignment(chromosome_arcs(ch), env, params).as_tuple(),
+            )
+            assert all(math.isfinite(v) for v in values)
+        bounds = NormBounds.from_vectors([m.objectives for m in members])
+        min_risk = min(m.objectives.risk for m in members)
+        for model in (
+            build_model(env, params),
+            build_model(env, params, "weighted", bounds=bounds),
+            build_model(env, params, "epsilon", risk_cap=min_risk),
+        ):
+            assert not re.search(r"\b(inf|nan)\b", render_lp(model), re.IGNORECASE)
 
     @pytest.mark.parametrize("level", [50_000.0, -1.0, math.nan])
     def test_level_outside_density_model(self, level):
@@ -467,7 +509,7 @@ class TestGeneratorSettingsGrid:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            ({"max_rounds": 0}, "max_rounds"),
+            ({"cell_size_m": 1e154}, "cell_size_m"),
             ({"start_level": 3}, "start_level"),
             ({"rows": 0}, "grid"),
             ({"start_cell": (5, 0)}, "start_cell"),
@@ -515,11 +557,10 @@ class TestGenerate:
         assert env.spec.start_cell == (1, 0)
         assert env.spec.goal_cell == (1, 4)
 
-    def test_infeasible_settings_raise(self):
-        settings = GeneratorSettings(
-            rows=1, cols=3, level_count=1, obstacle_density=0.99, max_rounds=1
-        )
-        with pytest.raises(GenerationError):
+    def test_infeasible_settings_raise(self, monkeypatch):
+        monkeypatch.setattr(environment, "MAX_ROUNDS", 1)
+        settings = GeneratorSettings(rows=1, cols=3, level_count=1, obstacle_density=0.99)
+        with pytest.raises(GenerationError, match="within 1 rounds"):
             generate(settings, 0)
 
     def test_density_one_rejected(self):

@@ -21,6 +21,7 @@ from overfly import (
     sample_entry_level,
     validate,
 )
+from overfly import operators
 from overfly.draws import Draws
 
 from helpers import build_env, generated_worlds
@@ -39,7 +40,6 @@ class TestOperatorConfig:
             {"crossover_probability": 1.5},
             {"mutation_probability": -0.1},
             {"mutation_rate": 0.0},
-            {"max_init_retries": 0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -136,14 +136,14 @@ class TestInitialize:
         b = initialize(env, np.random.default_rng(3))
         assert a == b
 
-    def test_unreachable_goal_raises(self):
+    def test_unreachable_goal_raises(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_INIT_RETRIES", 50)
         obstacle = np.zeros((3, 4))
         obstacle[:, 1] = 100.0
         env = build_env(obstacle=obstacle)
         stats = OperatorStats()
-        with pytest.raises(InitializationError):
-            initialize(env, np.random.default_rng(0),
-                       OperatorConfig(max_init_retries=50), stats)
+        with pytest.raises(InitializationError, match="50 attempts"):
+            initialize(env, np.random.default_rng(0), None, stats)
         assert stats.walk_restarts == 50
 
 
@@ -210,13 +210,12 @@ def _strip_revisits(cells, levels, stats):
         stats.loop_removals += 1
 
 
-def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
+def _reference_crossover(parent_a, parent_b, env, rng, stats):
     """``crossover`` as the plain composition: every child is spliced on
     lists, then goes through ``_strip_revisits``."""
     a_cells, b_cells = parent_a.cells, parent_b.cells
     la, lb = len(a_cells), len(b_cells)
     cut = int(rng.integers(0, min(la, lb) - 1))
-    limit = config.max_shift if config.max_shift is not None else max(la, lb)
 
     def splice(head_end, tail_start):
         cells = list(a_cells[: head_end + 1] + b_cells[tail_start:])
@@ -227,11 +226,11 @@ def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
         return Chromosome(tuple(cells), tuple(levels), weight)
 
     child_one = child_two = None
-    for tail_start in range(cut + 1, min(cut + 1 + limit, lb - 1) + 1):
+    for tail_start in range(cut + 1, lb):
         if b_cells[tail_start] in env.successors(a_cells[cut]):
             child_one = splice(cut, tail_start)
             break
-    for head_end in range(cut, cut + min(limit, la - 2 - cut, lb - 2 - cut) + 1):
+    for head_end in range(cut, min(la, lb) - 1):
         if b_cells[head_end + 1] in env.successors(a_cells[head_end]):
             child_two = splice(head_end, head_end + 1)
             break
@@ -243,15 +242,15 @@ def _reference_crossover(parent_a, parent_b, env, rng, config, stats):
     )
 
 
-def _assert_matches_reference(parents, env, seed, config=OperatorConfig()):
+def _assert_matches_reference(parents, env, seed):
     """Every ordered parent pair: same children, same stats, and the same
     next draw as the reference composition. Returns each pair's stats."""
     all_stats = []
     for pa, pb in itertools.permutations(parents, 2):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         stats, ref_stats = OperatorStats(), OperatorStats()
-        children = crossover(pa, pb, env, Draws(rng), config, stats)
-        expected = _reference_crossover(pa, pb, env, ref_rng, config, ref_stats)
+        children = crossover(pa, pb, env, Draws(rng), None, stats)
+        expected = _reference_crossover(pa, pb, env, ref_rng, ref_stats)
         assert children == expected
         assert stats == ref_stats
         assert rng.integers(2**62) == ref_rng.integers(2**62)
@@ -328,13 +327,6 @@ class TestSpliceKernel:
             all_stats += _assert_matches_reference(parents, env, pool)
         assert len(all_stats) == 300
         assert sum(s.loop_removals for s in all_stats) > 0
-
-    def test_max_shift_limits_match_reference(self):
-        env = generate(GeneratorSettings(rows=5, cols=5, obstacle_density=0.2), 5)
-        rng = np.random.default_rng(4)
-        parents = [initialize(env, rng) for _ in range(6)]
-        for shift in (0, 1, 2):
-            _assert_matches_reference(parents, env, 17, OperatorConfig(max_shift=shift))
 
 
 class TestMutate:
