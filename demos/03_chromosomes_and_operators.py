@@ -32,7 +32,6 @@ env = generate(
     seed=3,
 )
 rng = np.random.default_rng(0)
-opcfg = OperatorConfig()
 stats = OperatorStats()
 
 # -- hand-built candidate -------------------------------------------------------
@@ -49,8 +48,8 @@ if not report.ok:
 
 # -- initialization --------------------------------------------------------------
 
-a = initialize(env, rng, opcfg, stats)
-b = initialize(env, rng, opcfg, stats)
+a = initialize(env, rng, stats)
+b = initialize(env, rng, stats)
 print("\nwalk A:", a.cells)
 print("levels:", a.entry_levels, f"weight {a.weight:.3f}")
 print("walk B:", b.cells)
@@ -60,7 +59,7 @@ print(f"objectives of A: length {va.length_m:.1f} m, "
 
 # -- crossover and mutation -------------------------------------------------------
 
-c1, c2 = crossover(a, b, env, rng, opcfg, stats)
+c1, c2 = crossover(a, b, env, rng, stats)
 print("\nchild 1:", c1.cells)
 print("child 2:", c2.cells)
 always = OperatorConfig(mutation_probability=1.0, mutation_rate=0.5)

@@ -14,7 +14,7 @@ Modules:
 - ``solution``: chromosomes, validation, the arc-cost table, objective
   evaluation, normalization.
 - ``operators``: random-walk initialization, crossover of valid parents,
-  mutation.
+  mutation, and the search's mating loop built from them.
 - ``draws``: cheap scalar draws on a numpy Generator's own stream.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
 - ``exact``: the exact front by label setting (under a label budget) and a
@@ -97,6 +97,7 @@ from .operators import (
     InitializationError,
     OperatorConfig,
     OperatorStats,
+    breed,
     crossover,
     initialize,
     mutate,
@@ -167,6 +168,7 @@ __all__ = [
     "assignment_terms",
     "assignment_values",
     "average_density",
+    "breed",
     "build_model",
     "chromosome_arcs",
     "climb_energy",

@@ -44,7 +44,17 @@ _MOVES: tuple[tuple[int, int], ...] = (
 
 
 class GridError(ValueError):
-    """Invalid grid geometry, cell reference, or world invariant."""
+    """Invalid grid geometry, cell reference, or world invariant.
+
+    An error about one :class:`GridSpec` field names it in ``field`` and
+    reads ``"<field> <detail>"``, so an instance file can name the field by
+    its own key.
+    """
+
+    def __init__(self, detail: str, field: str | None = None) -> None:
+        super().__init__(f"{field} {detail}" if field else detail)
+        self.field = field
+        self.detail = detail
 
 
 class InstanceFormatError(ValueError):
@@ -109,34 +119,37 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
-            raise GridError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+            raise GridError(f"must be at least 1x1, got {self.rows}x{self.cols}", "grid")
         if not (0.0 < self.cell_size_m <= MAX_CELL_SIZE_M):
-            raise GridError(f"cell_size_m must lie in (0, {MAX_CELL_SIZE_M:g}], got {self.cell_size_m}")
+            raise GridError(
+                f"must lie in (0, {MAX_CELL_SIZE_M:g}], got {self.cell_size_m}", "cell_size_m"
+            )
         if len(self.levels_m) == 0:
-            raise GridError("levels_m must not be empty")
+            raise GridError("must not be empty", "levels_m")
         for k, h in enumerate(self.levels_m):
             # Every level pair is costed, so every level must lie where the
             # air-density model holds.
             if not (0.0 <= h < MAX_MODEL_ALTITUDE_M):
                 raise GridError(
-                    f"levels_m[{k}] must lie in [0, {MAX_MODEL_ALTITUDE_M:.0f}) m, got {h}"
+                    f"must lie in [0, {MAX_MODEL_ALTITUDE_M:.0f}) m, got {h}", f"levels_m[{k}]"
                 )
         for a, b in zip(self.levels_m, self.levels_m[1:]):
             if not (b > a):
-                raise GridError(f"levels_m must be strictly increasing, got {self.levels_m}")
+                raise GridError(f"must be strictly increasing, got {self.levels_m}", "levels_m")
         for name, cell in (("start_cell", self.start_cell), ("goal_cell", self.goal_cell)):
             r, c = cell
             if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise GridError(f"{name} {cell} outside the {self.rows}x{self.cols} grid")
+                raise GridError(f"{cell} outside the {self.rows}x{self.cols} grid", name)
         if self.start_cell == self.goal_cell:
-            raise GridError("start_cell and goal_cell must differ")
+            raise GridError("must differ from the start cell", "goal_cell")
         if self.goal_cell[1] < self.start_cell[1]:
             raise GridError(
-                f"goal column {self.goal_cell[1]} precedes start column "
-                f"{self.start_cell[1]}; the goal must lie east of (or level with) the start"
+                f"column {self.goal_cell[1]} precedes the start column {self.start_cell[1]}; "
+                "the goal must lie east of (or level with) the start",
+                "goal_cell",
             )
         if not (0 <= self.start_level < len(self.levels_m)):
-            raise GridError(f"start_level {self.start_level} outside 0..{len(self.levels_m) - 1}")
+            raise GridError(f"{self.start_level} outside 0..{len(self.levels_m) - 1}", "start_level")
 
     @property
     def level_count(self) -> int:
@@ -563,6 +576,15 @@ def load_instance(path: str) -> Environment:
         raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
+# The instance-file key of each GridSpec field whose name differs from it.
+_FILE_KEYS = {
+    "cell_size_m": "grid.cell_size_m",
+    "start_cell": "start.cell",
+    "goal_cell": "goal.cell",
+    "start_level": "start.level",
+}
+
+
 def _parse_instance(doc) -> Environment:
     """The world an instance document describes; errors name the field."""
     grid = _get(doc, "grid", "")
@@ -587,15 +609,18 @@ def _parse_instance(doc) -> Environment:
         if not (0.0 <= default_risk <= 1.0):
             raise _fail("default_risk", f"must lie in [0, 1], got {default_risk}")
 
-    spec = GridSpec(
-        rows=rows,
-        cols=cols,
-        cell_size_m=cell_size,
-        levels_m=levels,
-        start_cell=start_cell,
-        goal_cell=goal_cell,
-        start_level=start_level,
-    )
+    try:
+        spec = GridSpec(
+            rows=rows,
+            cols=cols,
+            cell_size_m=cell_size,
+            levels_m=levels,
+            start_cell=start_cell,
+            goal_cell=goal_cell,
+            start_level=start_level,
+        )
+    except GridError as exc:
+        raise _fail(_FILE_KEYS.get(exc.field, exc.field), exc.detail) from exc
 
     obstacle = np.zeros((rows, cols), dtype=float)
     ceiling = np.full((rows, cols), levels[-1], dtype=float)

@@ -27,7 +27,7 @@ from .draws import Draws
 from .environment import Environment
 from .exact import enumerate_front
 from .metrics import hypervolume_2d, nondominated, shared_reference
-from .operators import OperatorConfig, OperatorStats, crossover, initialize, mutate
+from .operators import OperatorConfig, OperatorStats, breed, initialize
 from .physics import DroneParams
 from .solution import (
     Chromosome,
@@ -448,13 +448,17 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     the current parents (plus archive, for the strength-based algorithm) at
     mating time, from parents and offspring together at survival time.
 
-    Mating retries until offspring are genotype-novel (cells and entry levels
-    not evaluated before in this run). The retry budget is per child slot,
-    not per generation: after ``2 * population_size`` consecutive matings
-    that yield no novel child, the next mating's children are taken even if
-    they are duplicates, and the count starts again from zero. Every
-    evaluation is therefore spent on a new candidate whenever the operators
-    can still produce one within that budget.
+    Each generation's offspring come from :func:`~overfly.operators.breed`,
+    the search's mating step, fed by a binary tournament. Mating retries
+    until offspring are genotype-novel (cells and entry levels not evaluated
+    before in this run). The retry budget is per child slot, not per
+    generation: after ``2 * population_size`` consecutive matings that yield
+    no novel child, the next mating's children are taken even if they are
+    duplicates, and the count starts again from zero. Every evaluation is
+    therefore spent on a new candidate whenever the operators can still
+    produce one within that budget. The draws are those of the one-step
+    operators :func:`~overfly.operators.crossover` and
+    :func:`~overfly.operators.mutate` applied in mating order.
     """
     cfg = config
     rng = np.random.default_rng(cfg.seed)
@@ -466,7 +470,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     # The operators and the tournament draw through ``draws``, which shares
     # ``rng``'s stream at a fraction of the per-call cost.
     draws = Draws(rng)
-    pop = [initialize(env, draws, opcfg, stats) for _ in range(pop_size)]
+    pop = [initialize(env, draws, stats) for _ in range(pop_size)]
     vecs = [evaluate(ch, env, params) for ch in pop]
     evaluations = pop_size
     all_vecs = list(vecs)
@@ -487,15 +491,14 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     # ``integers(n)`` for n >= 2: AlgoConfig holds population_size >= 4 and
     # archive_size >= 2, and an archive holds min(archive_size, union) members.
     random, bounded = draws.random, draws.bounded
-    crossover_probability = opcfg.crossover_probability
 
     def tournament(members: list[Chromosome], keys: list) -> Callable[[], Chromosome]:
         """Binary tournament: the lower key wins, a tie goes to a coin."""
-        n = len(members)
+        span = len(members) - 1
 
         def pick() -> Chromosome:
-            i = bounded(n - 1)
-            j = bounded(n - 1)
+            i = bounded(span)
+            j = bounded(span)
             if keys[i] < keys[j]:
                 return members[i]
             if keys[j] < keys[i]:
@@ -503,31 +506,6 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             return members[i] if random() < 0.5 else members[j]
 
         return pick
-
-    def vary(pick: Callable[[], Chromosome]) -> list[Chromosome]:
-        children: list[Chromosome] = []
-        barren_streak = 0
-        max_barren = 2 * pop_size
-        while len(children) < pop_size:
-            novelty_required = barren_streak < max_barren
-            pa, pb = pick(), pick()
-            if random() < crossover_probability:
-                c1, c2 = crossover(pa, pb, env, draws, opcfg, stats)
-            else:
-                c1, c2 = pa, pb
-            accepted = False
-            for child in (c1, c2):
-                if len(children) >= pop_size:
-                    break
-                child = mutate(child, opcfg, env, draws, stats)
-                key = (child.cells, child.entry_levels)
-                if novelty_required and key in seen_genotypes:
-                    continue
-                seen_genotypes.add(key)
-                children.append(child)
-                accepted = True
-            barren_streak = 0 if accepted else barren_streak + 1
-        return children
 
     while evaluations + pop_size <= cfg.evaluation_budget:
         if cfg.algorithm == "spea2":
@@ -539,7 +517,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             keep = _spea2_archive_select(pts, fitness, cfg.archive_size)
             arch_pop = [union_pop[i] for i in keep]
             arch_vecs = [union_vecs[i] for i in keep]
-            offspring = vary(tournament(arch_pop, fitness[keep].tolist()))
+            pick = tournament(arch_pop, fitness[keep].tolist())
         else:
             bounds = NormBounds.from_vectors(vecs)
             pts = combined_points(vecs, weights_of(pop), bounds)
@@ -549,7 +527,8 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             for fi, front in enumerate(fronts):
                 for i, d in zip(front, crowding_distance(pts[front]).tolist()):
                     keys[i] = (fi, -d)
-            offspring = vary(tournament(pop, keys))
+            pick = tournament(pop, keys)
+        offspring = breed(pick, pop_size, seen_genotypes, 2 * pop_size, env, draws, opcfg, stats)
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]
         evaluations += pop_size

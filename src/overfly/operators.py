@@ -6,6 +6,15 @@ random cut, shifting the cut rightward until the junction is an adjacent
 move, and cuts out the loop where a head cell comes back in the tail.
 Mutation resamples a share of entry levels and perturbs the embedded weight.
 
+:func:`breed` is the search's mating step: one loop that picks parents,
+recombines and mutates their children on plain gene triples, and builds a
+:class:`~overfly.solution.Chromosome` only for a child the novelty filter
+keeps. :func:`crossover` and :func:`mutate` are the one-step operators, and
+the tested reference for that loop: both paths share each variation rule
+(:func:`_recombine`, :func:`_splice`, :func:`_resample_levels`,
+:func:`_perturb_weight`, :func:`sample_entry_level`), so only the order of
+the mating's draws is written twice.
+
 Parents must validate (:func:`~overfly.solution.validate`); then every
 operator output validates against the world too, for a spliced child keeps
 its parents' (cell, level) genes and mutation draws each level inside its
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,13 +76,22 @@ _DEFAULT_CONFIG = OperatorConfig()
 
 @dataclass
 class OperatorStats:
-    """Counters surfaced in run reports."""
+    """Counters surfaced in run reports.
+
+    ``matings`` counts parent pairs drawn by :func:`breed`. Of the children
+    it considers, ``novelty_rejections`` were dropped as genotypes already
+    seen, and ``duplicates_accepted`` were kept as such after the barren
+    budget ran out.
+    """
 
     walk_restarts: int = 0
     splice_failures: int = 0
     loop_removals: int = 0
     crossovers: int = 0
     mutations: int = 0
+    matings: int = 0
+    novelty_rejections: int = 0
+    duplicates_accepted: int = 0
 
 
 def sample_entry_level(
@@ -103,14 +122,12 @@ def sample_entry_level(
 def initialize(
     env: Environment,
     rng: np.random.Generator | Draws,
-    config: OperatorConfig | None = None,
     stats: OperatorStats | None = None,
 ) -> Chromosome:
     """Construct a random valid candidate by walking start to goal.
 
     Each step picks uniformly among unused passable successors; a dead end
     abandons the walk and restarts, at most :data:`MAX_INIT_RETRIES` times.
-    No rate of ``config`` applies to construction.
 
     Raises:
         InitializationError: when every retry dead-ended.
@@ -169,12 +186,66 @@ def _splice(
     )
 
 
+# A child before it becomes a Chromosome: (cells, entry levels, weight).
+_Genes = tuple[tuple[Cell, ...], tuple[int, ...], float]
+
+
+def _recombine(
+    parent_a: Chromosome,
+    parent_b: Chromosome,
+    adjacency: Mapping[Cell, tuple[Cell, ...]],
+    rng: np.random.Generator | Draws,
+) -> tuple[_Genes | None, _Genes | None, int]:
+    """The two children of one crossover as (cells, levels, weight) triples,
+    None for a child whose junction search failed, and the loops cut.
+
+    Draws the cut (nothing when the shorter parent has two cells), then each
+    spliced child's blend weight, child one's first.
+    """
+    a_cells, b_cells = parent_a.cells, parent_b.cells
+    shorter = min(len(a_cells), len(b_cells))
+    cut = int(rng.integers(0, shorter - 1))  # head may not already end at the goal
+
+    # Child one shifts the tail start rightward along parent_b only; child
+    # two shifts the head end and the tail start in lockstep. Their first
+    # tries are the same junction.
+    nbrs = adjacency[a_cells[cut]]
+    tail_one = head_two = None
+    for tail_start in range(cut + 1, len(b_cells)):
+        if b_cells[tail_start] in nbrs:
+            tail_one = tail_start
+            break
+    if tail_one == cut + 1:
+        head_two = cut
+    else:
+        for head_end in range(cut + 1, shorter - 1):
+            if b_cells[head_end + 1] in adjacency[a_cells[head_end]]:
+                head_two = head_end
+                break
+
+    wa, wb = parent_a.weight, parent_b.weight
+    one = two = None
+    loops = 0
+    if tail_one is not None:
+        cells, levels, looped = _splice(parent_a, parent_b, cut, tail_one)
+        loops += looped
+        alpha = rng.random()
+        one = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+    if head_two is not None:
+        # Unshifted, child two is child one's splice, loop and all.
+        if head_two != cut:
+            cells, levels, looped = _splice(parent_a, parent_b, head_two, head_two + 1)
+        loops += looped
+        alpha = rng.random()
+        two = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+    return one, two, loops
+
+
 def crossover(
     parent_a: Chromosome,
     parent_b: Chromosome,
     env: Environment,
     rng: np.random.Generator | Draws,
-    config: OperatorConfig | None = None,
     stats: OperatorStats | None = None,
 ) -> tuple[Chromosome, Chromosome]:
     """One-point crossover with rightward shift repair.
@@ -186,53 +257,45 @@ def crossover(
     whose shifts run off a parent without an adjacent junction falls back to
     its parent unchanged (counted as a splice failure). A head cell that
     comes back in the tail closes a loop, which :func:`_splice` cuts out
-    (counted as a loop removal). No rate of ``config`` applies here; the
-    caller draws ``crossover_probability``.
+    (counted as a loop removal). Each spliced child's weight is a uniform
+    blend of its parents'. The caller draws ``crossover_probability``.
 
     Both parents must validate; then both children do too. Nothing here
     checks that: :func:`~overfly.solution.evaluate` and
     :func:`~overfly.solution.validate` reject an invalid candidate.
     """
-    a_cells, b_cells = parent_a.cells, parent_b.cells
-    wa, wb = parent_a.weight, parent_b.weight
-    la, lb = len(a_cells), len(b_cells)
-    cut = int(rng.integers(0, min(la, lb) - 1))  # head may not already end at the goal
-    adjacency = env.adjacency
-    loops = 0
-
-    # Child one: shift the tail start rightward along parent_b only.
-    child_one: Chromosome | None = None
-    nbrs = adjacency[a_cells[cut]]
-    for tail_start in range(cut + 1, lb):
-        if b_cells[tail_start] in nbrs:
-            cells, levels, looped = _splice(parent_a, parent_b, cut, tail_start)
-            loops += looped
-            alpha = rng.random()
-            child_one = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
-            break
-
-    # Child two: shift the head end and the tail start in lockstep.
-    child_two: Chromosome | None = None
-    for head_end in range(cut, min(la, lb) - 1):
-        tail_start = head_end + 1
-        if b_cells[tail_start] in adjacency[a_cells[head_end]]:
-            # Unshifted, this is child one's junction (its first try
-            # succeeded too), so child one's genes and loop stand.
-            if head_end != cut:
-                cells, levels, looped = _splice(parent_a, parent_b, head_end, tail_start)
-            loops += looped
-            alpha = rng.random()
-            child_two = Chromosome(cells, levels, alpha * wa + (1.0 - alpha) * wb)
-            break
-
+    one, two, loops = _recombine(parent_a, parent_b, env.adjacency, rng)
     if stats is not None:
         stats.loop_removals += loops
-        stats.splice_failures += (child_one is None) + (child_two is None)
+        stats.splice_failures += (one is None) + (two is None)
         stats.crossovers += 1
     return (
-        parent_a if child_one is None else child_one,
-        parent_b if child_two is None else child_two,
+        parent_a if one is None else Chromosome(*one),
+        parent_b if two is None else Chromosome(*two),
     )
+
+
+def _resample_levels(
+    cells: tuple[Cell, ...],
+    levels: tuple[int, ...],
+    rate: float,
+    env: Environment,
+    rng: np.random.Generator | Draws,
+) -> tuple[int, ...]:
+    """``levels`` with ``ceil(rate * (length - 1))`` distinct genes (never
+    the pinned first one) redrawn left to right by
+    :func:`sample_entry_level`. ``cells`` must hold at least two cells."""
+    n = len(cells)
+    count = min(math.ceil(rate * (n - 1)), n - 1)
+    new = list(levels)
+    for t in sorted(map(int, rng.choice(n - 1, size=count, replace=False))):
+        new[t + 1] = sample_entry_level(cells[t + 1], new[t], env, rng)
+    return tuple(new)
+
+
+def _perturb_weight(weight: float, rng: np.random.Generator | Draws) -> float:
+    """``weight`` plus Gaussian noise (sigma 0.1), clamped into [0, 1]."""
+    return min(1.0, max(0.0, weight + float(rng.normal(0.0, 0.1))))
 
 
 def mutate(
@@ -245,29 +308,102 @@ def mutate(
     """Resample entry levels and perturb the weight, each with probability
     ``mutation_probability``.
 
-    A level mutation redraws ``ceil(mutation_rate * (length - 1))`` distinct
-    entry-level genes (never the pinned first one) left to right via
-    :func:`sample_entry_level`. The weight perturbation adds Gaussian noise
-    (sigma 0.1) clamped back into [0, 1]. When neither fires, ``ch`` itself
-    is returned.
+    A level mutation redraws ``ceil(mutation_rate * (length - 1))`` entry
+    levels (:func:`_resample_levels`); the weight perturbation is
+    :func:`_perturb_weight`. When neither fires, ``ch`` itself is returned.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     p = cfg.mutation_probability
-    cells, levels, weight = ch.cells, ch.entry_levels, ch.weight
-    n = len(cells)
+    cells, levels, weight = ch
     fired = False
-    if rng.random() < p and n > 1:
-        count = min(math.ceil(cfg.mutation_rate * (n - 1)), n - 1)
-        new = list(levels)
-        for t in sorted(int(i) for i in rng.choice(n - 1, size=count, replace=False)):
-            new[t + 1] = sample_entry_level(cells[t + 1], new[t], env, rng)
-        levels = tuple(new)
+    if rng.random() < p and len(cells) > 1:
+        levels = _resample_levels(cells, levels, cfg.mutation_rate, env, rng)
         fired = True
     if rng.random() < p:
-        weight = min(1.0, max(0.0, weight + float(rng.normal(0.0, 0.1))))
+        weight = _perturb_weight(weight, rng)
         fired = True
     if not fired:
         return ch
     if stats is not None:
         stats.mutations += 1
     return Chromosome(cells, levels, weight)
+
+
+def breed(
+    pick: Callable[[], Chromosome],
+    count: int,
+    seen: set[tuple[tuple[Cell, ...], tuple[int, ...]]],
+    max_barren: int,
+    env: Environment,
+    rng: np.random.Generator | Draws,
+    config: OperatorConfig,
+    stats: OperatorStats,
+) -> list[Chromosome]:
+    """``count`` children of parents drawn by ``pick``, genotype-novel while
+    the barren budget lasts.
+
+    Each mating draws two parents, recombines them with probability
+    ``crossover_probability`` (as :func:`crossover`), then mutates each child
+    (as :func:`mutate`) while a slot is left and keeps it when its (cells,
+    entry levels) genotype is not in ``seen``. After ``max_barren``
+    consecutive matings that keep no child, the next mating's children are
+    kept even when they are duplicates, and the count starts again. Kept
+    genotypes are added to ``seen``. The draws are those of that composition
+    of the one-step operators, and ``stats`` gets the same counts, plus the
+    mating counters, added once per call.
+    """
+    adjacency = env.adjacency
+    random = rng.random
+    crossover_probability = config.crossover_probability
+    p, rate = config.mutation_probability, config.mutation_rate
+    children: list[Chromosome] = []
+    barren = 0
+    matings = crossovers = failures = loops = mutations = rejections = duplicates = 0
+    left = count
+    while left:
+        novelty_required = barren < max_barren
+        parent_a, parent_b = pick(), pick()
+        matings += 1
+        if random() < crossover_probability:
+            one, two, looped = _recombine(parent_a, parent_b, adjacency, rng)
+            crossovers += 1
+            loops += looped
+            if one is None:
+                one = parent_a
+                failures += 1
+            if two is None:
+                two = parent_b
+                failures += 1
+        else:
+            one, two = parent_a, parent_b
+        accepted = False
+        for cells, levels, weight in (one, two):
+            if not left:
+                break
+            fired = False
+            if random() < p and len(cells) > 1:
+                levels = _resample_levels(cells, levels, rate, env, rng)
+                fired = True
+            if random() < p:
+                weight = _perturb_weight(weight, rng)
+                fired = True
+            mutations += fired
+            key = (cells, levels)
+            if key in seen:
+                if novelty_required:
+                    rejections += 1
+                    continue
+                duplicates += 1
+            seen.add(key)
+            children.append(Chromosome(cells, levels, weight))
+            left -= 1
+            accepted = True
+        barren = 0 if accepted else barren + 1
+    stats.matings += matings
+    stats.crossovers += crossovers
+    stats.splice_failures += failures
+    stats.loop_removals += loops
+    stats.mutations += mutations
+    stats.novelty_rejections += rejections
+    stats.duplicates_accepted += duplicates
+    return children

@@ -120,14 +120,14 @@ def test_criterion_02_operator_closure():
         rng = np.random.default_rng(seed)
         pool = []
         for _ in range(200):
-            ch = initialize(env, rng, opcfg)
+            ch = initialize(env, rng)
             applications += 1
             failures += not validate(ch, env).ok
             pool.append(ch)
         for _ in range(6600):
             pa = pool[int(rng.integers(len(pool)))]
             pb = pool[int(rng.integers(len(pool)))]
-            c1, c2 = crossover(pa, pb, env, rng, opcfg)
+            c1, c2 = crossover(pa, pb, env, rng)
             applications += 1
             m1 = mutate(c1, opcfg, env, rng)
             m2 = mutate(c2, opcfg, env, rng)
@@ -173,7 +173,7 @@ def test_criterion_03_dual_evaluator_agreement():
         env = generate(settings, 300 + w_idx)
         rng = np.random.default_rng(w_idx)
         for _ in range(250):
-            ch = initialize(env, rng, OperatorConfig())
+            ch = initialize(env, rng)
             direct = evaluate(ch, env, PARAMS)
             arcform = evaluate_assignment(chromosome_arcs(ch), env, PARAMS)
             for a, b in zip(direct.as_tuple(), arcform.as_tuple()):
@@ -361,7 +361,7 @@ def test_criterion_07_length_energy_correlation():
     rng = np.random.default_rng(123)
     z1, z2 = [], []
     for _ in range(1000):
-        v = evaluate(initialize(env, rng, OperatorConfig()), env, PARAMS)
+        v = evaluate(initialize(env, rng), env, PARAMS)
         z1.append(v.length_m)
         z2.append(v.energy_j)
     r_multi = pearson(z1, z2)
@@ -370,7 +370,7 @@ def test_criterion_07_length_energy_correlation():
     rng = np.random.default_rng(9)
     z1f, z2f = [], []
     for _ in range(200):
-        v = evaluate(initialize(flat, rng, OperatorConfig()), flat, PARAMS)
+        v = evaluate(initialize(flat, rng), flat, PARAMS)
         z1f.append(v.length_m)
         z2f.append(v.energy_j)
     r_flat = pearson(z1f, z2f)

@@ -1012,16 +1012,30 @@ class TestUsage:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["check", "lp-export"])
-    @pytest.mark.parametrize("case", ["missing", "malformed", "not-utf-8", "oversized-cell"])
+    @pytest.mark.parametrize(
+        "case",
+        ["missing", "malformed", "not-utf-8", "oversized-cell", "off-grid-start", "start-is-goal"],
+    )
     def test_unreadable_instance_names_the_file(self, tmp_path, capsys, command, case):
         path = tmp_path / "world.json"
-        if case == "oversized-cell":
+        # A world-geometry error names the file's own key.
+        geometry = {
             # Squared lengths would overflow to infinite objectives.
+            "oversized-cell": "grid.cell_size_m: must lie in (0, 1e+06], got 1e+154",
+            "off-grid-start": "start.cell: (9, 0) outside the 3x3 grid",
+            "start-is-goal": "goal.cell: must differ from the start cell",
+        }
+        if case in geometry:
             save_tiny(path, 1)
             doc = json.loads(path.read_text(encoding="utf-8"))
-            doc["grid"]["cell_size_m"] = 1e154
+            if case == "oversized-cell":
+                doc["grid"]["cell_size_m"] = 1e154
+            elif case == "off-grid-start":
+                doc["start"]["cell"] = [9, 0]
+            else:
+                doc["goal"]["cell"] = doc["start"]["cell"]
             path.write_text(json.dumps(doc), encoding="utf-8")
-            expected = f"error: {path}: cell_size_m must lie in (0, 1e+06], got 1e+154\n"
+            expected = f"error: {path}: {geometry[case]}\n"
         elif case == "malformed":
             path.write_text(json.dumps({"grid": {"rows": "x"}}), encoding="utf-8")
             expected = f"error: {path}: grid.rows: expected an integer, got str\n"

@@ -312,6 +312,35 @@ class TestRunReporting:
         assert single.degenerate_normalization
 
 
+class TestMatingCounters:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_counts_add_up(self, algorithm):
+        cfg = AlgoConfig(algorithm=algorithm, population_size=16,
+                         evaluation_budget=320, archive_size=16, seed=3)
+        res = run(small_env(9), PARAMS, cfg)
+        stats = res.stats
+        accepted = res.evaluations - cfg.population_size
+        # Each mating considers both children, except when child one fills a
+        # generation's last slot; the considered children the novelty filter
+        # does not reject are the evaluated offspring.
+        considered = accepted + stats.novelty_rejections
+        assert 2 * stats.matings - res.generations <= considered <= 2 * stats.matings
+        assert stats.novelty_rejections > 0
+        assert stats.crossovers <= stats.matings
+        assert stats.duplicates_accepted <= accepted
+
+    def test_one_genotype_world_takes_duplicates(self):
+        # One level and two cells: a single genotype, so after the first
+        # population every child is taken once the barren budget runs out.
+        cfg = AlgoConfig(population_size=4, evaluation_budget=12, archive_size=4, seed=0)
+        res = run(build_env(rows=1, cols=2, levels=(0.0,)), PARAMS, cfg)
+        assert res.stats.duplicates_accepted == res.evaluations - cfg.population_size == 8
+        # Per generation, twice: 8 barren matings (both children rejected),
+        # then one whose two duplicates are taken.
+        assert res.stats.matings == 2 * 2 * (8 + 1)
+        assert res.stats.novelty_rejections == 2 * 2 * 8 * 2
+
+
 class TestTune:
     def test_tuner_config_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from overfly import (
     InitializationError,
     OperatorConfig,
     OperatorStats,
+    breed,
     crossover,
     generate,
     initialize,
@@ -59,7 +60,7 @@ class TestOperatorConfig:
 
         monkeypatch.setattr(OperatorConfig, "__post_init__", counted_check)
         for _ in range(100):
-            parents = list(crossover(*parents, env, rng, config=None))
+            parents = list(crossover(*parents, env, rng))
             parents[0] = mutate(parents[0], None, env, rng)
         assert len(built) == 0
 
@@ -143,7 +144,7 @@ class TestInitialize:
         env = build_env(obstacle=obstacle)
         stats = OperatorStats()
         with pytest.raises(InitializationError, match="50 attempts"):
-            initialize(env, np.random.default_rng(0), None, stats)
+            initialize(env, np.random.default_rng(0), stats)
         assert stats.walk_restarts == 50
 
 
@@ -185,7 +186,7 @@ class TestCrossover:
         stats = OperatorStats()
         pa = initialize(env, rng)
         pb = initialize(env, rng)
-        crossover(pa, pb, env, rng, None, stats)
+        crossover(pa, pb, env, rng, stats)
         assert stats.crossovers == 1
 
 
@@ -249,7 +250,7 @@ def _assert_matches_reference(parents, env, seed):
     for pa, pb in itertools.permutations(parents, 2):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         stats, ref_stats = OperatorStats(), OperatorStats()
-        children = crossover(pa, pb, env, Draws(rng), None, stats)
+        children = crossover(pa, pb, env, Draws(rng), stats)
         expected = _reference_crossover(pa, pb, env, ref_rng, ref_stats)
         assert children == expected
         assert stats == ref_stats
@@ -327,6 +328,133 @@ class TestSpliceKernel:
             all_stats += _assert_matches_reference(parents, env, pool)
         assert len(all_stats) == 300
         assert sum(s.loop_removals for s in all_stats) > 0
+
+
+def _tournament(pool, keys, rng):
+    """A binary tournament over ``pool`` drawing from ``rng``: the lower key
+    wins, a tie goes to a coin."""
+    def pick():
+        i, j = int(rng.integers(len(pool))), int(rng.integers(len(pool)))
+        if keys[i] != keys[j]:
+            return pool[i] if keys[i] < keys[j] else pool[j]
+        return pool[i] if rng.random() < 0.5 else pool[j]
+    return pick
+
+
+def _reference_breed(pick, count, seen, max_barren, env, rng, config, stats, events):
+    """``breed`` as the composition of the one-step operators; records in
+    ``events`` the edge cases it met."""
+    children = []
+    barren = 0
+    while len(children) < count:
+        novelty_required = barren < max_barren
+        if not novelty_required:
+            events.add("barren budget ran out")
+        pa, pb = pick(), pick()
+        stats.matings += 1
+        if rng.random() < config.crossover_probability:
+            if min(len(pa.cells), len(pb.cells)) == 2:
+                events.add("two-cell parent crossed")
+            c1, c2 = crossover(pa, pb, env, rng, stats)
+        else:
+            c1, c2 = pa, pb
+        accepted = False
+        for child in (c1, c2):
+            if len(children) >= count:
+                events.add("last slot filled by child one")
+                break
+            child = mutate(child, config, env, rng, stats)
+            key = (child.cells, child.entry_levels)
+            if key in seen:
+                if novelty_required:
+                    stats.novelty_rejections += 1
+                    continue
+                stats.duplicates_accepted += 1
+            seen.add(key)
+            children.append(child)
+            accepted = True
+        barren = 0 if accepted else barren + 1
+    return children
+
+
+def _assert_breed_matches_reference(env, parents, seed, count, max_barren, config):
+    """``breed`` on a Draws and the reference on a plain Generator, from the
+    same seed and the same pool: equal children, stats, genotype sets and
+    next draw. Returns the reference's events."""
+    keys = [float(k) for k in np.random.default_rng(seed).integers(3, size=len(parents))]
+    seen = {(p.cells, p.entry_levels) for p in parents}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = Draws(rng)
+    stats, ref_stats = OperatorStats(), OperatorStats()
+    ref_seen, events = set(seen), set()
+    children = breed(_tournament(parents, keys, draws), count, seen, max_barren,
+                     env, draws, config, stats)
+    expected = _reference_breed(_tournament(parents, keys, ref_rng), count, ref_seen,
+                                max_barren, env, ref_rng, config, ref_stats, events)
+    assert children == expected
+    assert all(type(child) is Chromosome for child in children)
+    assert stats == ref_stats
+    assert seen == ref_seen
+    assert rng.random() == ref_rng.random()
+    return events
+
+
+class TestBreed:
+    """The search's mating loop makes the draws, children and counts of the
+    one-step operators applied in mating order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        generated_worlds(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(0, 4),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 1.0),
+    )
+    def test_matches_reference_loop(self, env, seed, count, max_barren, cp, mp, rate):
+        config = OperatorConfig(crossover_probability=cp, mutation_probability=mp,
+                                mutation_rate=rate)
+        rng = np.random.default_rng(seed)
+        parents = [initialize(env, rng) for _ in range(4)]
+        _assert_breed_matches_reference(env, parents, seed, count, max_barren, config)
+
+    def test_two_cell_parents_and_an_odd_count(self):
+        # Start and goal side by side: the direct route has two cells, so
+        # the cut draws nothing when it is crossed.
+        env = build_env(rows=2, cols=3, start=(0, 0), goal=(0, 1))
+        direct = Chromosome(((0, 0), (0, 1)), (0, 1), 0.25)
+        assert validate(direct, env).ok
+        events = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            parents = [direct] + [initialize(env, rng) for _ in range(5)]
+            events |= _assert_breed_matches_reference(
+                env, parents, seed, 5, 3, OperatorConfig(crossover_probability=1.0))
+        assert {"two-cell parent crossed", "last slot filled by child one"} <= events
+
+    def test_barren_budget_runs_out(self):
+        # One route at one level: every child repeats a genotype.
+        env = build_env(rows=1, cols=3, levels=(0.0,))
+        rng = np.random.default_rng(4)
+        parents = [initialize(env, rng) for _ in range(3)]
+        events = _assert_breed_matches_reference(
+            env, parents, 4, 5, 2, OperatorConfig(mutation_probability=0.5))
+        assert "barren budget ran out" in events
+
+    def test_adds_to_the_given_stats(self):
+        env = build_env(rows=4, cols=5)
+        rng = np.random.default_rng(2)
+        parents = [initialize(env, rng) for _ in range(6)]
+        counts = []
+        for start in (OperatorStats(), OperatorStats(*range(1, 9))):
+            rng = np.random.default_rng(3)
+            seen = {(p.cells, p.entry_levels) for p in parents}
+            breed(_tournament(parents, [0.0] * 6, rng), 4, seen, 8, env, rng,
+                  OperatorConfig(), start)
+            counts.append(list(vars(start).values()))
+        assert [b - a for a, b in zip(*counts)] == list(range(1, 9))
 
 
 class TestMutate:
@@ -427,8 +555,8 @@ class TestOperatorClosureProperty:
         cfg = OperatorConfig(
             crossover_probability=1.0, mutation_probability=1.0, mutation_rate=mutation_rate
         )
-        parents = [initialize(env, rng, cfg) for _ in range(2)]
-        children = crossover(*parents, env, rng, cfg)
+        parents = [initialize(env, rng) for _ in range(2)]
+        children = crossover(*parents, env, rng)
         mutants = [mutate(ch, cfg, env, rng) for ch in (*parents, *children)]
         for ch in (*parents, *children, *mutants):
             assert validate(ch, env).ok, ch
