@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .physics import MAX_MODEL_ALTITUDE_M
+from .physics import MAX_MODEL_ALTITUDE_M, to_float
 
 Cell = tuple[int, int]
 
@@ -120,19 +120,24 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise GridError(f"must be at least 1x1, got {self.rows}x{self.cols}", "grid")
-        if not (0.0 < self.cell_size_m <= MAX_CELL_SIZE_M):
+        # Stored as Python floats; a non-number (None) fails its range test.
+        cell_size, levels = to_float(self.cell_size_m), tuple(map(to_float, self.levels_m))
+        if cell_size is None or not (0.0 < cell_size <= MAX_CELL_SIZE_M):
             raise GridError(
-                f"must lie in (0, {MAX_CELL_SIZE_M:g}], got {self.cell_size_m}", "cell_size_m"
+                f"must lie in (0, {MAX_CELL_SIZE_M:g}], got {self.cell_size_m!r}", "cell_size_m"
             )
-        if len(self.levels_m) == 0:
+        if len(levels) == 0:
             raise GridError("must not be empty", "levels_m")
-        for k, h in enumerate(self.levels_m):
+        for k, h in enumerate(levels):
             # Every level pair is costed, so every level must lie where the
             # air-density model holds.
-            if not (0.0 <= h < MAX_MODEL_ALTITUDE_M):
+            if h is None or not (0.0 <= h < MAX_MODEL_ALTITUDE_M):
                 raise GridError(
-                    f"must lie in [0, {MAX_MODEL_ALTITUDE_M:.0f}) m, got {h}", f"levels_m[{k}]"
+                    f"must lie in [0, {MAX_MODEL_ALTITUDE_M:.0f}) m, got {self.levels_m[k]!r}",
+                    f"levels_m[{k}]",
                 )
+        object.__setattr__(self, "cell_size_m", cell_size)
+        object.__setattr__(self, "levels_m", levels)
         for a, b in zip(self.levels_m, self.levels_m[1:]):
             if not (b > a):
                 raise GridError(f"must be strictly increasing, got {self.levels_m}", "levels_m")
@@ -157,7 +162,7 @@ class GridSpec:
 
 
 # Each entry is a few dicts of a grid's size, so 64 geometries stay small.
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
     dict[Cell, tuple[Cell, ...]],
     Mapping[Cell, tuple[Cell, ...]],
@@ -168,8 +173,7 @@ def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
     move distances of a ``rows x cols`` grid.
 
     Built once per geometry and shared by every :class:`Environment` that
-    has it, so no caller may write to them. ``typed``: a straight move is
-    ``cell_size_m`` as given, so ``10`` and ``10.0`` get tables of their own.
+    has it, so no caller may write to them.
     """
     succ: dict[Cell, tuple[Cell, ...]] = {}
     pred: dict[Cell, list[Cell]] = {(r, c): [] for r in range(rows) for c in range(cols)}
@@ -221,7 +225,7 @@ class Environment:
         # Each test is written so that NaN fails it.
         for name, arr, ok, rule in (
             ("obstacle_m", obstacle, (obstacle >= 0.0) & (obstacle < math.inf), "be finite and non-negative"),
-            ("ceiling_m", ceiling, np.isfinite(ceiling), "be finite"),
+            ("ceiling_m", ceiling, (ceiling >= 0.0) & (ceiling < math.inf), "be finite and non-negative"),
             ("risk", riskarr, (riskarr >= 0.0) & (riskarr <= 1.0), "lie in [0, 1]"),
         ):
             if not ok.all():
@@ -530,12 +534,9 @@ def _get(mapping: Mapping, key: str, path: str):
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = to_float(value)
+    if number is None:
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
     if not math.isfinite(number):
         raise _fail(path, f"expected a finite number, got {number}")
     return number
@@ -639,12 +640,11 @@ def _parse_instance(doc) -> Environment:
         if cell in seen:
             raise _fail(f"{where}.cell", f"duplicate entry for cell [{r}, {c}]")
         seen.add(cell)
-        if "obstacle_m" in entry:
-            obstacle[r, c] = _number(entry["obstacle_m"], f"{where}.obstacle_m")
-            if obstacle[r, c] < 0.0:
-                raise _fail(f"{where}.obstacle_m", f"must be non-negative (cell [{r}, {c}])")
-        if "ceiling_m" in entry:
-            ceiling[r, c] = _number(entry["ceiling_m"], f"{where}.ceiling_m")
+        for key, heights in (("obstacle_m", obstacle), ("ceiling_m", ceiling)):
+            if key in entry:
+                heights[r, c] = _number(entry[key], f"{where}.{key}")
+                if heights[r, c] < 0.0:
+                    raise _fail(f"{where}.{key}", f"must be non-negative (cell [{r}, {c}])")
         if "risk" in entry:
             vec = entry["risk"]
             if not isinstance(vec, list) or len(vec) != len(levels):
@@ -675,8 +675,8 @@ def save_instance(env: Environment, path: str) -> None:
     top = spec.levels_m[-1]
     obstacle, ceiling = env.obstacle_m.tolist(), env.ceiling_m.tolist()
     entries = []
-    # The terrain arrays hold Python floats once listed, and json writes a
-    # float as its repr; only the spec's numbers may be ints.
+    # The terrain arrays hold Python floats once listed, as the spec does,
+    # and json writes a float as its repr.
     for r, c in env.cells():
         extra = ""
         if obstacle[r][c] != 0.0:
@@ -689,13 +689,13 @@ def save_instance(env: Environment, path: str) -> None:
         if extra:
             entries.append(f'    {{\n      "cell": [\n        {r},\n        {c}\n      ]{extra}\n    }}')
     cells = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    levels = ",\n    ".join(map(_json_number, spec.levels_m))
+    levels = ",\n    ".join(map(repr, spec.levels_m))
     (start_r, start_c), (goal_r, goal_c) = spec.start_cell, spec.goal_cell
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "{\n"
             f'  "grid": {{\n    "rows": {spec.rows},\n    "cols": {spec.cols},\n'
-            f'    "cell_size_m": {_json_number(spec.cell_size_m)}\n  }},\n'
+            f'    "cell_size_m": {spec.cell_size_m!r}\n  }},\n'
             f'  "levels_m": [\n    {levels}\n  ],\n'
             f'  "start": {{\n    "cell": [\n      {start_r},\n      {start_c}\n    ],\n'
             f'    "level": {spec.start_level}\n  }},\n'
@@ -704,7 +704,3 @@ def save_instance(env: Environment, path: str) -> None:
             f'  "cells": {cells}\n'
             "}\n"
         )
-
-
-def _json_number(value: float | int) -> str:
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)

@@ -25,14 +25,14 @@ formats each distinct coefficient once per call, and writes a row that fits
 the 72-column width in one join.
 
 Substitution works against a per-model baseline, the unused-arc assignment
-``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc).
-``assignment_values`` overlays a path's values on it; ``substitute``
-re-sums only the rows holding a variable whose value differs from the
-baseline, and takes the baseline's sums for the rest, of which only eq3 and
-eq4 fail. That is exact: ``math.fsum`` returns the correctly rounded sum of
-its nonzero terms and +0.0 when there are none, so with finite coefficients
-a row none of whose variables changed sums to the baseline's left-hand side
-bit for bit. Its report is a value: the tolerance and the failing rows.
+``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc), which
+breaks exactly eq3 and eq4 (see ``build_model``). ``assignment_values``
+overlays a path's values on it; ``substitute`` re-sums eq3, eq4 and the
+rows holding a variable whose value differs from the baseline. That is
+exact: ``math.fsum`` returns the correctly rounded sum of its nonzero terms
+and +0.0 when there are none, so with finite coefficients a row none of
+whose variables changed sums to the baseline's left-hand side bit for bit.
+Its report is a value: the failing rows, judged with no tolerance.
 
 ``build_model`` counts its rows from the world before it builds any
 (``row_count``, O(arcs)) and refuses a model above ``MAX_ROWS`` with
@@ -177,16 +177,6 @@ class MilpModel:
         """Variable name -> its objective coefficient (names are distinct)."""
         return dict(self.objective)
 
-    @cached_property
-    def _baseline_failures(self) -> tuple[tuple[int, float, float], ...]:
-        """(row, lhs, slack) of each row failing at ``baseline`` (eq3, eq4).
-        Only ``y`` rows are summed: the rest have all-zero terms, sum +0.0."""
-        base, rows = self.baseline, self.rows
-        summed = {r for name, value in base.items() if value for r in self._rows_of.get(name, ())}
-        sums = ((r, _lhs(row.coeffs, base) if r in summed else 0.0) for r, row in enumerate(rows))
-        checks = ((r, lhs, _slack(rows[r], lhs)) for r, lhs in sums)
-        return tuple(check for check in checks if not check[2] >= 0.0)
-
 
 # -- naming ------------------------------------------------------------------
 
@@ -215,7 +205,7 @@ def arc_var(prefix: str, i: Cell, j: Cell) -> str:
 
 
 def default_big_m(env: Environment) -> float:
-    """Strictly exceeds every altitude span, ceiling, and obstacle height."""
+    """Strictly exceeds every altitude span, ceiling and obstacle, as ``build_model`` needs."""
     spec = env.spec
     span = spec.levels_m[-1] - spec.levels_m[0]
     return 1.0 + max(span, float(env.ceiling_m.max()), float(env.obstacle_m.max()))
@@ -268,15 +258,24 @@ def build_model(
     ``epsilon`` (length objective plus a risk_cap row bounding accumulated
     risk by ``risk_cap``).
 
+    Rows 0 and 1 are eq3 and eq4, never trimmed (the start has a successor,
+    the goal a predecessor), and the only rows ``MilpModel.baseline`` breaks:
+    an unused arc's eq7 reads ``0 >= obstacle - big_m``, so ``big_m`` must
+    reach every obstacle off the start cell, and its eq8 ``0 <= ceiling``,
+    which ``Environment`` keeps. Numbers are taken as Python floats.
+
     Raises:
         ValueError: on a bad argument, including a non-finite ``risk_cap``
-            or ``big_m``; a message about one argument opens with its name.
+            or ``big_m``, or a ``big_m`` below an obstacle off the start
+            cell; a message about one argument opens with its name.
         EnumerationLimitError: when ``row_count`` exceeds ``MAX_ROWS``,
             before any row is built.
     """
+    risk_cap = None if risk_cap is None else float(risk_cap)
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
     if objective == "weighted":
+        weight = float(weight)
         if bounds is None:
             raise ValueError("weighted objective requires normalization bounds")
         if not 0.0 <= weight <= 1.0:
@@ -301,6 +300,9 @@ def build_model(
     m_value = default_big_m(env) if big_m is None else float(big_m)
     if m_value <= max(h[-1] - h[0], 0.0):
         raise ValueError(f"big_m must exceed the largest altitude span, got {m_value!r}")
+    tallest = max(float(env.obstacle_m[c]) for c in env.cells() if c != start)
+    if m_value < tallest:
+        raise ValueError(f"big_m must reach the tallest obstacle off the start ({tallest!r} m), got {m_value!r}")
 
     # Name tables: each cell, arc, x, u and per-arc variable name is
     # formatted once, here; the variable list, the rows and the objective
@@ -485,7 +487,7 @@ def build_model(
     else:
         obj = dict(z1)
         label = f"z1 with accumulated risk capped at {risk_cap!r}"
-        add_row("risk_cap", "risk_cap", sorted(z3.items()), "<=", float(risk_cap))
+        add_row("risk_cap", "risk_cap", sorted(z3.items()), "<=", risk_cap)
 
     objective_terms = tuple(sorted((n, c) for n, c in obj.items() if c != 0.0))
     if not objective_terms and variables:
@@ -589,7 +591,7 @@ def render_lp(model: MilpModel) -> str:
 
 
 class RowCheck(NamedTuple):
-    """One row evaluated at one assignment; slack >= -tol means satisfied."""
+    """One row an assignment breaks; its slack is negative (or NaN)."""
 
     name: str
     family: str
@@ -597,15 +599,13 @@ class RowCheck(NamedTuple):
     sense: str
     rhs: float
     slack: float
-    ok: bool
 
 
 @dataclass(frozen=True)
 class SubstitutionReport:
     """The rows an assignment breaks: ``failing`` holds their checks, in row
-    order, judged at ``tol``. A plain value, compared by value."""
+    order. A plain value, compared by value."""
 
-    tol: float
     failing: tuple[RowCheck, ...]
 
     @property
@@ -631,26 +631,22 @@ def _slack(row: LpRow, lhs: float) -> float:
     return -abs(lhs - row.rhs)
 
 
-def substitute(
-    model: MilpModel, values: Mapping[str, float], tol: float = 0.0
-) -> SubstitutionReport:
+def substitute(model: MilpModel, values: Mapping[str, float]) -> SubstitutionReport:
     """Evaluate every row at a concrete assignment; the report holds the
     rows that fail.
 
     Every model variable must be present in ``values`` (extra keys are
-    ignored); rows are checked with compensated summation and the given
-    tolerance (>= 0). Only the rows holding a variable whose value ``!=``
-    its ``model.baseline`` value are re-summed; each other row takes its
-    baseline sum, and of those only the rows failing at the baseline can
-    fail. That is bit-identical to re-summing every row: a value equal to
-    0.0 or 1.0 converts to a float of that value (a zero possibly negative),
-    and ``math.fsum`` skips zero terms and returns +0.0 for none, so the
-    row's terms and sum are the baseline's. A NaN or a value of another type
-    that compares unequal is re-summed as any other change. Of
+    ignored); rows are checked with compensated summation, and a row fails
+    when its slack is below 0. Only eq3, eq4 and the rows holding a variable
+    whose value ``!=`` its ``model.baseline`` value are re-summed; every
+    other row holds, as at the baseline (see ``build_model``). That is
+    bit-identical to re-summing every row: a value equal to 0.0 or 1.0
+    converts to a float of that value (a zero possibly negative), and
+    ``math.fsum`` skips zero terms and returns +0.0 for none, so the row's
+    terms and sum are the baseline's. A NaN or a value of another type that
+    compares unequal is re-summed as any other change. Of
     ``assignment_values``' overlay only the path's own map is compared.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     base = model.baseline
     own = _path_map(model, values)
     if own is not None:
@@ -664,21 +660,16 @@ def substitute(
                 f"assignment is missing {len(missing)} variable(s), e.g. {sorted(missing)[0]}"
             ) from None
     rows, rows_of = model.rows, model._rows_of
-    # Row order, so that a value float() rejects raises where a full pass would.
-    touched = sorted({r for name in changed for r in rows_of.get(name, ())})
-    sums = {}
-    for r in touched:
-        lhs = _lhs(rows[r].coeffs, values)
-        sums[r] = lhs, _slack(rows[r], lhs)
-    for r, lhs, slack in model._baseline_failures:
-        sums.setdefault(r, (lhs, slack))
+    # eq3 and eq4 are rows 0 and 1. Row order: a bad value raises as in a full pass.
+    touched = sorted({0, 1, *(r for name in changed for r in rows_of.get(name, ()))})
     failing = []
-    for r in sorted(sums):
-        lhs, slack = sums[r]
-        if not slack >= -tol:
-            name, family, _, sense, rhs = rows[r]
-            failing.append(RowCheck(name, family, lhs, sense, rhs, slack, False))
-    return SubstitutionReport(tol, tuple(failing))
+    for r in touched:
+        row = rows[r]
+        lhs = _lhs(row.coeffs, values)
+        slack = _slack(row, lhs)
+        if not slack >= 0.0:
+            failing.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack))
+    return SubstitutionReport(tuple(failing))
 
 
 def objective_value(model: MilpModel, values: Mapping[str, float]) -> float:
@@ -768,7 +759,7 @@ def violate_row(row: LpRow, base: Mapping[str, float]) -> tuple[str, float]:
     return name, float(base[name]) + (target - _lhs(row.coeffs, base)) / coeff
 
 
-def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0) -> dict[str, bool]:
+def mutation_test(model: MilpModel, base: Mapping[str, float]) -> dict[str, bool]:
     """For every row family: does some row of that family fail once
     ``violate_row``'s change is applied? The base assignment itself must
     pass ``substitute``.
@@ -777,7 +768,7 @@ def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0)
     result, so only the broken row is re-evaluated, by the same row sum and
     sense rule as ``substitute``. A caught family's other rows are skipped.
     """
-    base_report = substitute(model, base, tol)
+    base_report = substitute(model, base)
     if not base_report.ok:
         first = base_report.failures()[0]
         raise ValueError(f"base assignment already violates {first.name}")
@@ -787,5 +778,5 @@ def mutation_test(model: MilpModel, base: Mapping[str, float], tol: float = 0.0)
             continue
         name, value = violate_row(row, base)
         lhs = math.fsum([c * (value if n == name else float(base[n])) for n, c in row.coeffs])
-        caught[row.family] = not _slack(row, lhs) >= -tol  # substitute's ok flag, negated
+        caught[row.family] = not _slack(row, lhs) >= 0.0  # substitute's failure rule
     return caught

@@ -15,12 +15,25 @@ rotor's blade disc area, ``n`` the rotor count, ``dist3d`` the straight-line
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # Empirical troposphere fit: relative density = (1 - LAPSE * H) ^ EXPONENT.
 DENSITY_LAPSE_PER_M = 2.2558e-5
 DENSITY_EXPONENT = 4.2577
 MAX_MODEL_ALTITUDE_M = 1.0 / DENSITY_LAPSE_PER_M
+
+
+def to_float(value: object) -> float | None:
+    """``value`` as a Python float if it is a real number but not a bool (a
+    numpy scalar too), else None. Records of quantities store it, so that no
+    ``np.float64(...)`` reaches LP text, CSV or JSON."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -52,8 +65,12 @@ class DroneParams:
             "speed_mps",
             "sea_level_density_kgm3",
         ):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            # An int stays as given; a float field stores any other number as a float.
+            value = getattr(self, name)
+            number = value if name == "rotor_count" or type(value) is int else to_float(value)
+            if number is None or not (0 < number < math.inf):
+                raise ValueError(f"{name} must be a positive, finite number, got {value!r}")
+            object.__setattr__(self, name, number)
 
     @property
     def energy_coefficient(self) -> float:

@@ -198,16 +198,6 @@ def render_svg(
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Plain CSV with one header row; floats are written via repr for exact
-    round-trips."""
-
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
+    """Plain CSV with one header row; csv writes a float as its repr, which round-trips."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([cell(v) for v in row])
+        csv.writer(fh).writerows([header, *rows])

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .environment import Cell, Environment
-from .physics import DroneParams, average_density, segment_energy, traversal_energy
+from .physics import DroneParams, average_density, segment_energy, to_float, traversal_energy
 
 
 class ChromosomeError(ValueError):
@@ -221,7 +221,7 @@ def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> Objective
 @dataclass(frozen=True)
 class NormBounds:
     """Min-max normalization bounds for the length and energy objectives:
-    finite, each upper bound at or above its lower one (equal is degenerate)."""
+    finite floats, each upper bound at or above its lower one (equal is degenerate)."""
 
     length_lo: float
     length_hi: float
@@ -231,8 +231,10 @@ class NormBounds:
     def __post_init__(self) -> None:
         for lo, hi in (("length_lo", "length_hi"), ("energy_lo", "energy_hi")):
             for name in (lo, hi):
-                if not math.isfinite(getattr(self, name)):
-                    raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                value = to_float(getattr(self, name))
+                if value is None or not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                object.__setattr__(self, name, value)
             if getattr(self, hi) < getattr(self, lo):
                 raise ValueError(f"{hi} must be >= {lo} ({getattr(self, lo)}), got {getattr(self, hi)}")
 

@@ -950,6 +950,21 @@ class TestLpExport:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_big_m_below_an_obstacle_top_names_its_flag(self, tmp_path, capsys):
+        # Levels 0/10/20 m and one 30 m tower: an unused arc into the tower
+        # meets its eq7 row only when big-M reaches 30 m.
+        obstacle = np.zeros((3, 3))
+        obstacle[0, 1] = 30.0
+        instance, out = tmp_path / "tower.json", tmp_path / "m.lp"
+        save_instance(build_env(rows=3, cols=3, obstacle=obstacle), instance)
+        assert main(["lp-export", str(instance), "--out", str(out), "--big-m", "25"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --big-m must reach the tallest obstacle off the start (30.0 m), got 25.0\n"
+        )
+        assert not out.exists()
+        assert main(["lp-export", str(instance), "--out", str(out), "--big-m", "30"]) == 0
+        assert "\\ big-M constant: 30.0\n" in out.read_text()
+
     def test_oversized_refused(self, tmp_path, capsys, monkeypatch):
         save_oversized(tmp_path / "big.json")
         monkeypatch.setattr(cli, "render_lp", refuse_to_run)
@@ -1014,16 +1029,21 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["check", "lp-export"])
     @pytest.mark.parametrize(
         "case",
-        ["missing", "malformed", "not-utf-8", "oversized-cell", "off-grid-start", "start-is-goal"],
+        [
+            "missing", "malformed", "not-utf-8", "oversized-cell", "off-grid-start",
+            "start-is-goal", "negative-ceiling",
+        ],
     )
     def test_unreadable_instance_names_the_file(self, tmp_path, capsys, command, case):
         path = tmp_path / "world.json"
-        # A world-geometry error names the file's own key.
+        # A world error names the file's own key.
         geometry = {
             # Squared lengths would overflow to infinite objectives.
             "oversized-cell": "grid.cell_size_m: must lie in (0, 1e+06], got 1e+154",
             "off-grid-start": "start.cell: (9, 0) outside the 3x3 grid",
             "start-is-goal": "goal.cell: must differ from the start cell",
+            # An unused arc into the cell would break its eq8 row.
+            "negative-ceiling": "cells[0].ceiling_m: must be non-negative (cell [0, 0])",
         }
         if case in geometry:
             save_tiny(path, 1)
@@ -1032,6 +1052,9 @@ class TestUsage:
                 doc["grid"]["cell_size_m"] = 1e154
             elif case == "off-grid-start":
                 doc["start"]["cell"] = [9, 0]
+            elif case == "negative-ceiling":
+                assert doc["cells"][0]["cell"] == [0, 0]
+                doc["cells"][0]["ceiling_m"] = -5
             else:
                 doc["goal"]["cell"] = doc["start"]["cell"]
             path.write_text(json.dumps(doc), encoding="utf-8")

@@ -78,6 +78,27 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(**spec_kwargs(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"cell_size_m": "10"}, "cell_size_m"),
+            ({"cell_size_m": None}, "cell_size_m"),
+            ({"levels_m": (0.0, "10", 20.0)}, "levels_m[1]"),
+            ({"levels_m": (0.0, True)}, "levels_m[1]"),
+        ],
+    )
+    def test_non_number_names_its_field(self, overrides, field):
+        with pytest.raises(GridError) as excinfo:
+            GridSpec(**spec_kwargs(**overrides))
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(f"{field} must lie in ")
+
+    def test_numbers_are_stored_as_python_floats(self):
+        spec = GridSpec(**spec_kwargs(cell_size_m=np.int64(10), levels_m=tuple(np.arange(3) * 10.0)))
+        assert spec == GridSpec(**spec_kwargs())
+        assert [type(x) for x in (spec.cell_size_m, *spec.levels_m)] == [float] * 4
+        assert repr(spec.levels_m) == "(0.0, 10.0, 20.0)"
+
     def test_level_count(self):
         spec = GridSpec(**spec_kwargs())
         assert spec.level_count == 3
@@ -180,6 +201,13 @@ class TestEnvironmentConstruction:
         with pytest.raises(GridError):
             build_env(obstacle=np.full((3, 4), -1.0))
 
+    def test_negative_ceiling_rejected(self):
+        # An unused arc into the cell would break its LP row eq8.
+        ceiling = np.full((3, 4), 20.0)
+        ceiling[2, 1] = -5.0
+        with pytest.raises(GridError, match=r"^ceiling_m\[2, 1\] must be finite and non-negative"):
+            build_env(ceiling=ceiling)
+
     def test_risk_out_of_range_rejected(self):
         with pytest.raises(GridError):
             build_env(risk=np.full((3, 4, 3), 1.5))
@@ -260,15 +288,15 @@ class TestSharedMoveTables:
         assert a.distance((1, 1), (0, 2)) == 10.0 * math.sqrt(2.0)
         assert b.distance((1, 1), (0, 2)) == 12.0 * math.sqrt(2.0)
 
-    @pytest.mark.parametrize("sizes", [(10, 10.0), (10.0, 10)])
-    def test_int_and_float_cell_sizes_keep_their_types(self, sizes):
-        # 10 == 10.0, but a straight move is the cell size as given.
+    def test_int_and_float_cell_sizes_share_one_table(self):
+        # The spec stores 10 as 10.0, so every move distance is a float.
         _move_tables.cache_clear()
-        envs = [build_env(cell_size=size) for size in sizes]
-        for size, env in zip(sizes, envs):
+        a, b = build_env(cell_size=10), build_env(cell_size=10.0)
+        assert a.adjacency is b.adjacency
+        for env in (a, b):
             straight, diagonal = env.distance((1, 1), (1, 2)), env.distance((1, 1), (2, 2))
-            assert straight == size and type(straight) is type(size)
-            assert diagonal == size * math.sqrt(2.0) and type(diagonal) is float
+            assert straight == 10.0 and type(straight) is float
+            assert diagonal == 10.0 * math.sqrt(2.0) and type(diagonal) is float
 
     def test_cache_is_bounded(self):
         limit = _move_tables.cache_info().maxsize

@@ -37,6 +37,18 @@ class TestDroneParams:
         with pytest.raises(ValueError):
             DroneParams(**{field: 0})
 
+    def test_numbers_are_stored_as_python_numbers(self):
+        # A float field keeps an int as given and stores any other number
+        # as a Python float; the int field is left as it is.
+        p = DroneParams(weight_kg=np.float64(1.5), gravity=10, speed_mps=np.float32(2.5))
+        assert (type(p.weight_kg), type(p.gravity), type(p.speed_mps)) == (float, int, float)
+        assert p == DroneParams(weight_kg=1.5, gravity=10, speed_mps=2.5)
+
+    @pytest.mark.parametrize("value", ["1.5", None, True])
+    def test_non_number_names_its_field(self, value):
+        with pytest.raises(ValueError, match=f"^weight_kg must be a positive, finite number, got {value!r}$"):
+            DroneParams(weight_kg=value)
+
     def test_infinite_value_rejected(self):
         with pytest.raises(ValueError, match="speed_mps"):
             DroneParams(speed_mps=math.inf)

@@ -2,8 +2,10 @@
 
 from xml.sax.saxutils import escape as sax_escape
 
+import numpy as np
 import pytest
 
+from overfly import DroneParams, average_density, segment_energy
 from overfly.plots import Series, render_svg, write_csv
 
 
@@ -89,6 +91,18 @@ class TestWriteCsv:
         assert lines[0] == "a,b"
         assert lines[1] == "1,2.5"
         assert len(lines) == 3
+
+    def test_numpy_energy_writes_as_a_float(self, tmp_path):
+        # A drone mass given as a numpy scalar gives the same energy, written
+        # as the same digits.
+        rows = []
+        for mass in (np.float64(1.5), 1.5):
+            params = DroneParams(weight_kg=mass)
+            energy = segment_energy(10.0, 10.0, average_density(0.0, 10.0, params), params)
+            write_csv(tmp_path / "out.csv", ["energy_j"], [(energy,)])
+            rows.append((tmp_path / "out.csv").read_text(encoding="utf-8"))
+        assert rows[0] == rows[1]
+        assert "np." not in rows[0]
 
     def test_float_repr_preserves_precision(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -283,6 +283,15 @@ class TestNormBounds:
             NormBounds(*bounds)
         assert str(excinfo.value) == message
 
+    def test_numbers_are_stored_as_python_floats(self):
+        b = NormBounds(np.float64(1.0), 2, np.float32(0.5), 4.0)
+        assert b == NormBounds(1.0, 2.0, 0.5, 4.0)
+        assert {type(x) for x in (b.length_lo, b.length_hi, b.energy_lo, b.energy_hi)} == {float}
+
+    def test_non_number_names_its_field(self):
+        with pytest.raises(ValueError, match="^energy_hi must be finite, got '4'$"):
+            NormBounds(0.0, 1.0, 0.0, "4")
+
     def test_merge_widens(self):
         a = NormBounds(0.0, 10.0, 5.0, 6.0)
         b = NormBounds(2.0, 12.0, 1.0, 5.5)
