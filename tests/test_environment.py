@@ -288,10 +288,12 @@ class TestSharedMoveTables:
         assert a.distance((1, 1), (0, 2)) == 10.0 * math.sqrt(2.0)
         assert b.distance((1, 1), (0, 2)) == 12.0 * math.sqrt(2.0)
 
-    def test_int_and_float_cell_sizes_share_one_table(self):
-        # The spec stores 10 as 10.0, so every move distance is a float.
+    @pytest.mark.parametrize("sizes", [(10, 10.0), (10.0, 10)])
+    def test_int_and_float_cell_sizes_keep_their_types(self, sizes):
+        # The spec stores 10 as 10.0, so whichever size builds the table
+        # first, both worlds share it and every move distance is a float.
         _move_tables.cache_clear()
-        a, b = build_env(cell_size=10), build_env(cell_size=10.0)
+        a, b = (build_env(cell_size=size) for size in sizes)
         assert a.adjacency is b.adjacency
         for env in (a, b):
             straight, diagonal = env.distance((1, 1), (1, 2)), env.distance((1, 1), (2, 2))
