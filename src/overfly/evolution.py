@@ -19,7 +19,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,11 +69,28 @@ class AlgoConfig:
 # -- building blocks ---------------------------------------------------------
 
 
+def _points(points) -> np.ndarray:
+    """``points`` as an (n, m) float array without NaN; ±inf is allowed."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"expected an (n, m) array of points, got shape {pts.shape}")
+    if np.isnan(pts).any():
+        raise ValueError("points must not hold NaN")
+    return pts
+
+
 def _dominance(pts: np.ndarray) -> np.ndarray:
-    """``dom[i, j]``: point i dominates point j (minimization)."""
-    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
-    return le & lt
+    """``dom[i, j]``: point i dominates point j (minimization). Built one
+    objective column at a time, so no (n, n, m) temporary is made."""
+    n = len(pts)
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in pts.T:
+        row, column = col[:, None], col[None, :]
+        le &= row <= column
+        lt |= row < column
+    le &= lt
+    return le
 
 
 def fast_nondominated_sort(points) -> list[list[int]]:
@@ -81,22 +98,19 @@ def fast_nondominated_sort(points) -> list[list[int]]:
 
     Returns index lists, best front first. Equal vectors never dominate each
     other and therefore share a front.
+
+    Raises:
+        ValueError: when ``points`` is not an (n, m) array or holds NaN.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (n, m) array of points, got shape {pts.shape}")
-    n = len(pts)
-    if n == 0:
-        return []
-    dom = _dominance(pts)
-    counts = dom.sum(axis=0).astype(int)
-    alive = np.ones(n, dtype=bool)
+    dom = _dominance(_points(points))
+    counts = dom.sum(axis=0)
     fronts: list[list[int]] = []
-    while alive.any():
-        current = np.where(alive & (counts == 0))[0]
-        fronts.append([int(i) for i in current])
-        alive[current] = False
+    current = np.flatnonzero(counts == 0)
+    while current.size:
+        fronts.append(current.tolist())
         counts -= dom[current].sum(axis=0)
+        counts[current] = -1  # in a front now: never zero again
+        current = np.flatnonzero(counts == 0)
     return fronts
 
 
@@ -105,29 +119,41 @@ def crowding_distance(points) -> np.ndarray:
 
     Boundary points of every objective get infinity; interior points sum the
     normalized neighbour gaps. Exact duplicates of an earlier point get 0.
+
+    The distinct points are found by a stable sort of the rows, so each
+    keeps its first copy, in lexicographic order; each objective then ranks
+    them by a stable sort. Up to about 100 points, the front sizes of a
+    run, this costs less in Python lists than in numpy calls.
+
+    Raises:
+        ValueError: when ``points`` is not an (n, m) array or holds NaN.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (n, m) array of points, got shape {pts.shape}")
-    n = len(pts)
+    pts = _points(points)
+    rows = pts.tolist()
+    n = len(rows)
     out = np.zeros(n)
-    if n == 0:
-        return out
-    uniq, rep_idx = np.unique(pts, axis=0, return_index=True)
-    u = len(uniq)
-    d = np.zeros(u)
+    firsts: list[int] = []
+    last = None
+    for i in sorted(range(n), key=rows.__getitem__):
+        if rows[i] != last:
+            firsts.append(i)
+            last = rows[i]
+    u = len(firsts)
     if u <= 2:
-        d[:] = np.inf
-    else:
-        for m in range(pts.shape[1]):
-            order = np.argsort(uniq[:, m], kind="stable")
-            d[order[0]] = np.inf
-            d[order[-1]] = np.inf
-            vals = uniq[order, m]
-            span = vals[-1] - vals[0]
-            if span > 0.0:
-                d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
-    out[rep_idx] = d
+        out[firsts] = np.inf
+        return out
+    uniq = [rows[i] for i in firsts]
+    d = [0.0] * u
+    for m in range(pts.shape[1]):
+        vals = [row[m] for row in uniq]
+        order = sorted(range(u), key=vals.__getitem__)
+        d[order[0]] = math.inf
+        d[order[-1]] = math.inf
+        span = vals[order[-1]] - vals[order[0]]
+        if span > 0.0:
+            for before, k, after in zip(order, order[1:-1], order[2:]):
+                d[k] += (vals[after] - vals[before]) / span
+    out[firsts] = d
     return out
 
 
@@ -184,9 +210,7 @@ def spea2_fitness(points) -> np.ndarray:
     ``1 / (sigma_k + 2)`` with ``k = floor(sqrt(n))`` and ``sigma_k`` the
     distance to the k-th nearest neighbour (0 when there are no neighbours).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (n, m) array of points, got shape {pts.shape}")
+    pts = _points(points)
     n = len(pts)
     if n == 0:
         return np.zeros(0)
@@ -449,16 +473,16 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     mating time, from parents and offspring together at survival time.
 
     Each generation's offspring come from :func:`~overfly.operators.breed`,
-    the search's mating step, fed by a binary tournament. Mating retries
-    until offspring are genotype-novel (cells and entry levels not evaluated
-    before in this run). The retry budget is per child slot, not per
-    generation: after ``2 * population_size`` consecutive matings that yield
-    no novel child, the next mating's children are taken even if they are
-    duplicates, and the count starts again from zero. Every evaluation is
-    therefore spent on a new candidate whenever the operators can still
-    produce one within that budget. The draws are those of the one-step
-    operators :func:`~overfly.operators.crossover` and
-    :func:`~overfly.operators.mutate` applied in mating order.
+    the search's mating step, which picks each parent by its binary
+    tournament. NSGA-II and NSGA-III hand it the population keyed by front,
+    then by larger crowding distance; SPEA2 hands it the archive keyed by
+    fitness. Mating retries until offspring are genotype-novel (cells and
+    entry levels not evaluated before in this run). The retry budget is per
+    child slot, not per generation: after ``2 * population_size``
+    consecutive matings that yield no novel child, the next mating's
+    children are taken even if they are duplicates, and the count starts
+    again from zero. Every evaluation is therefore spent on a new candidate
+    whenever the operators can still produce one within that budget.
     """
     cfg = config
     rng = np.random.default_rng(cfg.seed)
@@ -487,26 +511,6 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         return np.asarray([c.weight for c in chroms], dtype=float)
 
     seen_genotypes: set[tuple] = {(ch.cells, ch.entry_levels) for ch in pop}
-    # The tournament draws an index by ``bounded(n - 1)``, which is
-    # ``integers(n)`` for n >= 2: AlgoConfig holds population_size >= 4 and
-    # archive_size >= 2, and an archive holds min(archive_size, union) members.
-    random, bounded = draws.random, draws.bounded
-
-    def tournament(members: list[Chromosome], keys: list) -> Callable[[], Chromosome]:
-        """Binary tournament: the lower key wins, a tie goes to a coin."""
-        span = len(members) - 1
-
-        def pick() -> Chromosome:
-            i = bounded(span)
-            j = bounded(span)
-            if keys[i] < keys[j]:
-                return members[i]
-            if keys[j] < keys[i]:
-                return members[j]
-            return members[i] if random() < 0.5 else members[j]
-
-        return pick
-
     while evaluations + pop_size <= cfg.evaluation_budget:
         if cfg.algorithm == "spea2":
             union_pop = pop + arch_pop
@@ -517,18 +521,22 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
             keep = _spea2_archive_select(pts, fitness, cfg.archive_size)
             arch_pop = [union_pop[i] for i in keep]
             arch_vecs = [union_vecs[i] for i in keep]
-            pick = tournament(arch_pop, fitness[keep].tolist())
+            members, keys = arch_pop, fitness[keep].tolist()
         else:
             bounds = NormBounds.from_vectors(vecs)
             pts = combined_points(vecs, weights_of(pop), bounds)
             fronts = fast_nondominated_sort(pts)
             # The lower front wins, then the larger crowding distance.
-            keys: list[tuple[int, float]] = [(0, 0.0)] * len(pop)
+            keys = [(0, 0.0)] * len(pop)
             for fi, front in enumerate(fronts):
                 for i, d in zip(front, crowding_distance(pts[front]).tolist()):
                     keys[i] = (fi, -d)
-            pick = tournament(pop, keys)
-        offspring = breed(pick, pop_size, seen_genotypes, 2 * pop_size, env, draws, opcfg, stats)
+            members = pop
+        # An archive holds min(archive_size, union) >= 2 members: AlgoConfig
+        # holds archive_size >= 2 and population_size >= 4.
+        offspring = breed(
+            members, keys, pop_size, seen_genotypes, 2 * pop_size, env, draws, opcfg, stats
+        )
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]
         evaluations += pop_size

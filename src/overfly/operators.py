@@ -6,14 +6,15 @@ random cut, shifting the cut rightward until the junction is an adjacent
 move, and cuts out the loop where a head cell comes back in the tail.
 Mutation resamples a share of entry levels and perturbs the embedded weight.
 
-:func:`breed` is the search's mating step: one loop that picks parents,
-recombines and mutates their children on plain gene triples, and builds a
-:class:`~overfly.solution.Chromosome` only for a child the novelty filter
-keeps. :func:`crossover` and :func:`mutate` are the one-step operators, and
-the tested reference for that loop: both paths share each variation rule
-(:func:`_recombine`, :func:`_splice`, :func:`_resample_levels`,
-:func:`_perturb_weight`, :func:`sample_entry_level`), so only the order of
-the mating's draws is written twice.
+:func:`breed` is the search's mating step: one loop that picks each parent
+by binary tournament, recombines and mutates their children on plain gene
+triples, and builds a :class:`~overfly.solution.Chromosome` only for a child
+the novelty filter keeps. :func:`crossover` and :func:`mutate` are the
+one-step operators, and the tested reference for that loop: both paths
+share each variation rule (:func:`_recombine`, :func:`_splice`,
+:func:`_resample_levels`, :func:`_perturb_weight`,
+:func:`sample_entry_level`), so only the order of the mating's draws is
+written twice.
 
 Parents must validate (:func:`~overfly.solution.validate`); then every
 operator output validates against the world too, for a spliced child keeps
@@ -22,14 +23,15 @@ cell's band. The operators do not check their inputs: ``evaluate`` and
 ``validate`` stay the boundary that rejects an invalid candidate.
 
 Every ``rng`` may be a numpy Generator or a :class:`~overfly.draws.Draws` on
-one; both give the same draws.
+one; both give the same draws. :func:`breed` needs a Draws, for its
+tournament draws each index by :meth:`~overfly.draws.Draws.bounded`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -330,30 +332,46 @@ def mutate(
 
 
 def breed(
-    pick: Callable[[], Chromosome],
+    members: Sequence[Chromosome],
+    keys: Sequence,
     count: int,
     seen: set[tuple[tuple[Cell, ...], tuple[int, ...]]],
     max_barren: int,
     env: Environment,
-    rng: np.random.Generator | Draws,
+    draws: Draws,
     config: OperatorConfig,
     stats: OperatorStats,
 ) -> list[Chromosome]:
-    """``count`` children of parents drawn by ``pick``, genotype-novel while
-    the barren budget lasts.
+    """``count`` children of parents drawn from ``members`` by binary
+    tournament, genotype-novel while the barren budget lasts.
 
+    Each parent is the winner of a binary tournament: two indices drawn by
+    ``draws.bounded(len(members) - 1)``, the member with the lower key wins,
+    and a tie goes to a coin (``random() < 0.5`` takes the first). ``keys``
+    holds one comparable key per member, and ``members`` at least two.
     Each mating draws two parents, recombines them with probability
     ``crossover_probability`` (as :func:`crossover`), then mutates each child
     (as :func:`mutate`) while a slot is left and keeps it when its (cells,
     entry levels) genotype is not in ``seen``. After ``max_barren``
     consecutive matings that keep no child, the next mating's children are
     kept even when they are duplicates, and the count starts again. Kept
-    genotypes are added to ``seen``. The draws are those of that composition
-    of the one-step operators, and ``stats`` gets the same counts, plus the
-    mating counters, added once per call.
+    genotypes are added to ``seen``. Past the tournament, the draws are those
+    of that composition of the one-step operators, and ``stats`` gets the
+    same counts, plus the mating counters, added once per call.
+
+    Raises:
+        ValueError: when ``members`` holds fewer than two candidates or
+            ``keys`` does not hold one key per member.
     """
+    span = len(members) - 1
+    if span < 1 or len(keys) != len(members):
+        raise ValueError(
+            f"breed needs at least two members and one key each, got "
+            f"{len(members)} members and {len(keys)} keys"
+        )
+    bounded = draws.bounded
     adjacency = env.adjacency
-    random = rng.random
+    random = draws.random
     crossover_probability = config.crossover_probability
     p, rate = config.mutation_probability, config.mutation_rate
     children: list[Chromosome] = []
@@ -362,10 +380,17 @@ def breed(
     left = count
     while left:
         novelty_required = barren < max_barren
-        parent_a, parent_b = pick(), pick()
+        parents = []
+        for _ in (0, 1):  # one binary tournament per parent
+            i, j = bounded(span), bounded(span)
+            # The lower key wins; a tie goes to a coin.
+            if keys[j] < keys[i] or (not keys[i] < keys[j] and random() >= 0.5):
+                i = j
+            parents.append(members[i])
+        parent_a, parent_b = parents
         matings += 1
         if random() < crossover_probability:
-            one, two, looped = _recombine(parent_a, parent_b, adjacency, rng)
+            one, two, looped = _recombine(parent_a, parent_b, adjacency, draws)
             crossovers += 1
             loops += looped
             if one is None:
@@ -382,10 +407,10 @@ def breed(
                 break
             fired = False
             if random() < p and len(cells) > 1:
-                levels = _resample_levels(cells, levels, rate, env, rng)
+                levels = _resample_levels(cells, levels, rate, env, draws)
                 fired = True
             if random() < p:
-                weight = _perturb_weight(weight, rng)
+                weight = _perturb_weight(weight, draws)
                 fired = True
             mutations += fired
             key = (cells, levels)

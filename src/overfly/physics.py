@@ -44,7 +44,7 @@ class DroneParams:
         weight_kg: Take-off mass in kilograms.
         gravity: Gravitational acceleration in m/s^2.
         blade_disc_area_m2: Disc area swept by one rotor's blades.
-        rotor_count: Number of rotors.
+        rotor_count: Number of rotors, a positive integer.
         speed_mps: Constant cruise speed in m/s.
         sea_level_density_kgm3: Air density at altitude zero.
     """
@@ -61,16 +61,21 @@ class DroneParams:
             "weight_kg",
             "gravity",
             "blade_disc_area_m2",
-            "rotor_count",
             "speed_mps",
             "sea_level_density_kgm3",
         ):
             # An int stays as given; a float field stores any other number as a float.
             value = getattr(self, name)
-            number = value if name == "rotor_count" or type(value) is int else to_float(value)
+            number = value if type(value) is int else to_float(value)
             if number is None or not (0 < number < math.inf):
                 raise ValueError(f"{name} must be a positive, finite number, got {value!r}")
             object.__setattr__(self, name, number)
+        # A count of rotors: an integer, never a bool or a fraction, stored as
+        # a Python int.
+        count = self.rotor_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"rotor_count must be a positive integer, got {count!r}")
+        object.__setattr__(self, "rotor_count", int(count))
 
     @property
     def energy_coefficient(self) -> float:

@@ -163,3 +163,73 @@ def solve_lp(model, drop=()) -> float | None:
         options={"mip_rel_gap": 0.0},
     )
     return float(result.fun) if result.status == 0 else None
+
+
+# -- reference selection kernels ---------------------------------------------
+# The (n, n, m) dominance matrix, the front loop over it and the np.unique
+# crowding distance that the search used before its kernels went column-wise
+# and list-based; the kernels must return the same fronts and floats.
+
+
+def reference_dominance(pts: np.ndarray) -> np.ndarray:
+    """``dom[i, j]``: point i dominates point j, from (n, n, m) temporaries."""
+    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
+    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
+    return le & lt
+
+
+def reference_fronts(points) -> list[list[int]]:
+    """Non-domination fronts peeled from :func:`reference_dominance`."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n == 0:
+        return []
+    dom = reference_dominance(pts)
+    counts = dom.sum(axis=0).astype(int)
+    alive = np.ones(n, dtype=bool)
+    fronts: list[list[int]] = []
+    while alive.any():
+        current = np.where(alive & (counts == 0))[0]
+        fronts.append([int(i) for i in current])
+        alive[current] = False
+        counts -= dom[current].sum(axis=0)
+    return fronts
+
+
+def reference_crowding(points) -> np.ndarray:
+    """Crowding distance over the ``np.unique`` rows; later copies get 0."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    out = np.zeros(n)
+    if n == 0:
+        return out
+    uniq, rep_idx = np.unique(pts, axis=0, return_index=True)
+    u = len(uniq)
+    d = np.zeros(u)
+    if u <= 2:
+        d[:] = np.inf
+    else:
+        for m in range(pts.shape[1]):
+            order = np.argsort(uniq[:, m], kind="stable")
+            d[order[0]] = np.inf
+            d[order[-1]] = np.inf
+            vals = uniq[order, m]
+            span = vals[-1] - vals[0]
+            if span > 0.0:
+                d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    out[rep_idx] = d
+    return out
+
+
+@st.composite
+def point_sets(draw):
+    """Hypothesis strategy: (n, 2) or (n, 3) float arrays, n in 0..90, with
+    NaN never but ties, duplicate rows, ±0.0 and ±inf often."""
+    m = draw(st.sampled_from((2, 3)))
+    coord = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, np.inf, -np.inf)),
+        st.floats(allow_nan=False),
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=90))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=90))
+    return np.array([rows[i] for i in picks], dtype=float).reshape(-1, m)

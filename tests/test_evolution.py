@@ -1,9 +1,11 @@
 """Population algorithms: ranking primitives, full runs, and the tuner."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from overfly import (
     ALGORITHMS,
@@ -25,7 +27,15 @@ from overfly import (
     validate,
 )
 
-from helpers import build_env
+from overfly import evolution
+
+from helpers import (
+    build_env,
+    point_sets,
+    reference_crowding,
+    reference_dominance,
+    reference_fronts,
+)
 
 PARAMS = DroneParams()
 
@@ -70,15 +80,43 @@ class TestCrowdingDistance:
         assert all(math.isinf(v) for v in cd)
 
     def test_duplicates_get_zero(self):
-        cd = crowding_distance(np.array([[1.0, 3.0], [2.0, 2.0], [2.0, 2.0], [3.0, 1.0]]))
-        dup = [i for i in range(4) if cd[i] == 0.0]
-        assert len(dup) >= 1  # at least one copy of the duplicate is crowded out
+        # The lowest index of each duplicated point keeps its distance, a
+        # boundary's infinity included; every later copy gets 0.
+        cd = crowding_distance(np.array(
+            [[2.0, 2.0], [1.0, 3.0], [2.0, 2.0], [3.0, 1.0], [2.0, 2.0], [1.0, 3.0]]))
+        assert cd.tolist() == [2.0, math.inf, 0.0, math.inf, 0.0, 0.0]
 
     def test_interior_spread(self):
         pts = np.array([[0.0, 4.0], [1.0, 2.0], [3.0, 1.0], [4.0, 0.0]])
         cd = crowding_distance(pts)
         assert math.isinf(cd[0]) and math.isinf(cd[3])
         assert cd[1] > 0.0 and cd[2] > 0.0
+
+
+class TestSelectionKernels:
+    """The column-wise dominance matrix and the list-based crowding distance
+    give the fronts and the floats of the (n, n, m) and np.unique forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_match_reference_forms(self, pts):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(evolution._dominance(pts), reference_dominance(pts))
+            assert fast_nondominated_sort(pts) == reference_fronts(pts)
+            assert crowding_distance(pts).tobytes() == reference_crowding(pts).tobytes()
+            with mock.patch.object(evolution, "_dominance", reference_dominance):
+                expected = spea2_fitness(pts)
+            assert spea2_fitness(pts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel", [fast_nondominated_sort, crowding_distance, spea2_fitness])
+    def test_nan_is_refused(self, kernel):
+        with pytest.raises(ValueError, match="points"):
+            kernel([[math.nan, 1.0], [0.0, 0.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("kernel", [fast_nondominated_sort, crowding_distance, spea2_fitness])
+    def test_infinity_is_allowed(self, kernel):
+        with np.errstate(invalid="ignore"):
+            kernel([[math.inf, 1.0], [0.0, -math.inf], [1.0, 2.0]])
 
 
 class TestReferencePoints:

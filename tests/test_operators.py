@@ -387,8 +387,7 @@ def _assert_breed_matches_reference(env, parents, seed, count, max_barren, confi
     draws = Draws(rng)
     stats, ref_stats = OperatorStats(), OperatorStats()
     ref_seen, events = set(seen), set()
-    children = breed(_tournament(parents, keys, draws), count, seen, max_barren,
-                     env, draws, config, stats)
+    children = breed(parents, keys, count, seen, max_barren, env, draws, config, stats)
     expected = _reference_breed(_tournament(parents, keys, ref_rng), count, ref_seen,
                                 max_barren, env, ref_rng, config, ref_stats, events)
     assert children == expected
@@ -451,8 +450,7 @@ class TestBreed:
         for start in (OperatorStats(), OperatorStats(*range(1, 9))):
             rng = np.random.default_rng(3)
             seen = {(p.cells, p.entry_levels) for p in parents}
-            breed(_tournament(parents, [0.0] * 6, rng), 4, seen, 8, env, rng,
-                  OperatorConfig(), start)
+            breed(parents, [0.0] * 6, 4, seen, 8, env, Draws(rng), OperatorConfig(), start)
             counts.append(list(vars(start).values()))
         assert [b - a for a, b in zip(*counts)] == list(range(1, 9))
 

@@ -49,6 +49,11 @@ class TestDroneParams:
         with pytest.raises(ValueError, match=f"^weight_kg must be a positive, finite number, got {value!r}$"):
             DroneParams(weight_kg=value)
 
+    @pytest.mark.parametrize("value", [4.5, True])
+    def test_rotor_count_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"^rotor_count must be a positive integer, got {value!r}$"):
+            DroneParams(rotor_count=value)
+
     def test_infinite_value_rejected(self):
         with pytest.raises(ValueError, match="speed_mps"):
             DroneParams(speed_mps=math.inf)
