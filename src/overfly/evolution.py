@@ -122,8 +122,10 @@ def crowding_distance(points) -> np.ndarray:
 
     The distinct points are found by a stable sort of the rows, so each
     keeps its first copy, in lexicographic order; each objective then ranks
-    them by a stable sort. Up to about 100 points, the front sizes of a
-    run, this costs less in Python lists than in numpy calls.
+    them by a stable sort. A front holds up to 2 x ``population_size``
+    points, but the fronts of measured runs rarely pass 32; Python lists
+    cost less than numpy calls there, break even near 100 distinct points
+    and cost up to twice as much at 200.
 
     Raises:
         ValueError: when ``points`` is not an (n, m) array or holds NaN.

@@ -454,6 +454,15 @@ class TestBreed:
             counts.append(list(vars(start).values()))
         assert [b - a for a, b in zip(*counts)] == list(range(1, 9))
 
+    @pytest.mark.parametrize("members, keys", [(1, 1), (2, 3)])
+    def test_needs_two_members_and_one_key_each(self, members, keys):
+        env = build_env(rows=4, cols=5)
+        rng = np.random.default_rng(2)
+        parents = [initialize(env, rng) for _ in range(members)]
+        with pytest.raises(ValueError, match="at least two members"):
+            breed(parents, [0.0] * keys, 4, set(), 8, env, Draws(rng), OperatorConfig(),
+                  OperatorStats())
+
 
 class TestMutate:
     def test_never_touches_cells_or_first_level(self):
