@@ -14,8 +14,8 @@ Modules:
 - ``solution``: chromosomes, validation, the arc-cost table, objective
   evaluation, normalization.
 - ``operators``: random-walk initialization, crossover of valid parents,
-  mutation, and the search's mating loop built from them.
-- ``draws``: cheap scalar draws on a numpy Generator's own stream.
+  mutation, the search's mating loop built from them, and the run's
+  block-filled random source.
 - ``evolution``: three population-based algorithms plus a random-search tuner.
 - ``exact``: the exact front by label setting (under a label budget) and a
   flow checker.

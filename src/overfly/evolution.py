@@ -23,11 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .draws import Draws
 from .environment import Environment
 from .exact import enumerate_front
 from .metrics import hypervolume_2d, nondominated, shared_reference
-from .operators import OperatorConfig, OperatorStats, breed, initialize
+from .operators import BlockDraws, OperatorConfig, OperatorStats, breed, initialize
 from .physics import DroneParams
 from .solution import (
     Chromosome,
@@ -278,7 +277,7 @@ def _nsga3_select(
     points: np.ndarray,
     target: int,
     ref_dirs: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockDraws,
 ) -> list[int]:
     """Fill whole fronts; resolve the split front by reference-point niching."""
     chosen, last = _whole_fronts(points, target)
@@ -339,9 +338,9 @@ def _nsga3_select(
     while len(chosen) < target:
         min_count = min(counts[r] for r in open_refs)
         ties = [r for r in open_refs if counts[r] == min_count]
-        r = ties[int(rng.integers(len(ties)))]
+        r = ties[int(rng.random() * len(ties))]
         bucket = by_ref[r]
-        pick_pos = 0 if counts[r] == 0 else int(rng.integers(len(bucket)))
+        pick_pos = 0 if counts[r] == 0 else int(rng.random() * len(bucket))
         _, idx = bucket.pop(pick_pos)
         chosen.append(idx)
         counts[r] += 1
@@ -487,16 +486,14 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     whenever the operators can still produce one within that budget.
     """
     cfg = config
-    rng = np.random.default_rng(cfg.seed)
+    # Every draw of the run, from the first walk to the last niche pick.
+    rng = BlockDraws(cfg.seed)
     t_start = time.perf_counter()
     stats = OperatorStats()
     opcfg = cfg.operators
     pop_size = cfg.population_size
 
-    # The operators and the tournament draw through ``draws``, which shares
-    # ``rng``'s stream at a fraction of the per-call cost.
-    draws = Draws(rng)
-    pop = [initialize(env, draws, stats) for _ in range(pop_size)]
+    pop = [initialize(env, rng, stats) for _ in range(pop_size)]
     vecs = [evaluate(ch, env, params) for ch in pop]
     evaluations = pop_size
     all_vecs = list(vecs)
@@ -537,7 +534,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
         # An archive holds min(archive_size, union) >= 2 members: AlgoConfig
         # holds archive_size >= 2 and population_size >= 4.
         offspring = breed(
-            members, keys, pop_size, seen_genotypes, 2 * pop_size, env, draws, opcfg, stats
+            members, keys, pop_size, seen_genotypes, 2 * pop_size, env, rng, opcfg, stats
         )
 
         child_vecs = [evaluate(ch, env, params) for ch in offspring]

@@ -22,20 +22,22 @@ its parents' (cell, level) genes and mutation draws each level inside its
 cell's band. The operators do not check their inputs: ``evaluate`` and
 ``validate`` stay the boundary that rejects an invalid candidate.
 
-Every ``rng`` may be a numpy Generator or a :class:`~overfly.draws.Draws` on
-one; both give the same draws. :func:`breed` needs a Draws, for its
-tournament draws each index by :meth:`~overfly.draws.Draws.bounded`.
+Every operator draws through ``rng.random()`` (a float in [0, 1)) and, to
+perturb a weight, ``rng.normal(loc, scale)``, so ``rng`` may be a numpy
+Generator or the run's :class:`BlockDraws`. A uniform ``u`` becomes an index
+in ``0..n-1`` as ``int(u * n)``, a coin of probability ``p`` as ``u < p``,
+and a level in ``lo..hi`` as ``lo + int(u * (hi - lo + 1))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .draws import Draws
 from .environment import Cell, Environment
 from .solution import Chromosome
 
@@ -45,6 +47,34 @@ class InitializationError(RuntimeError):
 
 
 MAX_INIT_RETRIES = 1000  # walk restarts before construction gives up
+DRAW_BLOCK = 1024  # floats per numpy fill of a BlockDraws; changes no output
+
+
+def _blocks(fill: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The floats of ``fill(DRAW_BLOCK)``, block after block, without end."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(fill, repeat(DRAW_BLOCK))))
+
+
+class BlockDraws:
+    """A search run's random source, owned by the run and split off its seed.
+
+    ``random()`` reads uniforms in [0, 1) from one child stream of
+    ``SeedSequence(seed)``, ``normal(loc, scale)`` scales standard normals
+    from the other. numpy fills each stream in blocks and a C-level iterator
+    hands the floats out, so a uniform draw makes no numpy call. numpy
+    draws a block's floats one after another, so the block size changes no
+    output.
+    """
+
+    __slots__ = ("random", "_standard_normal")
+
+    def __init__(self, seed: int) -> None:
+        uniform, normal = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        self.random = _blocks(uniform.random).__next__
+        self._standard_normal = _blocks(normal.standard_normal).__next__
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        return loc + scale * self._standard_normal()
 
 
 @dataclass(frozen=True)
@@ -100,7 +130,7 @@ def sample_entry_level(
     cell: Cell,
     previous_level: int,
     env: Environment,
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
 ) -> int:
     """Draw an entry level for a passable cell.
 
@@ -113,17 +143,17 @@ def sample_entry_level(
         GridError: when the cell is off the grid or impassable.
     """
     lo, hi = env.feasible_levels(cell)
-    branch = int(rng.integers(3))
+    branch = int(rng.random() * 3)
     if branch == 0:
         return lo
     if branch == 1 and lo <= previous_level <= hi:
         return previous_level
-    return int(rng.integers(lo, hi + 1))
+    return lo + int(rng.random() * (hi - lo + 1))
 
 
 def initialize(
     env: Environment,
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
     stats: OperatorStats | None = None,
 ) -> Chromosome:
     """Construct a random valid candidate by walking start to goal.
@@ -146,7 +176,7 @@ def initialize(
             if not options:
                 dead_end = True
                 break
-            cur = options[int(rng.integers(len(options)))]
+            cur = options[int(rng.random() * len(options))]
             levels.append(sample_entry_level(cur, levels[-1], env, rng))
             cells.append(cur)
             used.add(cur)
@@ -196,17 +226,16 @@ def _recombine(
     parent_a: Chromosome,
     parent_b: Chromosome,
     adjacency: Mapping[Cell, tuple[Cell, ...]],
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
 ) -> tuple[_Genes | None, _Genes | None, int]:
     """The two children of one crossover as (cells, levels, weight) triples,
     None for a child whose junction search failed, and the loops cut.
 
-    Draws the cut (nothing when the shorter parent has two cells), then each
-    spliced child's blend weight, child one's first.
+    Draws the cut, then each spliced child's blend weight, child one's first.
     """
     a_cells, b_cells = parent_a.cells, parent_b.cells
     shorter = min(len(a_cells), len(b_cells))
-    cut = int(rng.integers(0, shorter - 1))  # head may not already end at the goal
+    cut = int(rng.random() * (shorter - 1))  # head may not already end at the goal
 
     # Child one shifts the tail start rightward along parent_b only; child
     # two shifts the head end and the tail start in lockstep. Their first
@@ -247,7 +276,7 @@ def crossover(
     parent_a: Chromosome,
     parent_b: Chromosome,
     env: Environment,
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
     stats: OperatorStats | None = None,
 ) -> tuple[Chromosome, Chromosome]:
     """One-point crossover with rightward shift repair.
@@ -282,20 +311,29 @@ def _resample_levels(
     levels: tuple[int, ...],
     rate: float,
     env: Environment,
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
 ) -> tuple[int, ...]:
     """``levels`` with ``ceil(rate * (length - 1))`` distinct genes (never
     the pinned first one) redrawn left to right by
     :func:`sample_entry_level`. ``cells`` must hold at least two cells."""
-    n = len(cells)
-    count = min(math.ceil(rate * (n - 1)), n - 1)
+    m = len(cells) - 1
     new = list(levels)
-    for t in sorted(map(int, rng.choice(n - 1, size=count, replace=False))):
+    for t in _floyd_subset(m, min(math.ceil(rate * m), m), rng):
         new[t + 1] = sample_entry_level(cells[t + 1], new[t], env, rng)
     return tuple(new)
 
 
-def _perturb_weight(weight: float, rng: np.random.Generator | Draws) -> float:
+def _floyd_subset(n: int, count: int, rng: np.random.Generator | BlockDraws) -> list[int]:
+    """``count`` distinct indices from ``0..n-1`` (``count <= n``), sorted:
+    Floyd's algorithm, one uniform draw per index."""
+    picked: set[int] = set()
+    for j in range(n - count, n):
+        t = int(rng.random() * (j + 1))
+        picked.add(j if t in picked else t)
+    return sorted(picked)
+
+
+def _perturb_weight(weight: float, rng: np.random.Generator | BlockDraws) -> float:
     """``weight`` plus Gaussian noise (sigma 0.1), clamped into [0, 1]."""
     return min(1.0, max(0.0, weight + float(rng.normal(0.0, 0.1))))
 
@@ -304,7 +342,7 @@ def mutate(
     ch: Chromosome,
     config: OperatorConfig | None,
     env: Environment,
-    rng: np.random.Generator | Draws,
+    rng: np.random.Generator | BlockDraws,
     stats: OperatorStats | None = None,
 ) -> Chromosome:
     """Resample entry levels and perturb the weight, each with probability
@@ -338,40 +376,40 @@ def breed(
     seen: set[tuple[tuple[Cell, ...], tuple[int, ...]]],
     max_barren: int,
     env: Environment,
-    draws: Draws,
+    rng: np.random.Generator | BlockDraws,
     config: OperatorConfig,
     stats: OperatorStats,
 ) -> list[Chromosome]:
     """``count`` children of parents drawn from ``members`` by binary
     tournament, genotype-novel while the barren budget lasts.
 
-    Each parent is the winner of a binary tournament: two indices drawn by
-    ``draws.bounded(len(members) - 1)``, the member with the lower key wins,
-    and a tie goes to a coin (``random() < 0.5`` takes the first). ``keys``
-    holds one comparable key per member, and ``members`` at least two.
-    Each mating draws two parents, recombines them with probability
+    Each parent is the winner of a binary tournament: two indices drawn as
+    ``int(rng.random() * len(members))``, the member with the lower key
+    wins, and a tie goes to a coin (``random() < 0.5`` takes the first).
+    ``keys`` holds one comparable key per member, and ``members`` at least
+    two. Each mating draws two parents, recombines them with probability
     ``crossover_probability`` (as :func:`crossover`), then mutates each child
     (as :func:`mutate`) while a slot is left and keeps it when its (cells,
     entry levels) genotype is not in ``seen``. After ``max_barren``
     consecutive matings that keep no child, the next mating's children are
     kept even when they are duplicates, and the count starts again. Kept
-    genotypes are added to ``seen``. Past the tournament, the draws are those
-    of that composition of the one-step operators, and ``stats`` gets the
-    same counts, plus the mating counters, added once per call.
+    genotypes are added to ``seen``. The draws, children and ``stats``
+    counts are those of the tournaments and that composition of the
+    one-step operators in mating order; ``stats`` gets them, plus the mating
+    counters, added once per call.
 
     Raises:
         ValueError: when ``members`` holds fewer than two candidates or
             ``keys`` does not hold one key per member.
     """
-    span = len(members) - 1
-    if span < 1 or len(keys) != len(members):
+    n = len(members)
+    if n < 2 or len(keys) != n:
         raise ValueError(
             f"breed needs at least two members and one key each, got "
-            f"{len(members)} members and {len(keys)} keys"
+            f"{n} members and {len(keys)} keys"
         )
-    bounded = draws.bounded
     adjacency = env.adjacency
-    random = draws.random
+    random = rng.random
     crossover_probability = config.crossover_probability
     p, rate = config.mutation_probability, config.mutation_rate
     children: list[Chromosome] = []
@@ -382,7 +420,7 @@ def breed(
         novelty_required = barren < max_barren
         parents = []
         for _ in (0, 1):  # one binary tournament per parent
-            i, j = bounded(span), bounded(span)
+            i, j = int(random() * n), int(random() * n)
             # The lower key wins; a tie goes to a coin.
             if keys[j] < keys[i] or (not keys[i] < keys[j] and random() >= 0.5):
                 i = j
@@ -390,7 +428,7 @@ def breed(
         parent_a, parent_b = parents
         matings += 1
         if random() < crossover_probability:
-            one, two, looped = _recombine(parent_a, parent_b, adjacency, draws)
+            one, two, looped = _recombine(parent_a, parent_b, adjacency, rng)
             crossovers += 1
             loops += looped
             if one is None:
@@ -407,10 +445,10 @@ def breed(
                 break
             fired = False
             if random() < p and len(cells) > 1:
-                levels = _resample_levels(cells, levels, rate, env, draws)
+                levels = _resample_levels(cells, levels, rate, env, rng)
                 fired = True
             if random() < p:
-                weight = _perturb_weight(weight, draws)
+                weight = _perturb_weight(weight, rng)
                 fired = True
             mutations += fired
             key = (cells, levels)

@@ -608,25 +608,25 @@ class TestOutputsUnchanged:
     # means the file layout or the search itself changed.
     EXPECTED = {
         "i1_nsga2_tuned_s0.front.json":
-            "1d4869ed39cd13474d4d59739f11681a90c77c7f86f815a4308cc73c7594b7b5",
+            "9a05b04d10a43732a993dd0fc7219b9498977a128bf75b2f91bf4ec53f9c5ac2",
         "i1_nsga2_untuned_s0.front.json":
-            "6530f86b57a025728096da3e80a710fdae0a9f374b72f918e231cdc653e83875",
+            "ec3ca8eba4e90e64b701d917e0b58f00daf7f655c736d09c155f77231095bf3d",
         "i1_nsga3_tuned_s0.front.json":
-            "ed95761ce1499089b19fb6a6a86809cbbc933d8260201f10cf7b4f89fd2a230e",
+            "a8073c38f7f60e096c6f79d3c583364d41d8eb22ec75ea96629e2055da0779f8",
         "i1_nsga3_untuned_s0.front.json":
-            "b38b3948ac32db16d279ed42b149d53f9bb87569690a60be0c34d58b124ef09d",
+            "834002265193c52346467824168514412777bb8d93e057102658ee1fdaf28ac8",
         "i1_spea2_tuned_s0.front.json":
-            "9d8a14b57f5d4fac19641c888e97323b35dff753f46a5ecbd045d7105c215d6b",
+            "531775f13084153f925af55eae4afa35aa2d4dd5a94be8e1f2ee9b79aab9bc9e",
         "i1_spea2_untuned_s0.front.json":
-            "8e355f05ea123adde89bb7ca1390ff8d3c2d486ae37fd780ae3644f94bb82c80",
+            "93d8a3f540f8d3f8caace5390d28cd72f762dd1f905d19db3fbee4248649cba1",
         "manifest.json":
-            "1b6d3240e04c986fe30ce8de5a721135fa931dc9d209600fe2c3c0ddecbdbcfe",
+            "3c54582f6805490e8809765e4e0c425bd4ce78d530be598a572647a02c63725d",
         "i1_nsga2.tuning.json":
-            "388f223a9ce2bf386f1e36eb51c79d3f6a9d85cce386a1eb1d24af5c420ca6a3",
+            "ca19c5c5446d46e391a335d4a9a14a70cb3a19ad16067682371ec46fe240a513",
         "i1_nsga3.tuning.json":
-            "ed31e606ed201a97390b41632318ef1aacda0932bdbac13a562367ea2765127d",
+            "b86a8d7c770ec9edd0eb339b4e05e54774c60bdcc31c504dd1b4cd655712ea99",
         "i1_spea2.tuning.json":
-            "29936146965e9841374f25dba83a17851f44240dab254b95c5778fef9eb14740",
+            "c7b517e57577ee059b24be16662d3e1b11a71757fbb8b5c64f7ea16f39bbb300",
     }
 
     def test_front_manifest_and_tuning_bytes(self, tmp_path, capsys):
@@ -813,8 +813,8 @@ class TestCheck:
     # check lines, counts and worst gap must not change with the LP code.
     # lp-mutation counts the model's 19 row families.
     EXPECTED_STDOUT = {
-        "tiny": "0731f4e7499ef124c9db482120075087502d1e063f88e9574695939262547ff5",
-        "six-by-six": "04058d36508523d1e8508095c3448fe0873abf5774e43a18d8582645263fc6d3",
+        "tiny": "5899d6cc914a2a5f5eab4ea359cef1808d302c7df7a1c8ce6e0a5fcf90a06cf2",
+        "six-by-six": "87cfcf3005648aa05b40993b8fa6b71ddd62a869ca8d99093672dad39f87ad4d",
     }
 
     def test_stdout_bytes(self, tmp_path, capsys):

@@ -27,7 +27,8 @@ from overfly import (
     validate,
 )
 
-from overfly import evolution
+from overfly import evolution, operators
+from overfly.cli import suite_settings
 
 from helpers import (
     build_env,
@@ -310,6 +311,23 @@ class TestRun:
         assert a.hv_trace != b.hv_trace or [m.chromosome for m in a.front] != [
             m.chromosome for m in b.front
         ]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_block_size_changes_no_output(monkeypatch, algorithm):
+    # A draw that bypassed the run's BlockDraws (say, a niche pick made on
+    # the Generator that fills its blocks) would land at a different point
+    # of the stream for each block size.
+    _instance, gen_settings, world_seed = suite_settings(0)[0]  # T1-1
+    env = generate(gen_settings, world_seed)
+    cfg = AlgoConfig(algorithm=algorithm, population_size=20,
+                     evaluation_budget=400, archive_size=20, seed=3)
+    outputs = set()
+    for block in (1, 7, operators.DRAW_BLOCK):
+        monkeypatch.setattr(operators, "DRAW_BLOCK", block)
+        res = run(env, PARAMS, cfg)
+        outputs.add(repr((res.front, res.archive, res.hv_trace, res.stats)))
+    assert len(outputs) == 1
 
 
 class TestRunReporting:

@@ -23,7 +23,7 @@ from overfly import (
     validate,
 )
 from overfly import operators
-from overfly.draws import Draws
+from overfly.operators import BlockDraws
 
 from helpers import build_env, generated_worlds
 
@@ -63,6 +63,57 @@ class TestOperatorConfig:
             parents = list(crossover(*parents, env, rng))
             parents[0] = mutate(parents[0], None, env, rng)
         assert len(built) == 0
+
+
+# The largest float numpy's random() returns: 1 - 2**-53.
+TOP = math.nextafter(1.0, 0.0)
+UNIFORMS = st.sampled_from([0.0, TOP]) | st.floats(0.0, TOP)
+
+
+class _Uniforms:
+    """A source that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+class TestDrawMappings:
+    """An index, a level and a subset drawn from uniforms in [0, 1)."""
+
+    @given(st.integers(1, 2**31))
+    def test_index_reaches_and_never_passes_the_last(self, n):
+        assert int(0.0 * n) == 0
+        assert int(TOP * n) == n - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(generated_worlds(), st.data())
+    def test_entry_level_stays_in_the_band(self, env, data):
+        spec = env.spec
+        cells = [(r, c) for r in range(spec.rows) for c in range(spec.cols)
+                 if env.passable((r, c))]
+        cell = data.draw(st.sampled_from(cells))
+        previous = data.draw(st.integers(-1, len(spec.levels_m)))
+        rng = _Uniforms(data.draw(st.lists(UNIFORMS, min_size=2, max_size=2)))
+        lo, hi = env.feasible_levels(cell)
+        assert lo <= sample_entry_level(cell, previous, env, rng) <= hi
+
+    @given(st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.lists(UNIFORMS, min_size=60, max_size=60))
+    def test_floyd_subset_is_distinct_sorted_and_in_range(self, n_count, uniforms):
+        n, count = n_count
+        picked = operators._floyd_subset(n, count, _Uniforms(uniforms))
+        assert len(picked) == count
+        assert picked == sorted(set(picked))
+        assert all(0 <= t < n for t in picked)
+
+    def test_normals_take_nothing_from_the_uniforms(self):
+        a, b = BlockDraws(4), BlockDraws(4)
+        mixed = []
+        for _ in range(3000):
+            mixed.append(a.random())
+            a.normal(0.0, 0.1)
+        assert mixed == [b.random() for _ in range(3000)]
+        assert all(0.0 <= u < 1.0 for u in mixed)
 
 
 class TestSampleEntryLevel:
@@ -216,7 +267,7 @@ def _reference_crossover(parent_a, parent_b, env, rng, stats):
     lists, then goes through ``_strip_revisits``."""
     a_cells, b_cells = parent_a.cells, parent_b.cells
     la, lb = len(a_cells), len(b_cells)
-    cut = int(rng.integers(0, min(la, lb) - 1))
+    cut = int(rng.random() * (min(la, lb) - 1))
 
     def splice(head_end, tail_start):
         cells = list(a_cells[: head_end + 1] + b_cells[tail_start:])
@@ -248,13 +299,13 @@ def _assert_matches_reference(parents, env, seed):
     next draw as the reference composition. Returns each pair's stats."""
     all_stats = []
     for pa, pb in itertools.permutations(parents, 2):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = BlockDraws(seed), BlockDraws(seed)
         stats, ref_stats = OperatorStats(), OperatorStats()
-        children = crossover(pa, pb, env, Draws(rng), stats)
+        children = crossover(pa, pb, env, rng, stats)
         expected = _reference_crossover(pa, pb, env, ref_rng, ref_stats)
         assert children == expected
         assert stats == ref_stats
-        assert rng.integers(2**62) == ref_rng.integers(2**62)
+        assert rng.random() == ref_rng.random()
         all_stats.append(stats)
         seed += 1
     return all_stats
@@ -334,7 +385,7 @@ def _tournament(pool, keys, rng):
     """A binary tournament over ``pool`` drawing from ``rng``: the lower key
     wins, a tie goes to a coin."""
     def pick():
-        i, j = int(rng.integers(len(pool))), int(rng.integers(len(pool)))
+        i, j = int(rng.random() * len(pool)), int(rng.random() * len(pool))
         if keys[i] != keys[j]:
             return pool[i] if keys[i] < keys[j] else pool[j]
         return pool[i] if rng.random() < 0.5 else pool[j]
@@ -378,16 +429,15 @@ def _reference_breed(pick, count, seen, max_barren, env, rng, config, stats, eve
 
 
 def _assert_breed_matches_reference(env, parents, seed, count, max_barren, config):
-    """``breed`` on a Draws and the reference on a plain Generator, from the
-    same seed and the same pool: equal children, stats, genotype sets and
-    next draw. Returns the reference's events."""
+    """``breed`` and the reference, each on its own source from the same
+    seed, on the same pool: equal children, stats, genotype sets and next
+    draws of both streams. Returns the reference's events."""
     keys = [float(k) for k in np.random.default_rng(seed).integers(3, size=len(parents))]
     seen = {(p.cells, p.entry_levels) for p in parents}
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    draws = Draws(rng)
+    rng, ref_rng = BlockDraws(seed), BlockDraws(seed)
     stats, ref_stats = OperatorStats(), OperatorStats()
     ref_seen, events = set(seen), set()
-    children = breed(parents, keys, count, seen, max_barren, env, draws, config, stats)
+    children = breed(parents, keys, count, seen, max_barren, env, rng, config, stats)
     expected = _reference_breed(_tournament(parents, keys, ref_rng), count, ref_seen,
                                 max_barren, env, ref_rng, config, ref_stats, events)
     assert children == expected
@@ -395,6 +445,7 @@ def _assert_breed_matches_reference(env, parents, seed, count, max_barren, confi
     assert stats == ref_stats
     assert seen == ref_seen
     assert rng.random() == ref_rng.random()
+    assert rng.normal() == ref_rng.normal()
     return events
 
 
@@ -421,7 +472,7 @@ class TestBreed:
 
     def test_two_cell_parents_and_an_odd_count(self):
         # Start and goal side by side: the direct route has two cells, so
-        # the cut draws nothing when it is crossed.
+        # the cut has one place to fall when it is crossed.
         env = build_env(rows=2, cols=3, start=(0, 0), goal=(0, 1))
         direct = Chromosome(((0, 0), (0, 1)), (0, 1), 0.25)
         assert validate(direct, env).ok
@@ -448,9 +499,8 @@ class TestBreed:
         parents = [initialize(env, rng) for _ in range(6)]
         counts = []
         for start in (OperatorStats(), OperatorStats(*range(1, 9))):
-            rng = np.random.default_rng(3)
             seen = {(p.cells, p.entry_levels) for p in parents}
-            breed(parents, [0.0] * 6, 4, seen, 8, env, Draws(rng), OperatorConfig(), start)
+            breed(parents, [0.0] * 6, 4, seen, 8, env, BlockDraws(3), OperatorConfig(), start)
             counts.append(list(vars(start).values()))
         assert [b - a for a, b in zip(*counts)] == list(range(1, 9))
 
@@ -460,7 +510,7 @@ class TestBreed:
         rng = np.random.default_rng(2)
         parents = [initialize(env, rng) for _ in range(members)]
         with pytest.raises(ValueError, match="at least two members"):
-            breed(parents, [0.0] * keys, 4, set(), 8, env, Draws(rng), OperatorConfig(),
+            breed(parents, [0.0] * keys, 4, set(), 8, env, rng, OperatorConfig(),
                   OperatorStats())
 
 
