@@ -35,12 +35,12 @@ print(f"\nlength/energy correlation on a toy sample: r = {pearson(lengths, energ
 # -- relative tables ------------------------------------------------------------------
 
 summaries = [
-    FrontSummary("T2-1", "spea2", True, 0.91, 5),
-    FrontSummary("T2-1", "nsga2", True, 0.87, 6),
-    FrontSummary("T2-1", "nsga3", True, 0.79, 6),
-    FrontSummary("T10-1", "spea2", True, 0.42, 4),
-    FrontSummary("T10-1", "nsga2", True, 0.55, 7),
-    FrontSummary("T10-1", "nsga3", True, 0.31, 3),
+    FrontSummary("T2-1", "spea2", True, 0.91),
+    FrontSummary("T2-1", "nsga2", True, 0.87),
+    FrontSummary("T2-1", "nsga3", True, 0.79),
+    FrontSummary("T10-1", "spea2", True, 0.42),
+    FrontSummary("T10-1", "nsga2", True, 0.55),
+    FrontSummary("T10-1", "nsga3", True, 0.31),
 ]
 scored = relative_hv_table(summaries)
 print("\n" + table_text(scored))

@@ -22,7 +22,7 @@ import sys
 import types
 import typing
 import zlib
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -123,20 +123,24 @@ def _dump_json(path: str | Path, payload: dict) -> None:
 
 R = TypeVar("R")
 
-_NOUNS = {float: "a number", int: "an integer"}
+_NOUNS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def _config_value(hint: object, value: object, field: str) -> object:
     """``value`` checked against the annotation ``hint`` of a record field.
 
     ``float`` takes an int or a float, kept as given; ``int`` takes an int or
-    an integral float, stored as an int; bools are neither. ``X | None``
-    takes null or an X, ``tuple[X, X]`` a list of two Xs and
-    ``tuple[X, ...]`` a list of Xs. A mismatch is a usage error naming
-    ``field``; an annotation without a rule here is a ``TypeError``.
+    an integral float, stored as an int; bools are neither. ``bool`` takes
+    true or false, and ``str`` a string. ``X | None`` takes null or an X,
+    ``tuple[X, X]`` a list of two Xs and ``tuple[X, ...]`` a list of Xs. A
+    mismatch is a usage error naming ``field``; an annotation without a rule
+    here is a ``TypeError``.
     """
     if hint in _NOUNS:
-        if not isinstance(value, bool):
+        if hint in (bool, str):
+            if isinstance(value, hint):
+                return value
+        elif not isinstance(value, bool):
             if isinstance(value, int) or (hint is float and isinstance(value, float)):
                 return value
             if isinstance(value, float) and value.is_integer():
@@ -292,37 +296,67 @@ def _derived_tuner_seed(base: int, instance_id: str, algorithm: str) -> int:
     return (base + zlib.crc32(f"{instance_id}:{algorithm}".encode())) % (2**31 - 1)
 
 
+@dataclass(frozen=True)
+class _RunList:
+    """The run list at a solve config's top level: instance files (relative
+    to the config's directory), algorithms, tuned flags and seeds, each
+    non-empty, and whether each run is scored against the exact oracle.
+    ``tune`` checks it all and reads the instances and algorithms."""
+
+    instances: tuple[str, ...] = ()
+    algorithms: tuple[str, ...] = ALGORITHMS
+    tuned: tuple[bool, ...] = (False,)
+    seeds: tuple[int, ...] = (0,)
+    oracle: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("instances", "algorithms", "tuned", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for algo in self.algorithms:
+            if algo not in ALGORITHMS:
+                raise ValueError(
+                    f"unknown algorithm {algo!r} in algorithms, expected one of {ALGORITHMS}"
+                )
+        for k, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ValueError(f"seeds[{k}] must be >= 0, got {seed}")
+
+
+_RUN_LIST = tuple(f.name for f in fields(_RunList))
+
 # The run sizes, the ``AlgoConfig`` fields at a config's top level: jobs take
 # algorithm and seed from ``algorithms`` and ``seeds``; ``operators`` is a section.
 _RUN_SIZES = tuple(
     f.name for f in fields(AlgoConfig) if f.name not in ("algorithm", "seed", "operators")
 )
 
-
-# Every top-level key of a solve config. ``tune`` reads the same files and
-# ignores the run list (``tuned``, ``seeds``, ``oracle``).
-_CONFIG_KEYS = frozenset(
-    ("instances", "algorithms", "tuned", "seeds", "oracle", "drone", "operators", "tuner")
-    + _RUN_SIZES
-)
+# Every top-level key of a solve config.
+_CONFIG_KEYS = frozenset(_RUN_LIST + _RUN_SIZES + ("drone", "operators", "tuner"))
 
 
-def _settings(config: dict) -> tuple[DroneParams, AlgoConfig, TunerConfig]:
-    """The config's drone, base run settings (run sizes and operators, with
-    the default algorithm and seed 0) and tuner, each checked by its own
-    record before any job exists. The tuner's seed is the base from which
-    each (instance, algorithm) pair's seed is derived. A top-level key that
-    no solve config holds, such as a misspelt run size, is a usage error.
-    Shared by ``solve`` and ``tune``."""
+def _top_level(record: type, config: dict, names: tuple[str, ...]) -> dict:
+    """The config's top-level ``names`` as checked keyword arguments for ``record``."""
+    return _config_fields(record, {k: v for k, v in config.items() if k in names}, "")
+
+
+def _settings(config: dict) -> tuple[_RunList, DroneParams, AlgoConfig, TunerConfig]:
+    """The config's run list, drone, base run settings (run sizes and
+    operators, with the default algorithm and seed 0) and tuner, each
+    checked by its own record before any job exists. The tuner's seed is the
+    base from which each (instance, algorithm) pair's seed is derived. A
+    top-level key that no solve config holds, such as a misspelt run size,
+    is a usage error. Shared by ``solve`` and ``tune``."""
     unknown = [key for key in config if key not in _CONFIG_KEYS]
     if unknown:
         raise _UsageError(f"unknown config field(s): {', '.join(unknown)}")
+    run_list = _build(_RunList, "run list", _top_level(_RunList, config, _RUN_LIST))
     drone = _read_section(DroneParams, config, "drone")
     operators = _read_section(OperatorConfig, config, "operators")
     tuner = _read_section(TunerConfig, config, "tuner")
-    sizes = _config_fields(AlgoConfig, {k: v for k, v in config.items() if k in _RUN_SIZES}, "")
+    sizes = _top_level(AlgoConfig, config, _RUN_SIZES)
     base = _build(AlgoConfig, "run settings", {**sizes, "operators": operators})
-    return drone, base, tuner
+    return run_list, drone, base, tuner
 
 
 def _check_tuned_budget(base: AlgoConfig, tuner: TunerConfig) -> None:
@@ -351,7 +385,6 @@ def _member_payload(member, env: Environment) -> dict:
         "energy_j": member.objectives.energy_j,
         "risk": member.objectives.risk,
         "cost": member.cost,
-        "combined_risk": member.objectives.risk,
     }
 
 
@@ -448,58 +481,27 @@ def _failed_entry(run_id: str, exc: BaseException) -> dict:
     return {"run_id": run_id, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _instances_and_algorithms(
-    args: argparse.Namespace, config: dict
-) -> tuple[list[Path], list[str]]:
-    """The config's instance files, resolved against the config's directory,
-    and the algorithms to run (``--algo`` flags, else the config's list).
-    Shared by ``solve`` and ``tune``."""
-    instances = config.get("instances")
-    if (
-        not instances
-        or not isinstance(instances, list)
-        or not all(isinstance(inst, str) for inst in instances)
-    ):
-        raise _UsageError("config must list instance files under 'instances'")
+def _instance_paths(args: argparse.Namespace, run_list: _RunList) -> list[Path]:
+    """The run list's instance files, resolved against the config's directory."""
     base_dir = Path(args.config).parent
-    paths = [
+    return [
         (base_dir / inst).resolve() if not Path(inst).is_absolute() else Path(inst)
-        for inst in instances
+        for inst in run_list.instances
     ]
-    algorithms = args.algo or config.get("algorithms", list(ALGORITHMS))
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise _UsageError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
-    return paths, algorithms
 
 
 def _solve_jobs(args: argparse.Namespace) -> list[dict]:
-    config = _load_json(args.config)
-    inst_paths, algorithms = _instances_and_algorithms(args, config)
-    if args.tuned and args.untuned:
-        flags = [True, False]
-    elif args.tuned:
-        flags = [True]
-    elif args.untuned:
-        flags = [False]
-    else:
-        flags = config.get("tuned", [False])
-        if not isinstance(flags, list) or not all(isinstance(f, bool) for f in flags):
-            raise _UsageError(f"config field tuned must be a list of booleans, got {flags!r}")
-    seeds = args.seed or _config_value(tuple[int, ...], config.get("seeds", [0]), "seeds")
-    if not seeds:
-        raise _UsageError("at least one seed is required")
-    for k, seed in enumerate(seeds):  # --seed values are checked by the parser
-        if seed < 0:
-            raise _UsageError(f"config field seeds[{k}] must be >= 0, got {seed}")
-    drone, base, tuner = _settings(config)
-    oracle = config.get("oracle", False)
-    if not isinstance(oracle, bool):
-        raise _UsageError(f"config field oracle must be a boolean, got {oracle!r}")
+    """The jobs of ``solve``. ``--algo``, ``--seed`` and ``--tuned`` or
+    ``--untuned`` replace the run list's algorithms, seeds and tuned flags;
+    the config's own are still checked."""
+    run_list, drone, base, tuner = _settings(_load_json(args.config))
+    algorithms = args.algo or run_list.algorithms
+    flags = [f for f, on in ((True, args.tuned), (False, args.untuned)) if on] or run_list.tuned
+    seeds = args.seed or run_list.seeds
     out = Path(args.out)
     jobs: list[dict] = []
     run_ids: set[str] = set()
-    for inst_path in inst_paths:
+    for inst_path in _instance_paths(args, run_list):
         instance_id = inst_path.stem
         for algorithm in algorithms:
             pair_tuner = replace(
@@ -531,7 +533,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
                             "config": replace(base, algorithm=algorithm),
                             "drone": drone,
                             "tuner": pair_tuner,
-                            "oracle": oracle,
+                            "oracle": run_list.oracle,
                             "out_dir": str(out),
                         }
                     )
@@ -581,15 +583,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    config = _load_json(args.config)
-    inst_paths, algorithms = _instances_and_algorithms(args, config)
-    drone, base, tuner = _settings(config)
+    run_list, drone, base, tuner = _settings(_load_json(args.config))
     _check_tuned_budget(base, tuner)
     out = _require_out(args)
     failed = 0
-    for inst_path in inst_paths:
+    for inst_path in _instance_paths(args, run_list):
         instance_id = inst_path.stem
-        for algorithm in algorithms:
+        for algorithm in args.algo or run_list.algorithms:
             try:
                 env = load_instance(inst_path)
                 pair_tuner = replace(
@@ -630,7 +630,7 @@ def _is_list(value: object, item: Callable[[object], bool], length: int | None =
     return isinstance(value, list) and length in (None, len(value)) and all(map(item, value))
 
 
-_MEMBER_NUMBERS = ("weight", "length_m", "energy_j", "risk", "cost", "combined_risk")
+_MEMBER_NUMBERS = ("weight", "length_m", "energy_j", "risk", "cost")
 
 
 def _read_front_file(path: Path) -> dict:
@@ -700,22 +700,12 @@ def _table_summaries(payloads: list[dict]) -> list[FrontSummary]:
             [[(m["length_m"], m["energy_j"], m["risk"]) for m in p["archive"]] for p in runs],
             [p["bounds"] for p in runs],
         )
-        cells: dict[tuple[str, bool], list[tuple[int, float, int]]] = {}
+        cells: dict[tuple[str, bool], list[float]] = {}
         for p, hv in zip(runs, hvs):
-            key = (p["algorithm"], bool(p["tuned"]))
-            cells.setdefault(key, []).append((p["seed"], hv, len(p["front"])))
-        for (algorithm, tuned), rows in sorted(cells.items()):
-            rows.sort()
-            mean_hv = math.fsum(hv for _, hv, _ in rows) / len(rows)
-            summaries.append(
-                FrontSummary(
-                    instance_id=instance_id,
-                    algorithm=algorithm,
-                    tuned=tuned,
-                    hypervolume=mean_hv,
-                    front_size=rows[0][2],
-                )
-            )
+            cells.setdefault((p["algorithm"], p["tuned"]), []).append(hv)
+        for (algorithm, tuned), cell in sorted(cells.items()):
+            mean_hv = math.fsum(cell) / len(cell)
+            summaries.append(FrontSummary(instance_id, algorithm, tuned, mean_hv))
     return summaries
 
 
@@ -760,13 +750,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     for payload, path in payloads:
         stem = path.name.removesuffix(".front.json").removesuffix(".report.json")
         label = _series_label(payload)
-        front_points = tuple((m["cost"], m["combined_risk"]) for m in payload["front"])
+        front_points = tuple((m["cost"], m["risk"]) for m in payload["front"])
         scatter_series.append(Series(label=label, points=front_points))
         write_csv(
             out / f"{stem}.front.csv",
             ["cost", "risk", "length_m", "energy_j", "weight"],
             [
-                (m["cost"], m["combined_risk"], m["length_m"], m["energy_j"], m["weight"])
+                (m["cost"], m["risk"], m["length_m"], m["energy_j"], m["weight"])
                 for m in payload["front"]
             ],
         )
@@ -777,7 +767,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             corr_lengths.append(m["length_m"])
             corr_energies.append(m["energy_j"])
         if payload["front"]:
-            best = min(payload["front"], key=lambda m: (m["cost"], m["combined_risk"]))
+            best = min(payload["front"], key=lambda m: (m["cost"], m["risk"]))
             write_csv(
                 out / f"{stem}.path.csv",
                 ["step", "row", "col", "level", "altitude_m"],

@@ -36,17 +36,24 @@ from .solution import (
 )
 
 ALGORITHMS = ("nsga2", "nsga3", "spea2")
+REFERENCE_POINT_DIVISIONS = 99
+
+# The uniform ranges ``tune`` draws each operator rate from.
+CROSSOVER_RANGE = (0.5, 1.0)
+MUTATION_PROBABILITY_RANGE = (0.01, 0.5)
+MUTATION_RATE_RANGE = (0.05, 1.0)
 
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """One solver run's settings."""
+    """One solver run's settings. NSGA-III's reference directions are
+    fixed: :data:`REFERENCE_POINT_DIVISIONS` divisions of the (cost, risk)
+    simplex."""
 
     algorithm: str = "nsga2"
     population_size: int = 100
     evaluation_budget: int = 10000
     archive_size: int = 100
-    reference_point_divisions: int = 99
     operators: OperatorConfig = field(default_factory=OperatorConfig)
     seed: int = 0
 
@@ -59,8 +66,6 @@ class AlgoConfig:
             raise ValueError("evaluation_budget must cover at least the initial population")
         if self.archive_size < 2:
             raise ValueError("archive_size must be >= 2")
-        if self.reference_point_divisions < 1:
-            raise ValueError("reference_point_divisions must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -500,9 +505,7 @@ def run(env: Environment, params: DroneParams, config: AlgoConfig) -> RunResult:
     archive, archive_vecs = _archived(pop, all_vecs)
     snapshots: list[tuple[int, tuple[ObjectiveVector, ...]]] = [(evaluations, tuple(archive_vecs))]
 
-    ref_dirs = (
-        reference_points(2, cfg.reference_point_divisions) if cfg.algorithm == "nsga3" else None
-    )
+    ref_dirs = reference_points(2, REFERENCE_POINT_DIVISIONS) if cfg.algorithm == "nsga3" else None
     arch_pop: list[Chromosome] = []
     arch_vecs: list[ObjectiveVector] = []
 
@@ -609,14 +612,14 @@ class TunerConfig:
     """Random-search tuning over operator rates and population size.
 
     The budget counts solver configurations tried; every configuration gets
-    one full run at the base config's evaluation budget.
+    one full run at the base config's evaluation budget. Its population size
+    is drawn from ``population_sizes`` and its rates from the fixed ranges
+    :data:`CROSSOVER_RANGE`, :data:`MUTATION_PROBABILITY_RANGE` and
+    :data:`MUTATION_RATE_RANGE`.
     """
 
     budget: int = 100
     seed: int = 0
-    crossover_range: tuple[float, float] = (0.5, 1.0)
-    mutation_probability_range: tuple[float, float] = (0.01, 0.5)
-    mutation_rate_range: tuple[float, float] = (0.05, 1.0)
     population_sizes: tuple[int, ...] = (20, 40, 60, 80, 100)
 
     def __post_init__(self) -> None:
@@ -627,10 +630,6 @@ class TunerConfig:
         for size in self.population_sizes:
             if size < 4 or size % 2:
                 raise ValueError("population_sizes must be even and >= 4")
-        for name in ("crossover_range", "mutation_probability_range", "mutation_rate_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -661,9 +660,9 @@ def tune(
     configs: list[AlgoConfig] = []
     results: list[RunResult] = []
     for _ in range(tuner.budget):
-        cr = float(rng.uniform(*tuner.crossover_range))
-        mp = float(rng.uniform(*tuner.mutation_probability_range))
-        mu = float(rng.uniform(*tuner.mutation_rate_range))
+        cr = float(rng.uniform(*CROSSOVER_RANGE))
+        mp = float(rng.uniform(*MUTATION_PROBABILITY_RANGE))
+        mu = float(rng.uniform(*MUTATION_RATE_RANGE))
         size = int(tuner.population_sizes[int(rng.integers(len(tuner.population_sizes)))])
         trial_seed = int(rng.integers(2**31 - 1))
         cfg = replace(

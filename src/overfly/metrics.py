@@ -23,6 +23,9 @@ class MetricError(ValueError):
 
 Point = tuple[float, float]
 
+REFERENCE_SCALE = 1.1
+REFERENCE_EPS = 1e-6
+
 
 def nondominated(points: Sequence[Sequence[float]]) -> list[int]:
     """Indices of the points that no other point weakly dominates (minimization).
@@ -101,16 +104,13 @@ def hypervolume_2d(points: Iterable[Point], reference: Point) -> float:
     return float(area)
 
 
-def shared_reference(
-    fronts: Iterable[Iterable[Point]],
-    scale: float = 1.1,
-    eps: float = 1e-6,
-) -> Point:
+def shared_reference(fronts: Iterable[Iterable[Point]]) -> Point:
     """Common reference point for a set of fronts.
 
-    Componentwise maximum over the union of all points, scaled by ``scale``;
-    a component whose maximum is zero becomes ``eps`` so that zero-valued
-    objectives still strictly dominate the reference.
+    Componentwise maximum over the union of all points, scaled by
+    :data:`REFERENCE_SCALE`; a component whose maximum is zero becomes
+    :data:`REFERENCE_EPS` so that zero-valued objectives still strictly
+    dominate the reference.
     """
     best: list[float] | None = None
     for front in fronts:
@@ -122,7 +122,7 @@ def shared_reference(
                 best[1] = max(best[1], float(p[1]))
     if best is None:
         raise MetricError("cannot build a reference point from zero points")
-    return tuple(v * scale if v > 0.0 else eps for v in best)  # type: ignore[return-value]
+    return tuple(v * REFERENCE_SCALE if v > 0.0 else REFERENCE_EPS for v in best)  # type: ignore[return-value]
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -156,7 +156,6 @@ class FrontSummary:
     algorithm: str
     tuned: bool
     hypervolume: float
-    front_size: int
     relative_pct: float | None = None
     degenerate: bool = False
 

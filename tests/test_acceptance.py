@@ -390,15 +390,15 @@ def test_criterion_08_table_single_winner_and_formatting():
     """With pairwise-distinct hypervolumes, the relative table shows exactly
     one 100.00% entry per instance row, all cells carrying two decimals."""
     summaries = [
-        FrontSummary("T2-1", "spea2", True, 0.91, 5),
-        FrontSummary("T2-1", "nsga2", True, 0.87, 6),
-        FrontSummary("T2-1", "nsga3", True, 0.79, 6),
-        FrontSummary("T10-1", "spea2", True, 0.42, 4),
-        FrontSummary("T10-1", "nsga2", True, 0.55, 7),
-        FrontSummary("T10-1", "nsga3", True, 0.31, 3),
-        FrontSummary("T3-2", "spea2", True, 0.64, 8),
-        FrontSummary("T3-2", "nsga2", True, 0.66, 9),
-        FrontSummary("T3-2", "nsga3", True, 0.65, 2),
+        FrontSummary("T2-1", "spea2", True, 0.91),
+        FrontSummary("T2-1", "nsga2", True, 0.87),
+        FrontSummary("T2-1", "nsga3", True, 0.79),
+        FrontSummary("T10-1", "spea2", True, 0.42),
+        FrontSummary("T10-1", "nsga2", True, 0.55),
+        FrontSummary("T10-1", "nsga3", True, 0.31),
+        FrontSummary("T3-2", "spea2", True, 0.64),
+        FrontSummary("T3-2", "nsga2", True, 0.66),
+        FrontSummary("T3-2", "nsga3", True, 0.65),
     ]
     scored = relative_hv_table(summaries)
     csv_text = table_csv(scored)

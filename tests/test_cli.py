@@ -525,7 +525,7 @@ class TestTune:
         write_solve_config(cfg, instances)
         out = tmp_path / "tuning"
         assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "config must list instance files under 'instances'" in capsys.readouterr().err
+        assert "config field instances" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -535,7 +535,6 @@ class TestRunSettings:
         "population-odd-and-small": ({"population_size": 3}, "population_size"),
         "budget-below-population": ({"evaluation_budget": 6}, "evaluation_budget"),
         "archive-of-one": ({"archive_size": 1}, "archive_size"),
-        "no-reference-divisions": ({"reference_point_divisions": 0}, "reference_point_divisions"),
     }
 
     @pytest.mark.parametrize(
@@ -608,25 +607,25 @@ class TestOutputsUnchanged:
     # means the file layout or the search itself changed.
     EXPECTED = {
         "i1_nsga2_tuned_s0.front.json":
-            "9a05b04d10a43732a993dd0fc7219b9498977a128bf75b2f91bf4ec53f9c5ac2",
+            "c044d504bc9e20932b0ee13c4cab7f1e003cc9a4ecb68c87595fc85a0fecf1f4",
         "i1_nsga2_untuned_s0.front.json":
-            "ec3ca8eba4e90e64b701d917e0b58f00daf7f655c736d09c155f77231095bf3d",
+            "a40d32b95c07b36b610f9ed92921bd75bafdc1f4f256189ff5c06dd3b83c1fda",
         "i1_nsga3_tuned_s0.front.json":
-            "a8073c38f7f60e096c6f79d3c583364d41d8eb22ec75ea96629e2055da0779f8",
+            "f239b7d3e820dfa499b16c960863a3a4e1e68e28a5a8c0490138bfe0e786a052",
         "i1_nsga3_untuned_s0.front.json":
-            "834002265193c52346467824168514412777bb8d93e057102658ee1fdaf28ac8",
+            "b720ee752d9f3cca9537c9eec6638d9aa9cb6d25e66929b26740ef3520157f8a",
         "i1_spea2_tuned_s0.front.json":
-            "531775f13084153f925af55eae4afa35aa2d4dd5a94be8e1f2ee9b79aab9bc9e",
+            "557519520d52a404b264c1f4913254fea55ed635a41e235dd691fffc139d8779",
         "i1_spea2_untuned_s0.front.json":
-            "93d8a3f540f8d3f8caace5390d28cd72f762dd1f905d19db3fbee4248649cba1",
+            "a99f5e5099367aa5e7008774beb7f07f66086cc038a8c12a5226013ccf2b1525",
         "manifest.json":
             "3c54582f6805490e8809765e4e0c425bd4ce78d530be598a572647a02c63725d",
         "i1_nsga2.tuning.json":
-            "ca19c5c5446d46e391a335d4a9a14a70cb3a19ad16067682371ec46fe240a513",
+            "746aec487cede0378da71101eeb53231341dae2586b96a2eaac3c855c8224db3",
         "i1_nsga3.tuning.json":
-            "b86a8d7c770ec9edd0eb339b4e05e54774c60bdcc31c504dd1b4cd655712ea99",
+            "b9bb238f9c7bbdbd62848ac5de3e67e537fbc93dd87a72db90d55b8f0a0067a6",
         "i1_spea2.tuning.json":
-            "c7b517e57577ee059b24be16662d3e1b11a71757fbb8b5c64f7ea16f39bbb300",
+            "15e43d39bbfd6b47016d535fcef7c3940638b8917213e8ef041ecd550f7393df",
     }
 
     def test_front_manifest_and_tuning_bytes(self, tmp_path, capsys):
@@ -735,6 +734,27 @@ class TestFrontFileChecks:
             f"error: {fronts[0]}: bad bounds: length_lo must be finite, got nan\n"
         )
         assert not out.exists()
+
+    def test_older_layout_reads_the_same(self, tmp_path, capsys):
+        # Front files once repeated each member's risk as combined_risk and
+        # held config.reference_point_divisions: table and plot still read
+        # them, to the same bytes.
+        fronts = self.make_fronts(tmp_path)
+        older = tmp_path / "older"
+        older.mkdir()
+        for front in fronts:
+            payload = json.loads(front.read_text())
+            payload["config"]["reference_point_divisions"] = 99
+            for member in payload["front"] + payload["archive"]:
+                member["combined_risk"] = member["risk"]
+            (older / front.name).write_text(json.dumps(payload))
+        for command in ("table", "plot"):
+            outputs = []
+            for files in (fronts, sorted(older.iterdir())):
+                out = tmp_path / command / files[0].parent.name
+                assert main([command, *map(str, files), "--out", str(out)]) == 0
+                outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["table", "plot"])
     def test_bounds_of_wrong_type_name_the_field(self, tmp_path, capsys, command):
@@ -1165,20 +1185,31 @@ class TestConfigSections:
         "tuned-string": (("solve",), {"tuned": "yes"}, "config field tuned must be a list of booleans"),
         "oracle-string": (("solve",), {"oracle": "false"}, "config field oracle must be a boolean"),
         "tuner-number": (("solve", "tune"), {"tuner": 5}, "config field tuner must be an object"),
-        "range-number": (
-            ("solve", "tune"),
-            {"tuner": {"crossover_range": 3}},
-            "config field tuner.crossover_range must be a list of two numbers",
-        ),
         "sizes-word": (
             ("solve", "tune"),
             {"tuner": {"population_sizes": ["x"]}},
             "config field tuner.population_sizes[0] must be an integer",
         ),
-        "range-reversed": (
+        # An empty list of algorithms or tuned flags once ran an empty
+        # batch, and a bare string of algorithms was read letter by letter.
+        "algorithms-empty": (
+            ("solve", "tune"), {"algorithms": []}, "bad run list: algorithms must not be empty"
+        ),
+        "tuned-empty": (("solve", "tune"), {"tuned": []}, "bad run list: tuned must not be empty"),
+        "algorithms-string": (
             ("solve", "tune"),
-            {"tuner": {"mutation_rate_range": [0.9, 0.2]}},
-            "bad tuner settings: mutation_rate_range",
+            {"algorithms": "spea2"},
+            "config field algorithms must be a list of strings, got 'spea2'",
+        ),
+        "instances-empty": (
+            ("solve", "tune"), {"instances": []}, "bad run list: instances must not be empty"
+        ),
+        "seeds-empty": (("solve", "tune"), {"seeds": []}, "bad run list: seeds must not be empty"),
+        # start_cell and goal_cell are the only pairs a config holds.
+        "start-cell-number": (
+            ("gen",),
+            {"overrides": {"start_cell": 3}},
+            "config field overrides.start_cell must be a list of two integers, got 3",
         ),
     }
 
@@ -1190,17 +1221,29 @@ class TestConfigSections:
         _commands, overrides, message = self.BAD[case]
         save_tiny(tmp_path / "i1.json", 1)
         cfg = tmp_path / "run.json"
-        write_solve_config(cfg, ["i1.json"], **overrides)
+        overrides = dict(overrides)
+        write_solve_config(cfg, overrides.pop("instances", ["i1.json"]), **overrides)
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "tune"])
+    def test_config_algorithms_checked_under_algo_flag(self, tmp_path, capsys, command):
+        # The flag replaces the config's list, which must still be valid.
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(cfg, ["i1.json"], algorithms=["foo"])
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--algo", "nsga2"]) == 1
+        assert "unknown algorithm 'foo' in algorithms" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestRecordFields:
     # Each case: the commands it applies to, config overrides, and the
     # field the usage error must name. Each of these once ran, or failed
-    # later without naming the field. The work limits that became constants
+    # later without naming the field. The settings that became constants
     # must be refused as unknown fields, not as values of the wrong type.
     DRONE_COMMANDS = ("solve", "tune", "check", "lp-export")
     BAD = {
@@ -1233,6 +1276,26 @@ class TestRecordFields:
         "overrides-fractional-rows": (("gen",), {"overrides": {"rows": 4.5}}, "overrides.rows"),
         "tuner-misspelt-budget": (("solve", "tune"), {"tuner": {"budgte": 5}}, "tuner.budgte"),
         "misspelt-run-size": (("solve", "tune"), {"populaton_size": 20}, "populaton_size"),
+        "reference-point-divisions": (
+            ("solve", "tune"),
+            {"reference_point_divisions": 4},
+            "unknown config field(s): reference_point_divisions",
+        ),
+        "tuner-crossover-range": (
+            ("solve", "tune"),
+            {"tuner": {"crossover_range": [0.6, 0.9]}},
+            "unknown config field(s): tuner.crossover_range",
+        ),
+        "tuner-mutation-probability-range": (
+            ("solve", "tune"),
+            {"tuner": {"mutation_probability_range": [0.1, 0.2]}},
+            "unknown config field(s): tuner.mutation_probability_range",
+        ),
+        "tuner-mutation-rate-range": (
+            ("solve", "tune"),
+            {"tuner": {"mutation_rate_range": [0.9, 0.2]}},
+            "unknown config field(s): tuner.mutation_rate_range",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -1273,7 +1336,6 @@ class TestRecordFields:
             cfg,
             ["i1.json"],
             oracle=False,
-            reference_point_divisions=4,
             drone={},
             operators={},
             tuner={"budget": 1, "population_sizes": [8]},
@@ -1299,7 +1361,9 @@ class TestRecordFields:
 
 
 class TestConfigReader:
-    RECORDS = [DroneParams, OperatorConfig, AlgoConfig, TunerConfig, GeneratorSettings]
+    RECORDS = [
+        DroneParams, OperatorConfig, AlgoConfig, TunerConfig, GeneratorSettings, cli._RunList
+    ]
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
     def test_every_field_reads_back_its_default(self, record):

@@ -219,7 +219,6 @@ class TestAlgoConfig:
             {"population_size": 5},  # odd
             {"evaluation_budget": 10, "population_size": 20},
             {"archive_size": 1},
-            {"reference_point_divisions": 0},
             {"seed": -1},
         ],
     )
@@ -232,7 +231,6 @@ class TestAlgoConfig:
         assert cfg.population_size == 100
         assert cfg.evaluation_budget == 10000
         assert cfg.archive_size == 100
-        assert cfg.reference_point_divisions == 99
         assert cfg.operators.crossover_probability == 0.9
         assert cfg.operators.mutation_probability == 0.1
 
@@ -401,8 +399,6 @@ class TestTune:
     def test_tuner_config_validation(self):
         with pytest.raises(ValueError):
             TunerConfig(budget=0)
-        with pytest.raises(ValueError):
-            TunerConfig(crossover_range=(0.9, 0.5))
         with pytest.raises(ValueError):
             TunerConfig(population_sizes=())
 

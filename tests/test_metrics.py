@@ -144,10 +144,8 @@ class TestPearson:
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])  # zero variance
 
 
-def summary(instance, algo, tuned, hv, size=5):
-    return FrontSummary(
-        instance_id=instance, algorithm=algo, tuned=tuned, hypervolume=hv, front_size=size
-    )
+def summary(instance, algo, tuned, hv):
+    return FrontSummary(instance_id=instance, algorithm=algo, tuned=tuned, hypervolume=hv)
 
 
 class TestTables:
