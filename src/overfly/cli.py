@@ -275,7 +275,7 @@ def suite_settings(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args.config, _CONFIG_KEYS | {"overrides"})
     suite = suite_settings(args.seed, config.get("overrides", {}))
     out = _require_out(args)
     listing = []
@@ -335,6 +335,17 @@ _RUN_SIZES = tuple(
 _CONFIG_KEYS = frozenset(_RUN_LIST + _RUN_SIZES + ("drone", "operators", "tuner"))
 
 
+def _load_config(path: str | None, keys: frozenset[str] = _CONFIG_KEYS) -> dict:
+    """The config file at ``path`` (none: an empty config). Every command
+    reads a solve config, each only the sections it needs; a top-level key
+    outside ``keys``, such as a misspelt section, is a usage error."""
+    config = _load_json(path) if path else {}
+    unknown = [key for key in config if key not in keys]
+    if unknown:
+        raise _UsageError(f"unknown config field(s): {', '.join(unknown)}")
+    return config
+
+
 def _top_level(record: type, config: dict, names: tuple[str, ...]) -> dict:
     """The config's top-level ``names`` as checked keyword arguments for ``record``."""
     return _config_fields(record, {k: v for k, v in config.items() if k in names}, "")
@@ -344,12 +355,8 @@ def _settings(config: dict) -> tuple[_RunList, DroneParams, AlgoConfig, TunerCon
     """The config's run list, drone, base run settings (run sizes and
     operators, with the default algorithm and seed 0) and tuner, each
     checked by its own record before any job exists. The tuner's seed is the
-    base from which each (instance, algorithm) pair's seed is derived. A
-    top-level key that no solve config holds, such as a misspelt run size,
-    is a usage error. Shared by ``solve`` and ``tune``."""
-    unknown = [key for key in config if key not in _CONFIG_KEYS]
-    if unknown:
-        raise _UsageError(f"unknown config field(s): {', '.join(unknown)}")
+    base from which each (instance, algorithm) pair's seed is derived.
+    Shared by ``solve`` and ``tune``, on a config from ``_load_config``."""
     run_list = _build(_RunList, "run list", _top_level(_RunList, config, _RUN_LIST))
     drone = _read_section(DroneParams, config, "drone")
     operators = _read_section(OperatorConfig, config, "operators")
@@ -494,7 +501,7 @@ def _solve_jobs(args: argparse.Namespace) -> list[dict]:
     """The jobs of ``solve``. ``--algo``, ``--seed`` and ``--tuned`` or
     ``--untuned`` replace the run list's algorithms, seeds and tuned flags;
     the config's own are still checked."""
-    run_list, drone, base, tuner = _settings(_load_json(args.config))
+    run_list, drone, base, tuner = _settings(_load_config(args.config))
     algorithms = args.algo or run_list.algorithms
     flags = [f for f, on in ((True, args.tuned), (False, args.untuned)) if on] or run_list.tuned
     seeds = args.seed or run_list.seeds
@@ -583,7 +590,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    run_list, drone, base, tuner = _settings(_load_json(args.config))
+    run_list, drone, base, tuner = _settings(_load_config(args.config))
     _check_tuned_budget(base, tuner)
     out = _require_out(args)
     failed = 0
@@ -830,7 +837,7 @@ def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args.config)
     params = _read_section(DroneParams, config, "drone")
     env = _load_world(args.instance)
     try:
@@ -922,7 +929,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_lp_export(args: argparse.Namespace) -> int:
     out_path = _require_out_file(args)
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args.config)
     params = _read_section(DroneParams, config, "drone")
     env = _load_world(args.instance)
     bounds = None

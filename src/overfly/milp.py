@@ -14,15 +14,18 @@ formats every cell, arc, ``x``, ``u`` and per-arc variable name once, into
 name tables local to the build that the variable list, the rows and the
 objective all read (the public ``x_name``, ``u_name`` and ``arc_var`` give
 the same strings). The product rows (eq12, eq13), most of a model's rows,
-share their term records: one ``(x, -1.0)`` per ``x`` variable. ``LpVar``,
-``LpRow`` and ``RowCheck`` are ``NamedTuple`` records, about a quarter of a
-frozen dataclass's construction cost and half its size, with the same
-fields, ``repr`` and immutability. ``build_model`` and the variable-to-rows
-index ``MilpModel._rows_of`` run with the cyclic garbage collector paused
-(``environment.collector_paused``): their records hold no cycles, and a
-running collector would only scan them over and over. ``render_lp``
-formats each distinct coefficient once per call, and writes a row that fits
-the 72-column width in one join.
+share their term records: one ``(x, -1.0)`` per ``x`` variable. A variable
+is a plain tuple ``(name, kind)`` and a row a plain tuple ``(name, family,
+coeffs, sense, rhs)`` (the ``LpVar`` and ``LpRow`` aliases), read by
+position. Tuples that hold only strings, floats and such tuples are
+untracked by CPython's cyclic collector as its collections pass over them,
+one level of nesting each (terms, coefficient tuples, rows), so a live
+model soon costs a collection nothing; a tuple subclass would stay tracked.
+``build_model`` and the variable-to-rows index ``MilpModel._rows_of`` run
+with the collector paused (``environment.collector_paused``): their records
+hold no cycles, and a running collector would only scan them over and over.
+``render_lp`` formats each distinct coefficient once per call, and writes a
+row that fits the 72-column width in one join.
 
 Substitution works against a per-model baseline, the unused-arc assignment
 ``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc), which
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 from collections import ChainMap, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -72,60 +75,11 @@ _SPLIT_PREFIXES = ("d", "dp", "dm", "y", "yp", "pp", "pm")
 _SPLIT_KINDS = ("free", "nonneg", "nonneg", "binary", "binary", "nonneg", "nonneg")
 
 
-class _LpVarFields(NamedTuple):
-    name: str
-    kind: str  # "binary" | "nonneg" | "free"
-
-
-class LpVar(_LpVarFields):
-    """One model variable: binary, nonnegative continuous, or free."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, kind: str) -> LpVar:
-        if kind not in _VAR_KINDS:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return tuple.__new__(cls, (name, kind))
-
-    @classmethod
-    def _make(cls, iterable) -> LpVar:
-        """Through ``__new__``, so that ``_replace`` checks its kind too."""
-        return cls(*iterable)
-
-
-class _LpRowFields(NamedTuple):
-    name: str
-    family: str
-    coeffs: tuple[tuple[str, float], ...]
-    sense: str
-    rhs: float
-
-
-class LpRow(_LpRowFields):
-    """One constraint row: sum(coeff * var) sense rhs."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        name: str,
-        family: str,
-        coeffs: tuple[tuple[str, float], ...],
-        sense: str,
-        rhs: float,
-    ) -> LpRow:
-        if sense not in _SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
-        if not coeffs:
-            raise ValueError(f"row {name} has no terms")
-        # tuple.__new__ directly: the generated NamedTuple __new__ would add
-        # a second Python call per row.
-        return tuple.__new__(cls, (name, family, coeffs, sense, rhs))
-
-    @classmethod
-    def _make(cls, iterable) -> LpRow:
-        """Through ``__new__``, so that ``_replace`` checks its row too."""
-        return cls(*iterable)
+# One model variable, (name, kind), kind one of ``_VAR_KINDS``; and one
+# constraint row, (name, family, coeffs, sense, rhs), read as
+# sum(coeff * var) sense rhs with sense one of ``_SENSES``.
+LpVar = tuple[str, str]
+LpRow = tuple[str, str, tuple[tuple[str, float], ...], str, float]
 
 
 @dataclass(frozen=True)
@@ -145,10 +99,10 @@ class MilpModel:
     notes: tuple[str, ...]
 
     def families(self) -> tuple[str, ...]:
-        return tuple(sorted({row.family for row in self.rows}))
+        return tuple(sorted({family for _, family, _, _, _ in self.rows}))
 
     def variable_names(self) -> frozenset[str]:
-        return frozenset(v.name for v in self.variables)
+        return frozenset(name for name, _ in self.variables)
 
     # Per-model substitution caches; ``cached_property`` stores them in the
     # instance dict, which the frozen dataclass leaves writable.
@@ -157,7 +111,7 @@ class MilpModel:
     def baseline(self) -> Mapping[str, float]:
         """The unused-arc assignment: every variable 0.0 and ``y`` = 1.0 on
         every arc (the ascent flag), which satisfies every row but eq3/eq4."""
-        values = {v.name: 0.0 for v in self.variables}
+        values = {name: 0.0 for name, _ in self.variables}
         for i, j in self.arcs:
             values[arc_var("y", i, j)] = 1.0
         return MappingProxyType(values)
@@ -167,8 +121,8 @@ class MilpModel:
     def _rows_of(self) -> defaultdict[str, list[int]]:
         """Variable name -> indices of the rows it appears in."""
         index: defaultdict[str, list[int]] = defaultdict(list)
-        for r, row in enumerate(self.rows):
-            for name, _ in row.coeffs:
+        for r, (_, _, coeffs, _, _) in enumerate(self.rows):
+            for name, _ in coeffs:
                 index[name].append(r)
         return index
 
@@ -237,6 +191,28 @@ def row_count(env: Environment, objective: str) -> int:
             pred = len(env.predecessors(i))
             count += 2 * pred + 2 * succ * pred * level_pairs
     return count
+
+
+def _add_row(
+    rows: list[LpRow],
+    name: str,
+    family: str,
+    coeffs: Sequence[tuple[str, float]],
+    sense: str,
+    rhs: float,
+) -> None:
+    """Append the row ``sum(coeff * var) sense rhs`` to ``rows``, its numbers
+    as Python floats and its zero coefficients dropped; a row left with no
+    term carries no constraint and is not appended.
+
+    Raises:
+        ValueError: on a sense outside ``_SENSES``.
+    """
+    if sense not in _SENSES:
+        raise ValueError(f"unknown sense {sense!r}")
+    trimmed = tuple([(n, float(c)) for n, c in coeffs if c != 0.0])
+    if trimmed:
+        rows.append((name, family, trimmed, sense, float(rhs)))
 
 
 @collector_paused
@@ -328,25 +304,14 @@ def build_model(
 
     variables: list[LpVar] = []
     for arc in arcs:
-        variables.extend(LpVar(x, "binary") for x in xs[arc])
+        variables.extend((x, "binary") for x in xs[arc])
     for block in products.values():
-        variables.extend(LpVar(u, "binary") for u, _, _, _ in block)
+        variables.extend((u, "binary") for u, _, _, _ in block)
     for arc in arcs:
-        variables.extend(map(LpVar, split[arc], _SPLIT_KINDS))
+        variables.extend(zip(split[arc], _SPLIT_KINDS))
 
     rows: list[LpRow] = []
-
-    def add_row(
-        name: str,
-        family: str,
-        coeffs: Sequence[tuple[str, float]],
-        sense: str,
-        rhs: float,
-    ) -> None:
-        trimmed = tuple([(n, float(c)) for n, c in coeffs if c != 0.0])
-        if not trimmed:
-            return  # all-zero coefficients carry no constraint
-        rows.append(LpRow(name, family, trimmed, sense, float(rhs)))
+    add_row = partial(_add_row, rows)
 
     # eq3/eq4/eq6: depart the start once, enter the goal once, never leave it.
     add_row("eq3", "eq3", [(x, 1.0) for j in env.successors(start) for x in xs[start, j]], "=", 1.0)
@@ -395,8 +360,8 @@ def build_model(
             coeffs = [(d, 1.0)] + [(u, -(h[k] - h[kp])) for u, _, k, kp in products[i, j]]
             add_row(f"eq11_{a}", "eq11", coeffs, "=", 0.0)
 
-    # The rows below have constant nonzero coefficients (m_value > 0), so
-    # they skip add_row's zero trimming.
+    # The rows below have constant nonzero coefficients (m_value > 0) and
+    # literal senses, so they are tuple literals that skip add_row's checks.
 
     # eq12/eq13: product variable pinned between the two arc choices. For
     # binary u and x, eq13 (2u <= x_a + x_b) already gives u <= x_a and
@@ -409,23 +374,23 @@ def build_model(
             xa = xij[k]
             xb = minus_x[g, i][kp]
             tag = u[2:]
-            rows.append(LpRow(f"eq12_{tag}", "eq12", ((u, 1.0), xa, xb), ">=", -1.0))
-            rows.append(LpRow(f"eq13_{tag}", "eq13", ((u, 2.0), xa, xb), "<=", 0.0))
+            rows.append((f"eq12_{tag}", "eq12", ((u, 1.0), xa, xb), ">=", -1.0))
+            rows.append((f"eq13_{tag}", "eq13", ((u, 2.0), xa, xb), "<=", 0.0))
 
     # eq15..eq23: ascent/descent split with big-M gating per arc.
     m = m_value
     for arc, a in arc_names.items():
         d, dp, dm, y, yp, pp, pm = split[arc]
         rows += (
-            LpRow(f"eq15_{a}", "eq15", ((dp, 1.0), (dm, -1.0), (d, -1.0)), "=", 0.0),
-            LpRow(f"eq16_{a}", "eq16", ((y, 1.0), (yp, 1.0)), "=", 1.0),
-            LpRow(f"eq17_{a}", "eq17", ((pp, 1.0), (pm, -1.0), (d, -1.0)), "=", 0.0),
-            LpRow(f"eq18_{a}", "eq18", ((pp, 1.0), (dp, -1.0), (y, -m)), ">=", -m),
-            LpRow(f"eq19_{a}", "eq19", ((pp, 1.0), (dp, -1.0), (y, m)), "<=", m),
-            LpRow(f"eq20_{a}", "eq20", ((pp, 1.0), (y, -m)), "<=", 0.0),
-            LpRow(f"eq21_{a}", "eq21", ((pm, 1.0), (dm, -1.0), (yp, -m)), ">=", -m),
-            LpRow(f"eq22_{a}", "eq22", ((pm, 1.0), (dm, -1.0), (yp, m)), "<=", m),
-            LpRow(f"eq23_{a}", "eq23", ((pm, 1.0), (yp, -m)), "<=", 0.0),
+            (f"eq15_{a}", "eq15", ((dp, 1.0), (dm, -1.0), (d, -1.0)), "=", 0.0),
+            (f"eq16_{a}", "eq16", ((y, 1.0), (yp, 1.0)), "=", 1.0),
+            (f"eq17_{a}", "eq17", ((pp, 1.0), (pm, -1.0), (d, -1.0)), "=", 0.0),
+            (f"eq18_{a}", "eq18", ((pp, 1.0), (dp, -1.0), (y, -m)), ">=", -m),
+            (f"eq19_{a}", "eq19", ((pp, 1.0), (dp, -1.0), (y, m)), "<=", m),
+            (f"eq20_{a}", "eq20", ((pp, 1.0), (y, -m)), "<=", 0.0),
+            (f"eq21_{a}", "eq21", ((pm, 1.0), (dm, -1.0), (yp, -m)), ">=", -m),
+            (f"eq22_{a}", "eq22", ((pm, 1.0), (dm, -1.0), (yp, m)), "<=", m),
+            (f"eq23_{a}", "eq23", ((pm, 1.0), (yp, -m)), "<=", 0.0),
         )
 
     # -- objective coefficients ----------------------------------------------
@@ -491,7 +456,7 @@ def build_model(
 
     objective_terms = tuple(sorted((n, c) for n, c in obj.items() if c != 0.0))
     if not objective_terms and variables:
-        objective_terms = ((variables[0].name, 0.0),)
+        objective_terms = ((variables[0][0], 0.0),)
     notes.insert(0, f"objective: {label}")
 
     return MilpModel(
@@ -575,11 +540,11 @@ def render_lp(model: MilpModel) -> str:
         tokens.append(sense)
         tokens.append(_format_rhs(rhs))
         out.extend(_wrap(f" {name}:", tokens))
-    free_vars = [v.name for v in model.variables if v.kind == "free"]
+    free_vars = [name for name, kind in model.variables if kind == "free"]
     if free_vars:
         out.append("Bounds")
         out.extend(f" {name} free" for name in free_vars)
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
+    binaries = [name for name, kind in model.variables if kind == "binary"]
     if binaries:
         out.append("Binaries")
         out.extend(_wrap(" ", binaries))
@@ -622,13 +587,13 @@ def _lhs(coeffs: Sequence[tuple[str, float]], values: Mapping[str, float]) -> fl
     return math.fsum([c * float(values[n]) for n, c in coeffs])
 
 
-def _slack(row: LpRow, lhs: float) -> float:
-    """Distance of ``lhs`` inside the row's bound; negative when violated."""
-    if row.sense == "<=":
-        return row.rhs - lhs
-    if row.sense == ">=":
-        return lhs - row.rhs
-    return -abs(lhs - row.rhs)
+def _slack(sense: str, rhs: float, lhs: float) -> float:
+    """Distance of ``lhs`` inside the bound ``sense rhs``; negative when violated."""
+    if sense == "<=":
+        return rhs - lhs
+    if sense == ">=":
+        return lhs - rhs
+    return -abs(lhs - rhs)
 
 
 def substitute(model: MilpModel, values: Mapping[str, float]) -> SubstitutionReport:
@@ -664,11 +629,11 @@ def substitute(model: MilpModel, values: Mapping[str, float]) -> SubstitutionRep
     touched = sorted({0, 1, *(r for name in changed for r in rows_of.get(name, ()))})
     failing = []
     for r in touched:
-        row = rows[r]
-        lhs = _lhs(row.coeffs, values)
-        slack = _slack(row, lhs)
+        name, family, coeffs, sense, rhs = rows[r]
+        lhs = _lhs(coeffs, values)
+        slack = _slack(sense, rhs, lhs)
         if not slack >= 0.0:
-            failing.append(RowCheck(row.name, row.family, lhs, row.sense, row.rhs, slack))
+            failing.append(RowCheck(name, family, lhs, sense, rhs, slack))
     return SubstitutionReport(tuple(failing))
 
 
@@ -751,12 +716,13 @@ def violate_row(row: LpRow, base: Mapping[str, float]) -> tuple[str, float]:
     Picks the row's first nonzero-coefficient variable and pushes the row's
     left-hand side past its bound by a margin of 1 + |rhs|.
     """
-    name, coeff = row.coeffs[0]
-    margin = 1.0 + abs(row.rhs)
-    target = row.rhs + margin
-    if _slack(row, target) >= 0.0:  # a ">=" row fails below its rhs
-        target = row.rhs - margin
-    return name, float(base[name]) + (target - _lhs(row.coeffs, base)) / coeff
+    _, _, coeffs, sense, rhs = row
+    name, coeff = coeffs[0]
+    margin = 1.0 + abs(rhs)
+    target = rhs + margin
+    if _slack(sense, rhs, target) >= 0.0:  # a ">=" row fails below its rhs
+        target = rhs - margin
+    return name, float(base[name]) + (target - _lhs(coeffs, base)) / coeff
 
 
 def mutation_test(model: MilpModel, base: Mapping[str, float]) -> dict[str, bool]:
@@ -774,9 +740,10 @@ def mutation_test(model: MilpModel, base: Mapping[str, float]) -> dict[str, bool
         raise ValueError(f"base assignment already violates {first.name}")
     caught: dict[str, bool] = {family: False for family in model.families()}
     for row in model.rows:
-        if caught[row.family]:
+        _, family, coeffs, sense, rhs = row
+        if caught[family]:
             continue
         name, value = violate_row(row, base)
-        lhs = math.fsum([c * (value if n == name else float(base[n])) for n, c in row.coeffs])
-        caught[row.family] = not _slack(row, lhs) >= 0.0  # substitute's failure rule
+        lhs = math.fsum([c * (value if n == name else float(base[n])) for n, c in coeffs])
+        caught[family] = not _slack(sense, rhs, lhs) >= 0.0  # substitute's failure rule
     return caught

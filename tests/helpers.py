@@ -135,23 +135,23 @@ def solve_lp(model, drop=()) -> float | None:
     ``scipy.optimize.milp`` (HiGHS) without the rows of the families in
     ``drop``; None when the solver reports no optimum (infeasible or
     unbounded)."""
-    column = {v.name: c for c, v in enumerate(model.variables)}
+    column = {name: c for c, (name, _kind) in enumerate(model.variables)}
     cost = np.zeros(len(column))
     for name, coeff in model.objective:
         cost[column[name]] = coeff
     data, rows_at, cols_at, lower, upper = [], [], [], [], []
-    for row in model.rows:
-        if row.family in drop:
+    for _name, family, coeffs, sense, rhs in model.rows:
+        if family in drop:
             continue
         r = len(lower)
-        for name, coeff in row.coeffs:
+        for name, coeff in coeffs:
             data.append(coeff)
             rows_at.append(r)
             cols_at.append(column[name])
-        lower.append(-np.inf if row.sense == "<=" else row.rhs)
-        upper.append(np.inf if row.sense == ">=" else row.rhs)
+        lower.append(-np.inf if sense == "<=" else rhs)
+        upper.append(np.inf if sense == ">=" else rhs)
     matrix = sparse.csr_array((data, (rows_at, cols_at)), shape=(len(lower), len(column)))
-    kinds = [v.kind for v in model.variables]
+    kinds = [kind for _name, kind in model.variables]
     result = optimize.milp(
         cost,
         constraints=optimize.LinearConstraint(matrix, lower, upper),

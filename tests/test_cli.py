@@ -1296,6 +1296,20 @@ class TestRecordFields:
             {"tuner": {"mutation_rate_range": [0.9, 0.2]}},
             "unknown config field(s): tuner.mutation_rate_range",
         ),
+        # A misspelt section once ran on defaults under gen, check and lp-export.
+        "misspelt-section": (
+            ("gen", *DRONE_COMMANDS),
+            {"drnoe": {"weight_kg": 99}},
+            "unknown config field(s): drnoe",
+        ),
+        "misspelt-overrides": (
+            ("gen", *DRONE_COMMANDS),
+            {"overides": {"rows": 99}},
+            "unknown config field(s): overides",
+        ),
+        "overrides-outside-gen": (
+            DRONE_COMMANDS, {"overrides": {"rows": 5}}, "unknown config field(s): overrides"
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -1328,7 +1342,7 @@ class TestRecordFields:
     def test_every_solve_config_key_is_read(self, tmp_path, capsys):
         # A config holding every top-level key runs under each command that
         # takes one: the unknown-key check refuses no key a solve config may
-        # hold, and check and lp-export still take such a config.
+        # hold, and gen, check and lp-export still take such a config.
         instance = str(tmp_path / "i1.json")
         save_tiny(instance, 1)
         cfg = tmp_path / "run.json"
@@ -1342,6 +1356,7 @@ class TestRecordFields:
         )
         assert set(config) == cli._CONFIG_KEYS
         for argv in (
+            ["gen", "--out", str(tmp_path / "g")],
             ["solve", "--out", str(tmp_path / "s")],
             ["tune", "--out", str(tmp_path / "t")],
             ["check", instance],

@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import pickle
+import platform
 import re
 
 import numpy as np
@@ -37,8 +38,6 @@ from overfly.cli import main, suite_settings
 from overfly import milp, save_instance
 from overfly.milp import (
     MAX_ROWS,
-    LpRow,
-    LpVar,
     MilpModel,
     RowCheck,
     arc_var,
@@ -78,17 +77,15 @@ def full_report(model, values):
     judged by the sense rule, with no baseline. Floats as ``float.hex``; the
     last item says whether the row holds."""
     checks = []
-    for row in model.rows:
-        lhs = math.fsum(c * float(values[n]) for n, c in row.coeffs)
-        if row.sense == "<=":
-            slack = row.rhs - lhs
-        elif row.sense == ">=":
-            slack = lhs - row.rhs
+    for name, family, coeffs, sense, rhs in model.rows:
+        lhs = math.fsum(c * float(values[n]) for n, c in coeffs)
+        if sense == "<=":
+            slack = rhs - lhs
+        elif sense == ">=":
+            slack = lhs - rhs
         else:
-            slack = -abs(lhs - row.rhs)
-        checks.append(
-            (row.name, row.family, lhs.hex(), row.sense, row.rhs.hex(), slack.hex(), slack >= 0.0)
-        )
+            slack = -abs(lhs - rhs)
+        checks.append((name, family, lhs.hex(), sense, rhs.hex(), slack.hex(), slack >= 0.0))
     return checks
 
 
@@ -161,16 +158,16 @@ def reference_lp(model):
     out.append("Minimize")
     out.extend(_reference_wrap(" obj:", _reference_terms(model.objective)))
     out.append("Subject To")
-    for row in model.rows:
-        tokens = _reference_terms(row.coeffs)
-        text = repr(row.rhs)
-        tokens += [row.sense, text[:-2] if text.endswith(".0") else text]
-        out.extend(_reference_wrap(f" {row.name}:", tokens))
-    free_vars = [v.name for v in model.variables if v.kind == "free"]
+    for name, _family, coeffs, sense, rhs in model.rows:
+        tokens = _reference_terms(coeffs)
+        text = repr(rhs)
+        tokens += [sense, text[:-2] if text.endswith(".0") else text]
+        out.extend(_reference_wrap(f" {name}:", tokens))
+    free_vars = [name for name, kind in model.variables if kind == "free"]
     if free_vars:
         out.append("Bounds")
         out.extend(f" {name} free" for name in free_vars)
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
+    binaries = [name for name, kind in model.variables if kind == "binary"]
     if binaries:
         out.append("Binaries")
         out.extend(_reference_wrap(" ", binaries))
@@ -295,7 +292,7 @@ class TestBuildModel:
     def test_variable_kinds(self):
         env = tiny_env()
         model = build_model(env, PARAMS, "z1")
-        kinds = {v.name: v.kind for v in model.variables}
+        kinds = dict(model.variables)
         assert all(kinds[n] == "binary" for n in kinds if n.startswith(("x_", "u_", "y_", "yp_")))
         assert all(kinds[n] == "free" for n in kinds if n.startswith("d_") and not n.startswith("dp") and not n.startswith("dm"))
         assert all(kinds[n] == "nonneg" for n in kinds if n.startswith(("dp_", "dm_", "pp_", "pm_")))
@@ -303,9 +300,9 @@ class TestBuildModel:
     def test_no_empty_rows_and_no_zero_coefficients(self):
         env = tiny_env()
         model = build_model(env, PARAMS, "z1")
-        for row in model.rows:
-            assert row.coeffs
-            for coeff, _name in row.coeffs:
+        for _name, _family, coeffs, _sense, _rhs in model.rows:
+            assert coeffs
+            for _var, coeff in coeffs:
                 assert coeff != 0.0
 
     def test_big_m_default_and_override(self):
@@ -380,7 +377,7 @@ class TestBuildModel:
         ):
             for big_m in (None, tallest) if tallest > span else (None,):
                 model = build_model(env, PARAMS, objective, big_m=big_m, **kwargs)
-                assert [row.name for row in model.rows[:2]] == ["eq3", "eq4"]
+                assert [row[0] for row in model.rows[:2]] == ["eq3", "eq4"]
                 failing = [check[0] for check in full_report(model, model.baseline) if not check[-1]]
                 assert failing == ["eq3", "eq4"]
             with pytest.raises(ValueError, match="^big_m must"):
@@ -409,7 +406,8 @@ class TestBuildModel:
         def never(*_args, **_kwargs):
             raise AssertionError("the guard must refuse before building")
 
-        for name in ("LpVar", "LpRow", "arc_costs"):
+        # _cn names the cells before the first row; _add_row makes eq3.
+        for name in ("_cn", "_add_row", "arc_costs"):
             monkeypatch.setattr(milp, name, never)
         with pytest.raises(EnumerationLimitError, match=f"{count} rows.* {MAX_ROWS}"):
             build_model(env, PARAMS, "z1")
@@ -436,18 +434,44 @@ class TestBuildModel:
         epsilon = build_model(env, PARAMS, "epsilon", risk_cap=1.0)
         assert row_count(env, "epsilon") == len(epsilon.rows)
 
-    def test_empty_row_constructor_rejected(self):
-        with pytest.raises(ValueError):
-            LpRow(name="r", family="f", coeffs=(), sense="<=", rhs=0.0)
+    def test_add_row_drops_all_zero_rows(self):
+        rows = []
+        milp._add_row(rows, "r", "f", [("x", 0.0), ("y", -0.0)], "<=", 1.0)
+        milp._add_row(rows, "r", "f", [], "=", 0.0)
+        assert rows == []
+        milp._add_row(rows, "r", "f", [("x", 2), ("y", 0), ("z", np.float64(-1.5))], ">=", 1)
+        assert rows == [("r", "f", (("x", 2.0), ("z", -1.5)), ">=", 1.0)]
+        assert [type(c) for _, c in rows[0][2]] == [float, float] and type(rows[0][4]) is float
 
     def test_unknown_sense_rejected(self):
+        rows = []
+        for sense in ("<", "==", "=>"):
+            with pytest.raises(ValueError, match=f"unknown sense {sense!r}"):
+                milp._add_row(rows, "r", "f", [("x", 1.0)], sense, 0.0)
+        # Checked before the zero trimming, so an all-zero row is refused too.
         with pytest.raises(ValueError, match="unknown sense"):
-            LpRow("r", "f", (("x", 1.0),), "<", 0.0)
-        row = LpRow("r", "f", (("x", 1.0),), "<=", 0.0)
-        with pytest.raises(ValueError, match="unknown sense"):
-            row._replace(sense="<")
-        with pytest.raises(ValueError, match="no terms"):
-            LpRow._make(("r", "f", (), "<=", 0.0))
+            milp._add_row(rows, "r", "f", [("x", 0.0)], "<", 0.0)
+        assert rows == []
+
+    # Every row and variable of a model holds its record's invariants; gen 0
+    # T1-1 and T2-1 under each objective.
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVE_KWARGS))
+    @pytest.mark.parametrize("world", ["T1-1", "T2-1"])
+    def test_model_invariants(self, world, objective):
+        _id, settings, seed = {w[0]: w for w in suite_settings(0)}[world]
+        floats, _scalars = OBJECTIVE_KWARGS[objective]
+        model = build_model(generate(settings, seed), PARAMS, objective, **floats)
+        for row in model.rows:
+            assert len(row) == 5, row
+            name, _family, coeffs, sense, rhs = row
+            assert sense in milp._SENSES, name
+            assert coeffs, name
+            for _var, coeff in coeffs:
+                assert type(coeff) is float and math.isfinite(coeff) and coeff != 0.0, name
+            assert type(rhs) is float and math.isfinite(rhs), name
+        assert all(len(var) == 2 and var[1] in milp._VAR_KINDS for var in model.variables)
+        names = [name for name, _kind in model.variables]
+        assert len(set(names)) == len(names)
 
     @pytest.mark.parametrize("world", [0, 1, 2, 3])
     def test_variable_names_match_name_functions(self, world):
@@ -467,12 +491,12 @@ class TestBuildModel:
         expected += [u_name(*p) for p in products]
         expected += [arc_var(p, i, j) for i, j in arcs for p in ("d", "dp", "dm", "y", "yp", "pp", "pm")]
         model = build_model(env, PARAMS, "z1")
-        assert [v.name for v in model.variables] == expected
+        assert [name for name, _kind in model.variables] == expected
         # Product rows are labeled by their u variable's name minus "u_".
-        for row in model.rows:
-            if row.family in ("eq12", "eq13"):
-                u = row.coeffs[0][0]
-                assert u.startswith("u_") and row.name.endswith("_" + u[2:])
+        for name, family, coeffs, _sense, _rhs in model.rows:
+            if family in ("eq12", "eq13"):
+                u = coeffs[0][0]
+                assert u.startswith("u_") and name.endswith("_" + u[2:])
 
 
 class TestCollectorPaused:
@@ -503,12 +527,29 @@ class TestCollectorPaused:
         _id, settings, seed = suite_settings(0)[0]
         model = build_model(generate(settings, seed), PARAMS, "z1")
         terms = {}
-        for row in model.rows:
-            if row.family in ("eq12", "eq13"):
-                for term in row.coeffs:
+        for name, family, coeffs, _sense, _rhs in model.rows:
+            if family in ("eq12", "eq13"):
+                for term in coeffs:
                     if term[1] == -1.0:
-                        assert terms.setdefault(term, term) is term, row.name
+                        assert terms.setdefault(term, term) is term, name
         assert len(terms) > 0
+
+    @pytest.mark.parametrize("world", ["T1-1", "T2-1"])
+    def test_rows_and_variables_are_plain_untracked_tuples(self, world):
+        # A tuple subclass is never untracked; a plain tuple of strings,
+        # floats and untracked tuples is, at a full collection. Each
+        # collection untracks one level of nesting (the terms, then the
+        # coefficient tuples, then the rows), so three untrack them all.
+        _id, settings, seed = {w[0]: w for w in suite_settings(0)}[world]
+        model = build_model(generate(settings, seed), PARAMS, "z1")
+        assert all(type(row) is tuple for row in model.rows)
+        assert all(type(var) is tuple for var in model.variables)
+        if platform.python_implementation() != "CPython":
+            return
+        for _ in range(3):
+            gc.collect()
+        assert not any(gc.is_tracked(row) for row in model.rows)
+        assert not any(gc.is_tracked(var) for var in model.variables)
 
 
 # SHA-256 of the LP text `lp-export` writes for T1-1 and T2-1 of
@@ -547,7 +588,6 @@ def test_lp_export_text_is_pinned(tmp_path, world, objective):
 
 class TestRecords:
     def test_fields_keep_their_order(self):
-        assert LpRow._fields == ("name", "family", "coeffs", "sense", "rhs")
         assert RowCheck._fields == ("name", "family", "lhs", "sense", "rhs", "slack")
 
     def test_repr_names_each_field(self):
@@ -555,33 +595,13 @@ class TestRecords:
         assert repr(check) == (
             "RowCheck(name='eq3', family='eq3', lhs=0.0, sense='=', rhs=1.0, slack=-1.0)"
         )
-        row = LpRow("eq16_a", "eq16", (("y_a", 1.0),), "=", 1.0)
-        assert repr(row) == (
-            "LpRow(name='eq16_a', family='eq16', coeffs=(('y_a', 1.0),), sense='=', rhs=1.0)"
-        )
-
-    def test_variable_record(self):
-        assert LpVar._fields == ("name", "kind")
-        var = LpVar("x_a_k0", "binary")
-        assert repr(var) == "LpVar(name='x_a_k0', kind='binary')"
-        assert pickle.loads(pickle.dumps(var)) == var
-        assert type(pickle.loads(pickle.dumps(var))) is LpVar
-        with pytest.raises(AttributeError):
-            var.kind = "free"
-        with pytest.raises(ValueError, match="unknown variable kind 'integer'"):
-            LpVar("x", "integer")
-        with pytest.raises(ValueError, match="unknown variable kind 'integer'"):
-            var._replace(kind="integer")
 
     def test_fields_cannot_be_assigned(self):
         check = RowCheck("eq3", "eq3", 0.0, "=", 1.0, -1.0)
-        row = LpRow("eq16_a", "eq16", (("y_a", 1.0),), "=", 1.0)
         with pytest.raises(AttributeError):
             check.slack = 0.0
         with pytest.raises(AttributeError):
-            row.rhs = 2.0
-        with pytest.raises(AttributeError):
-            row.extra = 0.0  # no instance dict either
+            check.extra = 0.0  # no instance dict either
 
 
 class TestSubstitution:
@@ -735,7 +755,7 @@ class TestCorruptions:
             values = dict(base)
             values[name] = value
             failed = {check[0] for check in full_report(model, values) if not check[-1]}
-            caught[row.family] |= row.name in failed
+            caught[row[1]] |= row[0] in failed
         return caught
 
     def test_every_row_violated_by_its_corruption(self):
@@ -745,11 +765,11 @@ class TestCorruptions:
         base = assignment_values(model, env, m.cells, m.entry_levels)
         for row in model.rows:
             name, value = violate_row(row, base)
-            assert name in {n for n, _ in row.coeffs}
+            assert name in {n for n, _ in row[2]}
             values = dict(base)
             values[name] = value
             report = checked_substitute(model, values)
-            assert any(c.name == row.name for c in report.failures()), row.name
+            assert any(c.name == row[0] for c in report.failures()), row[0]
         reference = self.full_model_caught(model, base)
         assert all(reference.values())
         assert mutation_test(model, base) == reference
@@ -766,7 +786,7 @@ class TestCorruptions:
     def test_mutation_test_requires_feasible_base(self):
         env = tiny_env()
         model = build_model(env, PARAMS, "z1")
-        bad = {v.name: 0.0 for v in model.variables}
+        bad = {name: 0.0 for name, _kind in model.variables}
         with pytest.raises(ValueError):
             mutation_test(model, bad)
 
@@ -801,7 +821,7 @@ class TestObjectiveVariants:
                 build_model(env, PARAMS, "weighted", weight=0.0, bounds=unit),
             ]
             epsilon = build_model(env, PARAMS, "epsilon", risk_cap=100.0)
-            cap_row = [r for r in epsilon.rows if r.family == "risk_cap"][0]
+            [cap_coeffs] = [coeffs for _, family, coeffs, _, _ in epsilon.rows if family == "risk_cap"]
             for m in enumerate_front(env, PARAMS).members:
                 assert evaluate(m.chromosome(), env, PARAMS) == m.objectives
                 length, energy = (
@@ -809,7 +829,7 @@ class TestObjectiveVariants:
                     for model in models
                 )
                 values = assignment_values(epsilon, env, m.cells, m.entry_levels)
-                risk = math.fsum(c * values[n] for n, c in cap_row.coeffs)
+                risk = math.fsum(c * values[n] for n, c in cap_coeffs)
                 for got, want in zip((length, energy, risk), m.objectives.as_tuple()):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -830,19 +850,20 @@ class TestObjectiveVariants:
         env = tiny_env()
         cap = 1.25
         model = build_model(env, PARAMS, "epsilon", risk_cap=cap)
-        rows = [r for r in model.rows if r.family == "risk_cap"]
+        rows = [row for row in model.rows if row[1] == "risk_cap"]
         assert len(rows) == 1
-        assert rows[0].sense == "<=" and rows[0].rhs == cap
+        _name, _family, _coeffs, sense, rhs = rows[0]
+        assert sense == "<=" and rhs == cap
         z1 = build_model(env, PARAMS, "z1")
         assert model.objective == z1.objective
 
     def test_epsilon_cap_row_scores_risk(self):
         env = tiny_env()
         model = build_model(env, PARAMS, "epsilon", risk_cap=10.0)
-        cap_row = [r for r in model.rows if r.family == "risk_cap"][0]
+        [cap_coeffs] = [coeffs for _, family, coeffs, _, _ in model.rows if family == "risk_cap"]
         for m in enumerate_front(env, PARAMS).members:
             values = assignment_values(model, env, m.cells, m.entry_levels)
-            lhs = math.fsum(c * values[n] for n, c in cap_row.coeffs)
+            lhs = math.fsum(c * values[n] for n, c in cap_coeffs)
             assert abs(lhs - m.objectives.risk) <= 1e-9 * max(1.0, m.objectives.risk)
 
 
@@ -877,17 +898,17 @@ class TestRenderedText:
         parsed = parse_lp(render_lp(model))
 
         assert len(parsed["rows"]) == len(model.rows)
-        model_binaries = {v.name for v in model.variables if v.kind == "binary"}
-        model_free = {v.name for v in model.variables if v.kind == "free"}
+        model_binaries = {name for name, kind in model.variables if kind == "binary"}
+        model_free = {name for name, kind in model.variables if kind == "free"}
         assert parsed["binaries"] == model_binaries
         assert parsed["free"] == model_free
 
-        by_name = {r.name: r for r in model.rows}
+        by_name = {row[0]: row for row in model.rows}
         for name, terms, sense, rhs in parsed["rows"]:
-            row = by_name[name]
-            assert sense == row.sense
-            assert rhs == row.rhs  # repr round-trips floats exactly
-            assert dict((n, c) for c, n in terms) == dict(row.coeffs)
+            _name, _family, row_coeffs, row_sense, row_rhs = by_name[name]
+            assert sense == row_sense
+            assert rhs == row_rhs  # repr round-trips floats exactly
+            assert dict((n, c) for c, n in terms) == dict(row_coeffs)
 
         obj_name, obj_terms = parsed["objective"]
         assert obj_name == "obj"
@@ -919,11 +940,11 @@ class TestAssignmentValues:
         values = assignment_values(model, env, cells, levels)
         # used arcs carry y=1 except descents; unused arcs keep y=1, yp=0
         used = {("r0c0", "r0c1"), ("r0c1", "r0c2")}
-        for v in model.variables:
-            if v.name.startswith("y_"):
-                _, a, b = v.name.split("_")
+        for name, _kind in model.variables:
+            if name.startswith("y_"):
+                _, a, b = name.split("_")
                 if (a, b) not in used:
-                    assert values[v.name] == 1.0
+                    assert values[name] == 1.0
                     assert values["yp_" + a + "_" + b] == 0.0
 
     def test_climb_and_descent_split(self):
