@@ -119,6 +119,26 @@ def _dump_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _json_fragments(payload: dict) -> dict[str, str]:
+    """Each top-level value of ``payload`` encoded as it reads inside
+    ``json.dumps(payload, indent=2, sort_keys=True)``: its nested lines two
+    spaces deeper. JSON strings escape their newlines, so each newline of a
+    fragment starts one of its lines."""
+    return {
+        key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key, value in payload.items()
+    }
+
+
+def _dump_fragments(path: Path, fragments: dict[str, str]) -> None:
+    """What :func:`_dump_json` writes for a non-empty payload, from its
+    :func:`_json_fragments`: files that share values encode them once."""
+    body = ",\n".join(f"  {json.dumps(key)}: {fragments[key]}" for key in sorted(fragments))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{{\n{body}\n}}\n")
+
+
 # -- config reader: every settings record is read from JSON the same way -----
 
 R = TypeVar("R")
@@ -167,6 +187,13 @@ def _config_value(hint: object, value: object, field: str) -> object:
     raise TypeError(f"no config rule for field {field} annotated {hint!r}")
 
 
+@functools.cache
+def _field_hints(record: type) -> dict[str, object]:
+    """The field annotations of a settings record, resolved once: each
+    resolution compiles the record's string annotations anew."""
+    return typing.get_type_hints(record)
+
+
 def _config_fields(record: type, values: object, section: str) -> dict:
     """The JSON object ``values`` as keyword arguments for ``record``: each
     key must name a field, and each value must suit its annotation. Errors
@@ -174,7 +201,7 @@ def _config_fields(record: type, values: object, section: str) -> dict:
     (the config's top level)."""
     if not isinstance(values, dict):
         raise _UsageError(f"config field {section} must be an object, got {values!r}")
-    hints = typing.get_type_hints(record)
+    hints = _field_hints(record)
     prefix = f"{section}." if section else ""
     unknown = [prefix + key for key in values if key not in hints]
     if unknown:
@@ -458,16 +485,20 @@ def _execute_run(
         front_path = out_dir / f"{run_id}.front.json"
         report_path = out_dir / f"{run_id}.report.json"
         conv_path = out_dir / f"{run_id}.convergence.csv"
-        _dump_json(front_path, front)
-        report = dict(front)
-        report["schema"] = "overfly.report/1"
-        report["wall_clock_s"] = result.wall_clock_s
-        report["operator_stats"] = asdict(result.stats)
+        # The report is the front file plus these fields, so each value
+        # shared by the two files is encoded once.
+        fragments = _json_fragments(front)
+        _dump_fragments(front_path, fragments)
+        report = {
+            "schema": "overfly.report/1",
+            "wall_clock_s": result.wall_clock_s,
+            "operator_stats": asdict(result.stats),
+        }
         if tuning_info:
             report["tuning"] = tuning_info
         if ratio is not None:
             report["oracle_hv_ratio"] = ratio
-        _dump_json(report_path, report)
+        _dump_fragments(report_path, {**fragments, **_json_fragments(report)})
         write_csv(conv_path, ["evaluations", "hypervolume"], result.hv_trace)
         entry = {
             "run_id": run_id,

@@ -168,9 +168,10 @@ def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
     Mapping[Cell, tuple[Cell, ...]],
     dict[Cell, tuple[Cell, ...]],
     dict[tuple[Cell, Cell], float],
+    Mapping[tuple[Cell, Cell], float],
 ]:
-    """The successor map, its read-only view, the predecessor map and the
-    move distances of a ``rows x cols`` grid.
+    """The successor map and its read-only view, the predecessor map, and
+    the move distances and their read-only view, of a ``rows x cols`` grid.
 
     Built once per geometry and shared by every :class:`Environment` that
     has it, so no caller may write to them.
@@ -189,7 +190,8 @@ def _move_tables(rows: int, cols: int, cell_size_m: float) -> tuple[
                     dist[((r, c), (nr, nc))] = diag if dc == 1 and dr != 0 else cell_size_m
                     pred[(nr, nc)].append((r, c))
             succ[(r, c)] = tuple(out)
-    return succ, MappingProxyType(succ), {cell: tuple(v) for cell, v in pred.items()}, dist
+    pred_tuples = {cell: tuple(v) for cell, v in pred.items()}
+    return succ, MappingProxyType(succ), pred_tuples, dist, MappingProxyType(dist)
 
 
 class Environment:
@@ -249,16 +251,16 @@ class Environment:
         kmax = (np.searchsorted(levels, ceiling, side="right") - 1).astype(int)
 
         # Shared by every world of this geometry; never written to.
-        self._succ, self._adjacency, self._pred, self._dist = _move_tables(
+        self._succ, self._adjacency, self._pred, self._dist, self._distances = _move_tables(
             spec.rows, spec.cols, spec.cell_size_m
         )
+        lo_rows, hi_rows = kmin.tolist(), kmax.tolist()
+        every_band = {(r, c): (lo_rows[r][c], hi_rows[r][c]) for r, c in self._succ}
+        self._band_view: Mapping[Cell, tuple[int, int]] = MappingProxyType(every_band)
         # Band per passable cell; the accessors look a cell up here first and
         # check it, to raise or to answer "not passable", only on a miss.
-        lo_rows, hi_rows = kmin.tolist(), kmax.tolist()
         self._bands: dict[Cell, tuple[int, int]] = {
-            (r, c): (lo_rows[r][c], hi_rows[r][c])
-            for r, c in self._succ
-            if lo_rows[r][c] <= hi_rows[r][c]
+            cell: band for cell, band in every_band.items() if band[0] <= band[1]
         }
         # Plain nested tuples for the evaluation hot path.
         self._risk_rows: tuple[tuple[tuple[float, ...], ...], ...] = tuple(
@@ -297,6 +299,13 @@ class Environment:
         loops that would otherwise pay a method call per lookup."""
         return self._adjacency
 
+    @property
+    def distances(self) -> Mapping[tuple[Cell, Cell], float]:
+        """Read-only view of :meth:`distance` for every legal move
+        ``(frm, to)``, for loops that would otherwise pay a method call per
+        move."""
+        return self._distances
+
     def successors(self, cell: Cell) -> tuple[Cell, ...]:
         """Cells reachable from ``cell`` in one move (N, S, E, NE, SE order)."""
         succ = self._succ.get(cell)
@@ -323,6 +332,15 @@ class Environment:
     def risk_at(self, cell: Cell) -> tuple[float, ...]:
         self._require(cell)
         return self._risk_rows[cell[0]][cell[1]]
+
+    @property
+    def bands(self) -> Mapping[Cell, tuple[int, int]]:
+        """Read-only view of every on-grid cell's inclusive (lowest, highest)
+        band of level indices between its obstacle and its ceiling, for
+        loops that would otherwise pay a method call per lookup. The band
+        is empty (lowest above highest) for an impassable cell; elsewhere it
+        is :meth:`feasible_levels`."""
+        return self._band_view
 
     def feasible_levels(self, cell: Cell) -> tuple[int, int]:
         """Inclusive (lowest, highest) feasible level index band of a cell.

@@ -15,6 +15,7 @@ the trace non-decreasing for every algorithm.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -416,7 +417,18 @@ def _norm_column(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def combined_points(vectors, weights, bounds: NormBounds) -> np.ndarray:
     """(cost, risk) images of raw (length, energy, risk) vectors under given
     weights; a single vector counts as a sequence of one."""
-    t = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    if (
+        isinstance(vectors, (list, tuple))
+        and vectors
+        and isinstance(vectors[0], (list, tuple))
+        and set(map(len, vectors)) == {3}
+    ):
+        # Rows of three numbers, read as one flat stream: np.asarray
+        # inspects each row as a sequence first, at several times the cost.
+        flat = itertools.chain.from_iterable(vectors)
+        t = np.fromiter(flat, dtype=float, count=3 * len(vectors)).reshape(-1, 3)
+    else:
+        t = np.asarray(vectors, dtype=float).reshape(-1, 3)
     nl = _norm_column(t[:, 0], bounds.length_lo, bounds.length_hi)
     ne = _norm_column(t[:, 1], bounds.energy_lo, bounds.energy_hi)
     w = np.asarray(weights, dtype=float)

@@ -15,12 +15,18 @@ Each segment's terms depend only on its departure cell, its ground distance
 and its two entry levels, so :func:`arc_costs` tabulates them once per world
 and drone. The evaluator, the exact enumerator and the integer-program
 exporter all read that one table.
+
+:func:`validate` checks a candidate in one pass over the world's move and
+level-band tables and reports every rule it breaks, malformed genes
+included; :func:`evaluate` scores only a candidate that passes, and raises
+:class:`ChromosomeError` for any other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -66,74 +72,120 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(ch: Chromosome, env: Environment) -> ValidationReport:
-    """Check a candidate against the world; reports, never raises."""
-    spec = env.spec
-    issues: list[Violation] = []
+# The one report of every valid candidate.
+_VALID = ValidationReport(())
 
-    if len(ch.cells) != len(ch.entry_levels):
-        detail = f"{len(ch.cells)} cells but {len(ch.entry_levels)} entry levels"
+
+def validate(ch: Chromosome, env: Environment) -> ValidationReport:
+    """Check a candidate against the world; reports, never raises.
+
+    One pass over the route reads the world's tables: ``env.adjacency`` for
+    cells and moves, ``env.bands`` for entry levels. A cell is any key of
+    those tables, so a gene equal to an on-grid (row, col) pair is that
+    cell; an entry level indexes the level ladder, so it must be an int, a
+    bool or a numpy integer. The terrain arrays are read only to word a
+    violation. Each rule family keeps its violations in its own list, and
+    the report holds them in this order: shape (which ends the check),
+    weight, endpoints, start-level, revisit, adjacency, then the level rules
+    (level-range, obstacle-clearance, ceiling) by index. The first cell gene
+    that equals no on-grid pair is a cell-bounds violation that ends the
+    check before the adjacency and level rules. Every valid candidate gets
+    one shared empty report.
+    """
+    cells, levels = ch.cells, ch.entry_levels
+    if len(cells) != len(levels):
+        detail = f"{len(cells)} cells but {len(levels)} entry levels"
         return ValidationReport((Violation("shape", 0, detail),))
-    if len(ch.cells) < 2:
+    if len(cells) < 2:
         return ValidationReport((Violation("shape", 0, "a path needs at least two cells"),))
 
-    if not (0.0 <= ch.weight <= 1.0):
-        issues.append(Violation("weight", 0, f"weight {ch.weight} outside [0, 1]"))
+    spec = env.spec
+    head: list[Violation] = []
+    try:
+        if not 0.0 <= ch.weight <= 1.0:
+            head.append(Violation("weight", 0, f"weight {ch.weight} outside [0, 1]"))
+    except (TypeError, ValueError):  # not a number, or an array
+        head.append(Violation("weight", 0, f"weight {ch.weight!r} is not a number"))
+    if not _same(cells[0], spec.start_cell):
+        head.append(Violation("endpoints", 0, f"path starts at {cells[0]}, not {spec.start_cell}"))
+    if not _same(cells[-1], spec.goal_cell):
+        head.append(Violation("endpoints", len(cells) - 1, f"path ends at {cells[-1]}, not {spec.goal_cell}"))
+    if not _same(levels[0], spec.start_level):
+        head.append(Violation("start-level", 0, f"first entry level {levels[0]} != {spec.start_level}"))
 
-    if ch.cells[0] != spec.start_cell:
-        issues.append(Violation("endpoints", 0, f"path starts at {ch.cells[0]}, not {spec.start_cell}"))
-    if ch.cells[-1] != spec.goal_cell:
-        issues.append(
-            Violation("endpoints", len(ch.cells) - 1, f"path ends at {ch.cells[-1]}, not {spec.goal_cell}")
-        )
-    if ch.entry_levels[0] != spec.start_level:
-        issues.append(
-            Violation("start-level", 0, f"first entry level {ch.entry_levels[0]} != {spec.start_level}")
-        )
-
+    adjacency, bands = env.adjacency, env.bands
+    revisits: list[Violation] = []
+    moves: list[Violation] = []
+    heights: list[Violation] = []
     seen: set[Cell] = set()
-    for t, cell in enumerate(ch.cells):
-        if not env.in_bounds(cell):
-            issues.append(Violation("cell-bounds", t, f"cell {cell} outside the grid"))
-            return ValidationReport(tuple(issues))
+    successors: tuple[Cell, ...] = ()
+    for t, cell in enumerate(cells):
+        try:
+            next_successors = adjacency[cell]
+        except (KeyError, TypeError):  # off the grid, or unhashable
+            return ValidationReport((*head, *revisits, _off_grid(t, cell, spec)))
         if cell in seen:
-            issues.append(Violation("revisit", t, f"cell {cell} visited twice"))
+            revisits.append(Violation("revisit", t, f"cell {cell} visited twice"))
         seen.add(cell)
+        if t and cell not in successors:
+            moves.append(Violation("adjacency", t - 1, f"{cells[t - 1]} -> {cell} is not a legal move"))
+        successors = next_successors
+        level = levels[t]
+        lo, hi = bands[cell]
+        if type(level) is not int or not lo <= level <= hi:
+            heights += _level_violations(t, cell, level, env)
+    if head or revisits or moves or heights:
+        return ValidationReport((*head, *revisits, *moves, *heights))
+    return _VALID
 
-    for t in range(len(ch.cells) - 1):
-        if ch.cells[t + 1] not in env.successors(ch.cells[t]):
-            issues.append(
-                Violation("adjacency", t, f"{ch.cells[t]} -> {ch.cells[t + 1]} is not a legal move")
-            )
 
-    levels = spec.levels_m
-    for t in range(len(ch.cells)):
-        k = ch.entry_levels[t]
-        if not (0 <= k < len(levels)):
-            issues.append(Violation("level-range", t, f"entry level {k} outside 0..{len(levels) - 1}"))
-            continue
-        if t == 0:
-            continue  # the start level is pinned by the world spec
-        data_obstacle = env.obstacle_m[ch.cells[t][0], ch.cells[t][1]]
-        data_ceiling = env.ceiling_m[ch.cells[t][0], ch.cells[t][1]]
-        if levels[k] < data_obstacle:
-            issues.append(
-                Violation(
-                    "obstacle-clearance",
-                    t,
-                    f"entering {ch.cells[t]} at {levels[k]} m, below its {data_obstacle} m obstacle",
-                )
-            )
-        if levels[k] > data_ceiling:
-            issues.append(
-                Violation(
-                    "ceiling",
-                    t,
-                    f"entering {ch.cells[t]} at {levels[k]} m, above its {data_ceiling} m ceiling",
-                )
-            )
+def _same(gene, value) -> bool:
+    """``gene == value``; False where the comparison fails, as it does for
+    an array gene."""
+    try:
+        return bool(gene == value)
+    except (TypeError, ValueError):
+        return False
 
-    return ValidationReport(tuple(issues))
+
+def _off_grid(t: int, cell, spec) -> Violation:
+    """The cell-bounds violation of a gene that is no key of the grid."""
+    try:
+        row, col = cell
+        inside = 0 <= row < spec.rows and 0 <= col < spec.cols
+    except (TypeError, ValueError):  # not a pair, or not numbers
+        inside = True
+    if inside:
+        return Violation("cell-bounds", t, f"cell {cell!r} is not a pair of integers")
+    return Violation("cell-bounds", t, f"cell {cell} outside the grid")
+
+
+def _level_violations(t: int, cell: Cell, level, env: Environment) -> list[Violation]:
+    """The level-rule violations of entering grid cell ``cell`` at
+    ``level``, worded from the world's arrays. Step 0 only needs a level on
+    the ladder: the world pins the start level."""
+    levels_m = env.spec.levels_m
+    try:
+        k = operator.index(level)
+    except TypeError:
+        return [Violation("level-range", t, f"entry level {level!r} is not an integer")]
+    if not 0 <= k < len(levels_m):
+        return [Violation("level-range", t, f"entry level {level} outside 0..{len(levels_m) - 1}")]
+    if t == 0:
+        return []
+    try:
+        where = (int(cell[0]), int(cell[1]))
+    except TypeError:  # a complex gene equal to a grid cell
+        where = next(grid_cell for grid_cell in env.adjacency if grid_cell == cell)
+    obstacle, ceiling, altitude = env.obstacle_m[where], env.ceiling_m[where], levels_m[k]
+    found = []
+    if altitude < obstacle:
+        found.append(
+            Violation("obstacle-clearance", t, f"entering {cell} at {altitude} m, below its {obstacle} m obstacle")
+        )
+    if altitude > ceiling:
+        found.append(Violation("ceiling", t, f"entering {cell} at {altitude} m, above its {ceiling} m ceiling"))
+    return found
 
 
 def max_risk_between(env: Environment, cell: Cell, level_a: int, level_b: int) -> tuple[float, int]:
@@ -173,7 +225,7 @@ def arc_costs(env: Environment, params: DroneParams) -> ArcCosts:
     """The arc-cost table of a world, built once per (world, drone)."""
     levels = env.spec.levels_m
     ks = range(env.spec.level_count)
-    distances = sorted({env.distance(cell, nxt) for cell in env.cells() for nxt in env.successors(cell)})
+    distances = sorted(set(env.distances.values()))
 
     def arc(d: float, la: int, lb: int) -> tuple[float, float, float]:
         climb = levels[lb] - levels[la]
@@ -190,6 +242,23 @@ def arc_costs(env: Environment, params: DroneParams) -> ArcCosts:
     return ArcCosts(MappingProxyType(geometry), MappingProxyType(risk))
 
 
+# The table of the (world, drone) pair that evaluate scored last. A run
+# scores every candidate against one pair, and two identity tests cost less
+# than arc_costs's cache lookup, which hashes the drone and compares worlds
+# that are equal but distinct objects, as each solve job loads its own.
+_last_costs: tuple = (None, None, None)
+
+
+def _costs_of(env: Environment, params: DroneParams) -> ArcCosts:
+    """``arc_costs(env, params)``, remembered for the last pair."""
+    global _last_costs
+    last_env, last_params, costs = _last_costs
+    if env is not last_env or params is not last_params:
+        costs = arc_costs(env, params)
+        _last_costs = (env, params, costs)
+    return costs
+
+
 def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> ObjectiveVector:
     """Three objectives of a candidate.
 
@@ -197,21 +266,20 @@ def evaluate(ch: Chromosome, env: Environment, params: DroneParams) -> Objective
         ChromosomeError: when the candidate fails :func:`validate`.
     """
     report = validate(ch, env)
-    if not report.ok:
+    if report.violations:
         first = report.violations[0]
         raise ChromosomeError(
             f"invalid candidate ({len(report.violations)} violation(s); "
             f"first: {first.rule} at index {first.index}: {first.detail})"
         )
-    costs = arc_costs(env, params)
-    geometry, band_risk = costs.geometry, costs.risk
+    costs = _costs_of(env, params)
+    geometry, band_risk, distances = costs.geometry, costs.risk, env.distances
     cells, levels = ch.cells, ch.entry_levels
     length = 0.0
     energy = 0.0
     risk = 0.0
-    for t in range(len(cells) - 1):
-        frm, la, lb = cells[t], levels[t], levels[t + 1]
-        arc = geometry[env.distance(frm, cells[t + 1])][la][lb]
+    for frm, to, la, lb in zip(cells, cells[1:], levels, levels[1:]):
+        arc = geometry[distances[frm, to]][la][lb]
         length += arc[0]
         energy += arc[1]
         risk += band_risk[frm][la][lb]

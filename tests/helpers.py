@@ -8,7 +8,16 @@ import numpy as np
 from hypothesis import assume, strategies as st
 from scipy import optimize, sparse
 
-from overfly import Environment, GenerationError, GeneratorSettings, GridSpec, generate
+from overfly import (
+    Chromosome,
+    Environment,
+    GenerationError,
+    GeneratorSettings,
+    GridSpec,
+    ValidationReport,
+    Violation,
+    generate,
+)
 
 
 def build_env(
@@ -233,3 +242,79 @@ def point_sets(draw):
     rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=90))
     picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=90))
     return np.array([rows[i] for i in picks], dtype=float).reshape(-1, m)
+
+
+# -- reference validation ----------------------------------------------------
+# The rule-by-rule validate that the search used before it went to one pass
+# over the world's tables; on integer genes both must give the same report.
+
+
+def reference_validate(ch: Chromosome, env: Environment) -> ValidationReport:
+    """Rule by rule: shape, weight, endpoints, start level, then a loop per
+    family over the route, reading levels from the terrain arrays."""
+    spec = env.spec
+    issues: list[Violation] = []
+
+    if len(ch.cells) != len(ch.entry_levels):
+        detail = f"{len(ch.cells)} cells but {len(ch.entry_levels)} entry levels"
+        return ValidationReport((Violation("shape", 0, detail),))
+    if len(ch.cells) < 2:
+        return ValidationReport((Violation("shape", 0, "a path needs at least two cells"),))
+
+    if not (0.0 <= ch.weight <= 1.0):
+        issues.append(Violation("weight", 0, f"weight {ch.weight} outside [0, 1]"))
+
+    if ch.cells[0] != spec.start_cell:
+        issues.append(Violation("endpoints", 0, f"path starts at {ch.cells[0]}, not {spec.start_cell}"))
+    if ch.cells[-1] != spec.goal_cell:
+        issues.append(
+            Violation("endpoints", len(ch.cells) - 1, f"path ends at {ch.cells[-1]}, not {spec.goal_cell}")
+        )
+    if ch.entry_levels[0] != spec.start_level:
+        issues.append(
+            Violation("start-level", 0, f"first entry level {ch.entry_levels[0]} != {spec.start_level}")
+        )
+
+    seen: set = set()
+    for t, cell in enumerate(ch.cells):
+        if not env.in_bounds(cell):
+            issues.append(Violation("cell-bounds", t, f"cell {cell} outside the grid"))
+            return ValidationReport(tuple(issues))
+        if cell in seen:
+            issues.append(Violation("revisit", t, f"cell {cell} visited twice"))
+        seen.add(cell)
+
+    for t in range(len(ch.cells) - 1):
+        if ch.cells[t + 1] not in env.successors(ch.cells[t]):
+            issues.append(
+                Violation("adjacency", t, f"{ch.cells[t]} -> {ch.cells[t + 1]} is not a legal move")
+            )
+
+    levels = spec.levels_m
+    for t in range(len(ch.cells)):
+        k = ch.entry_levels[t]
+        if not (0 <= k < len(levels)):
+            issues.append(Violation("level-range", t, f"entry level {k} outside 0..{len(levels) - 1}"))
+            continue
+        if t == 0:
+            continue  # the start level is pinned by the world spec
+        data_obstacle = env.obstacle_m[ch.cells[t][0], ch.cells[t][1]]
+        data_ceiling = env.ceiling_m[ch.cells[t][0], ch.cells[t][1]]
+        if levels[k] < data_obstacle:
+            issues.append(
+                Violation(
+                    "obstacle-clearance",
+                    t,
+                    f"entering {ch.cells[t]} at {levels[k]} m, below its {data_obstacle} m obstacle",
+                )
+            )
+        if levels[k] > data_ceiling:
+            issues.append(
+                Violation(
+                    "ceiling",
+                    t,
+                    f"entering {ch.cells[t]} at {levels[k]} m, above its {data_ceiling} m ceiling",
+                )
+            )
+
+    return ValidationReport(tuple(issues))

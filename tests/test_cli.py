@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from overfly import (
     AlgoConfig,
@@ -633,6 +634,51 @@ class TestOutputsUnchanged:
             name: hashlib.sha256(data).hexdigest() for name, data in tiny_session(tmp_path).items()
         }
         assert digests == self.EXPECTED
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonFiles:
+    """Front, report and manifest files read as plain ``json.dumps`` output,
+    and a report is its front file plus the run's own fields."""
+
+    def test_files_are_json_dumps_and_reports_extend_fronts(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        cfg = tmp_path / "run.json"
+        write_solve_config(
+            cfg, ["i1.json"], tuned=[True, False], oracle=True,
+            tuner={"budget": 2, "population_sizes": [8, 12], "seed": 5},
+        )
+        out = tmp_path / "runs"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        reports = sorted(out.glob("*.report.json"))
+        assert [p.name for p in reports] == ["i1_nsga2_tuned_s0.report.json", "i1_nsga2_untuned_s0.report.json"]
+        for path in [*out.glob("*.front.json"), *reports, out / "manifest.json"]:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+        for path in reports:
+            report = json.loads(path.read_text(encoding="utf-8"))
+            own = ["wall_clock_s", "operator_stats", "oracle_hv_ratio"]
+            if report["tuned"]:
+                own.append("tuning")
+            for key in own:
+                del report[key]
+            report["schema"] = "overfly.front/1"
+            front = path.with_name(path.name.replace(".report.", ".front."))
+            assert report == json.loads(front.read_text(encoding="utf-8")), path.name
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=st.dictionaries(st.text(), JSON_VALUES, min_size=1, max_size=6))
+    def test_fragments_write_json_dumps_bytes(self, tmp_path, payload):
+        path = tmp_path / "payload.json"
+        cli._dump_fragments(path, cli._json_fragments(payload))
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == want
 
 
 class TestTable:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from overfly import (
     Chromosome,
@@ -27,8 +28,9 @@ from overfly import (
     validate,
 )
 from overfly.cli import suite_settings
+from overfly.operators import BlockDraws, OperatorStats, initialize
 
-from helpers import build_env
+from helpers import build_env, generated_worlds, reference_validate
 
 PARAMS = DroneParams()
 
@@ -140,6 +142,182 @@ class TestValidate:
         report = validate(ch, env)
         revisits = [v for v in report.violations if v.rule == "revisit"]
         assert revisits and revisits[0].index == 2 and "(1, 1)" in revisits[0].detail
+
+
+RULES = (
+    "shape", "weight", "endpoints", "start-level", "cell-bounds", "revisit",
+    "adjacency", "level-range", "obstacle-clearance", "ceiling",
+)
+
+
+def corrupt(data, env, cells, levels, weight, rule):
+    """Break ``rule`` in the lists ``cells`` and ``levels`` (in place) and
+    return the weight, drawing from hypothesis ``data``. Later rules may
+    hide earlier ones (a shape fault ends the check) or undo them."""
+    spec, n = env.spec, len(cells)
+    grid = sorted(env.adjacency)
+    if rule == "shape":
+        if levels and data.draw(st.booleans()):
+            levels.pop()
+        else:
+            del cells[1:], levels[1:]
+    elif rule == "weight":
+        weight = data.draw(st.sampled_from((math.nan, -0.25, 1.5, math.inf, -math.inf)))
+    elif rule == "endpoints" and n:
+        t = data.draw(st.sampled_from((0, n - 1)))
+        cells[t] = data.draw(st.sampled_from([c for c in grid if c != cells[t]]))
+    elif rule == "start-level" and n:
+        levels[0] = data.draw(st.sampled_from([k for k in range(-2, spec.level_count + 2) if k != levels[0]]))
+    elif rule == "cell-bounds" and n:
+        row = data.draw(st.integers(-3, spec.rows + 2))
+        off_cols = [-2, -1, spec.cols, spec.cols + 1]
+        col = data.draw(st.sampled_from(off_cols) if 0 <= row < spec.rows else st.integers(-3, spec.cols + 2))
+        cells[data.draw(st.integers(0, n - 1))] = (row, col)
+    elif rule == "revisit" and n:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n))
+        cells.insert(j, cells[i])
+        levels.insert(j, levels[i] if i < len(levels) else 0)
+    elif rule == "adjacency" and n > 1:
+        t = data.draw(st.integers(1, n - 1))
+        moves = env.adjacency.get(cells[t - 1], ())
+        cells[t] = data.draw(st.sampled_from([c for c in grid if c not in moves]))
+    elif rule == "level-range" and levels:
+        t = data.draw(st.integers(0, len(levels) - 1))
+        levels[t] = data.draw(st.sampled_from((-1, -5, spec.level_count, spec.level_count + 3)))
+    elif rule in ("obstacle-clearance", "ceiling") and len(levels) > 1:
+        # Below the band of a cell with an obstacle, or above the band of a
+        # cell with a low ceiling; any level when the route has neither.
+        top = spec.level_count - 1
+        below = rule == "obstacle-clearance"
+        spots = [
+            (t, band)
+            for t, band in ((t, env.bands.get(cells[t])) for t in range(1, min(n, len(levels))))
+            if band is not None and (band[0] > 0 if below else band[1] < top)
+        ]
+        if spots:
+            t, (lo, hi) = data.draw(st.sampled_from(spots))
+            levels[t] = data.draw(st.integers(0, lo - 1) if below else st.integers(hi + 1, top))
+        else:
+            levels[data.draw(st.integers(1, len(levels) - 1))] = data.draw(st.integers(0, top))
+    return weight
+
+
+class TestValidateMatchesReference:
+    """The one-pass validate gives the reference's report, violation for
+    violation, on integer genes."""
+
+    @pytest.mark.parametrize("rule", ("none",) + RULES)
+    @settings(max_examples=100, deadline=None)
+    @given(env=generated_worlds(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_corrupted_routes(self, rule, env, seed, data):
+        # ``rule`` first, then up to three more rules broken at once.
+        ch = initialize(env, BlockDraws(seed), OperatorStats())
+        cells, levels, weight = list(ch.cells), list(ch.entry_levels), ch.weight
+        more = data.draw(st.lists(st.sampled_from(RULES), max_size=3)) if rule != "none" else []
+        for broken in [rule, *more]:
+            weight = corrupt(data, env, cells, levels, weight, broken)
+        if data.draw(st.booleans()):  # numpy integers read as today
+            cells = [(np.int64(r), np.int64(c)) for r, c in cells]
+            levels = [np.int64(k) for k in levels]
+        bad = Chromosome(tuple(cells), tuple(levels), weight)
+        report = validate(bad, env)
+        for rule in sorted({v.rule for v in report.violations}) or ["valid"]:
+            event(rule)
+        assert report == reference_validate(bad, env)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_each_rule_on_hand_built_world(self, rule):
+        # Obstacles at (0, 1) and (1, 2), low ceilings at (1, 1) and (2, 2):
+        # every rule can be broken on the straight middle row.
+        obstacle = np.zeros((3, 4))
+        obstacle[0, 1], obstacle[1, 2] = 15.0, 5.0
+        ceiling = np.full((3, 4), 20.0)
+        ceiling[1, 1], ceiling[2, 2] = 10.0, 0.0
+        env = build_env(obstacle=obstacle, ceiling=ceiling)
+
+        @given(data=st.data())
+        @settings(max_examples=60, deadline=None)
+        def check(data):
+            cells, levels = [(1, 0), (1, 1), (1, 2), (1, 3)], [0, 1, 1, 0]
+            weight = corrupt(data, env, cells, levels, 0.5, rule)
+            bad = Chromosome(tuple(cells), tuple(levels), weight)
+            report = validate(bad, env)
+            assert report == reference_validate(bad, env)
+            assert rule in {v.rule for v in report.violations}
+
+        check()
+
+    def test_valid_routes_share_one_report(self):
+        env = build_env()
+        a, b = validate(straight_path(env), env), validate(straight_path(env, (0, 1, 2, 0)), env)
+        assert a.ok and a is b
+
+
+class TestMalformedGenes:
+    """validate reports genes of the wrong kind, and evaluate then raises
+    ChromosomeError, never a TypeError."""
+
+    CASES = {
+        "float-level": ("level-range", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 1.0, 0, 0), 0.5),
+        "half-level": ("level-range", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 0, 0.5, 0), 0.5),
+        "float-first-level": ("level-range", ((1, 0), (1, 1), (1, 2), (1, 3)), (0.0, 0, 0, 0), 0.5),
+        "string-level": ("level-range", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, "1", 0, 0), 0.5),
+        "numpy-bool-level": ("level-range", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, np.True_, 0, 0), 0.5),
+        "list-cell": ("cell-bounds", ((1, 0), [1, 1], (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "list-first-cell": ("cell-bounds", ([1, 0], (1, 1), (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "half-cell": ("cell-bounds", ((1, 0), (1.5, 1), (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "triple-cell": ("cell-bounds", ((1, 0), (1, 1, 0), (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "array-cell": ("cell-bounds", ((1, 0), np.array([1, 1]), (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "none-cell": ("cell-bounds", ((1, 0), None, (1, 2), (1, 3)), (0, 0, 0, 0), 0.5),
+        "string-weight": ("weight", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 0, 0, 0), "0.5"),
+        "none-weight": ("weight", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 0, 0, 0), None),
+        "array-weight": ("weight", ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 0, 0, 0), np.array([0.5, 0.5])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reported_not_raised(self, case):
+        rule, cells, levels, weight = self.CASES[case]
+        env = build_env()
+        report = validate(Chromosome(cells, levels, weight), env)
+        assert rule in {v.rule for v in report.violations}
+        with pytest.raises(ChromosomeError):
+            evaluate(Chromosome(cells, levels, weight), env, PARAMS)
+
+    def test_messages_name_the_gene(self):
+        env = build_env()
+        cells = ((1, 0), [1, 1], (1, 2), (1, 3))
+        (bad_cell,) = validate(Chromosome(cells, (0, 0, 0, 0), 0.5), env).violations
+        assert bad_cell == Violation("cell-bounds", 1, "cell [1, 1] is not a pair of integers")
+        report = validate(Chromosome(straight_path(env).cells, (0, 1.0, 0, 0), "heavy"), env)
+        assert report.violations == (
+            Violation("weight", 0, "weight 'heavy' is not a number"),
+            Violation("level-range", 1, "entry level 1.0 is not an integer"),
+        )
+
+    def test_gene_equal_to_a_grid_pair_is_that_cell(self):
+        # A cell is a key of the world's tables, so any pair equal to an
+        # on-grid (row, col) is that cell; only its wording keeps the gene.
+        obstacle = np.zeros((3, 4))
+        obstacle[1, 1] = 15.0
+        env = build_env(obstacle=obstacle)
+        want = evaluate(Chromosome(((1, 0), (1, 1), (1, 2), (1, 3)), (0, 2, 0, 0), 0.5), env, PARAMS)
+        for gene in ((1.0, 1), (np.float64(1), 1), (1 + 0j, 1)):
+            cells = ((1, 0), gene, (1, 2), (1, 3))
+            below = validate(Chromosome(cells, (0, 0, 0, 0), 0.5), env).violations
+            assert below == (Violation("obstacle-clearance", 1, f"entering {gene} at 0.0 m, below its 15.0 m obstacle"),)
+            assert evaluate(Chromosome(cells, (0, 2, 0, 0), 0.5), env, PARAMS) == want
+
+    def test_numpy_integers_and_bools_read_as_integers(self):
+        env = build_env()
+        cells, levels = ((1, 0), (1, 1), (1, 2), (1, 3)), (0, 1, 2, 1)
+        want = evaluate(Chromosome(cells, levels, 0.5), env, PARAMS)
+        numpy_cells = tuple((np.int64(r), np.int32(c)) for r, c in cells)
+        for genes in (
+            Chromosome(numpy_cells, tuple(map(np.int64, levels)), 0.5),
+            Chromosome(cells, (False, True, 2, True), True),
+        ):
+            assert validate(genes, env).ok and validate(genes, env) == reference_validate(genes, env)
+            assert evaluate(genes, env, PARAMS) == want
 
 
 class TestMaxRiskBetween:
@@ -353,3 +531,16 @@ class TestArcCosts:
         assert loaded is not env and loaded == env and hash(loaded) == hash(env)
         assert arc_costs(loaded, PARAMS) is arc_costs(env, PARAMS)
         assert arc_costs(env, DroneParams(speed_mps=5.0)) is not arc_costs(env, PARAMS)
+
+    def test_evaluate_reads_the_table_of_its_own_world_and_drone(self):
+        # evaluate remembers the last pair's table; switching the world or
+        # the drone between calls must switch the table too.
+        calm, risky = build_env(), build_env(risk=0.3)
+        slow = DroneParams(speed_mps=5.0)
+        ch = straight_path(calm, (0, 1, 2, 0))
+        arcs = list(zip(ch.cells, ch.cells[1:], ch.entry_levels, ch.entry_levels[1:]))
+        for env, params in [(calm, PARAMS), (risky, PARAMS), (risky, slow), (calm, slow), (calm, PARAMS)]:
+            costs = arc_costs(env, params)
+            length, energy = (sum(costs.geometry[env.distance(a, b)][la][lb][i] for a, b, la, lb in arcs) for i in (0, 1))
+            risk = sum(costs.risk[a][la][lb] for a, b, la, lb in arcs)
+            assert evaluate(ch, env, params) == (length, energy, risk)
