@@ -958,7 +958,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # -- lp-export ---------------------------------------------------------------
 
 
+# The objective flags of lp-export, each with the one objective that reads it.
+_LP_OBJECTIVE_FLAGS = (
+    ("--weight", "weighted"),
+    ("--length-lo", "weighted"),
+    ("--length-hi", "weighted"),
+    ("--energy-lo", "weighted"),
+    ("--energy-hi", "weighted"),
+    ("--risk-cap", "epsilon"),
+)
+
+
 def _cmd_lp_export(args: argparse.Namespace) -> int:
+    for flag, objective in _LP_OBJECTIVE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.objective != objective:
+            raise _UsageError(f"{flag} applies only to --objective {objective}")
     out_path = _require_out_file(args)
     config = _load_config(args.config)
     params = _read_section(DroneParams, config, "drone")
@@ -988,7 +1002,7 @@ def _cmd_lp_export(args: argparse.Namespace) -> int:
             env,
             params,
             args.objective,
-            weight=args.weight,
+            weight=0.5 if args.weight is None else args.weight,
             bounds=bounds,
             risk_cap=args.risk_cap,
             big_m=args.big_m,
@@ -1066,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp.add_argument("--out", required=True)
     p_lp.add_argument("--config", help="JSON file with drone parameters")
     p_lp.add_argument("--objective", choices=["z1", "weighted", "epsilon"], default="z1")
-    p_lp.add_argument("--weight", type=float, default=0.5)
+    p_lp.add_argument("--weight", type=float, default=None)
     p_lp.add_argument("--risk-cap", type=float, default=None)
     p_lp.add_argument("--length-lo", type=float, default=None)
     p_lp.add_argument("--length-hi", type=float, default=None)

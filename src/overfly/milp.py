@@ -24,8 +24,13 @@ model soon costs a collection nothing; a tuple subclass would stay tracked.
 ``build_model`` and the variable-to-rows index ``MilpModel._rows_of`` run
 with the collector paused (``environment.collector_paused``): their records
 hold no cycles, and a running collector would only scan them over and over.
-``render_lp`` formats each distinct coefficient once per call, and writes a
-row that fits the 72-column width in one join.
+``render_lp`` formats each distinct string once per call, in caches local to
+the call: a coefficient's token heads, trailing space included, so a term
+is one concatenation, and a nonzero right-hand side's text. A zero
+right-hand side is looked up by its sign instead, because 0.0 and -0.0 are
+one dict key but print "0" and "-0". A model's right-hand sides come from a
+few constants (0, +-1, +-big-M, obstacle - big-M, ceilings), so most rows
+reuse a text. A row that fits the 72-column width is written in one join.
 
 Substitution works against a per-model baseline, the unused-arc assignment
 ``MilpModel.baseline`` (every variable 0.0, ``y`` = 1.0 on every arc), which
@@ -473,9 +478,10 @@ def build_model(
 
 
 class _TermHeads(dict):
-    """Coefficient -> its (first, later) token heads, formatted on first
-    use: -2.5 -> ("-2.5", "- 2.5"), 1.0 -> ("1", "+ 1"). Keyed by the signed
-    float; 0.0 and -0.0 share a key and format alike."""
+    """Coefficient -> its (first, later) token heads, trailing space
+    included, formatted on first use: -2.5 -> ("-2.5 ", "- 2.5 "), 1.0 ->
+    ("1 ", "+ 1 "). Keyed by the signed float; 0.0 and -0.0 share a key and
+    format alike."""
 
     def __missing__(self, coeff: float) -> tuple[str, str]:
         magnitude = repr(abs(coeff))
@@ -483,10 +489,25 @@ class _TermHeads(dict):
             magnitude = magnitude[:-2]
         negative = coeff < 0
         heads = self[coeff] = (
-            f"-{magnitude}" if negative else magnitude,
-            f"- {magnitude}" if negative else f"+ {magnitude}",
+            f"-{magnitude} " if negative else f"{magnitude} ",
+            f"- {magnitude} " if negative else f"+ {magnitude} ",
         )
         return heads
+
+
+class _RhsTexts(dict):
+    """Nonzero right-hand side -> its text, formatted on first use: 1.0 ->
+    "1", -2.5 -> "-2.5". A zero never goes in: 0.0 and -0.0 share a key
+    but print "0" and "-0", so ``render_lp`` reads a zero's text from
+    ``_ZERO_RHS`` by its sign."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        text = self[value] = text[:-2] if text.endswith(".0") else text
+        return text
+
+
+_ZERO_RHS = {1.0: "0", -1.0: "-0"}
 
 
 def _format_terms(coeffs: Sequence[tuple[str, float]], heads: _TermHeads) -> list[str]:
@@ -494,52 +515,51 @@ def _format_terms(coeffs: Sequence[tuple[str, float]], heads: _TermHeads) -> lis
     if not coeffs:
         return []
     name, coeff = coeffs[0]
-    tokens = [f"{heads[coeff][0]} {name}"]
-    tokens += [f"{heads[c][1]} {n}" for n, c in coeffs[1:]]
+    tokens = [heads[coeff][0] + name]
+    tokens += [heads[c][1] + n for n, c in coeffs[1:]]
     return tokens
 
 
-def _wrap(prefix: str, tokens: Sequence[str], indent: str = "      ") -> list[str]:
+def _wrap(out: list[str], prefix: str, tokens: Sequence[str]) -> None:
+    """Append ``prefix`` and ``tokens`` to ``out`` as lines of at most 72
+    columns where the tokens allow, later lines indented six spaces."""
     line = " ".join([prefix, *tokens])
     if len(line) <= 72:
         # Every candidate the loop below would try is a prefix of ``line``,
         # so none of them wraps.
-        return [line]
-    lines: list[str] = []
+        out.append(line)
+        return
     current = prefix
     for token in tokens:
         candidate = f"{current} {token}"
         if len(candidate) > 72 and current.strip():
-            lines.append(current)
-            current = f"{indent}{token}"
+            out.append(current)
+            current = f"      {token}"
         else:
             current = candidate
-    lines.append(current)
-    return lines
-
-
-def _format_rhs(value: float) -> str:
-    text = repr(value)
-    return text[:-2] if text.endswith(".0") else text
+    out.append(current)
 
 
 def render_lp(model: MilpModel) -> str:
     """CPLEX-LP text: comment header, Minimize, Subject To, Bounds (free
     variables), Binaries, End.
 
-    Each distinct coefficient is formatted once per call. The right-hand
-    sides are formatted per row, because 0.0 and -0.0 print differently.
+    Each distinct coefficient head and each distinct nonzero right-hand
+    side is formatted once per call, into caches local to the call. A zero
+    right-hand side is looked up by its sign, because 0.0 and -0.0 are one
+    dict key but print "0" and "-0".
     """
     heads = _TermHeads()
+    rhs_texts = _RhsTexts()
     out: list[str] = [f"\\ {note}" for note in model.notes]
     out.append("Minimize")
-    out.extend(_wrap(" obj:", _format_terms(model.objective, heads)))
+    _wrap(out, " obj:", _format_terms(model.objective, heads))
     out.append("Subject To")
     for name, _family, coeffs, sense, rhs in model.rows:
         tokens = _format_terms(coeffs, heads)
         tokens.append(sense)
-        tokens.append(_format_rhs(rhs))
-        out.extend(_wrap(f" {name}:", tokens))
+        tokens.append(rhs_texts[rhs] if rhs else _ZERO_RHS[math.copysign(1.0, rhs)])
+        _wrap(out, f" {name}:", tokens)
     free_vars = [name for name, kind in model.variables if kind == "free"]
     if free_vars:
         out.append("Bounds")
@@ -547,7 +567,7 @@ def render_lp(model: MilpModel) -> str:
     binaries = [name for name, kind in model.variables if kind == "binary"]
     if binaries:
         out.append("Binaries")
-        out.extend(_wrap(" ", binaries))
+        _wrap(out, " ", binaries)
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -174,6 +174,65 @@ def solve_lp(model, drop=()) -> float | None:
     return float(result.fun) if result.status == 0 else None
 
 
+# -- reference LP renderer ---------------------------------------------------
+# The renderer with no caches: one ``repr`` per coefficient and per
+# right-hand side, and the token loop on every row; ``render_lp`` must
+# write the same text.
+
+
+def _reference_terms(coeffs):
+    tokens = []
+    for pos, (name, coeff) in enumerate(coeffs):
+        magnitude = repr(abs(coeff))
+        if magnitude.endswith(".0"):
+            magnitude = magnitude[:-2]
+        if pos == 0:
+            head = "-" if coeff < 0 else ""
+            tokens.append(f"{head}{magnitude} {name}")
+        else:
+            sign = "-" if coeff < 0 else "+"
+            tokens.append(f"{sign} {magnitude} {name}")
+    return tokens
+
+
+def _reference_wrap(prefix, tokens, indent="      "):
+    lines = []
+    current = prefix
+    for token in tokens:
+        candidate = f"{current} {token}"
+        if len(candidate) > 72 and current.strip():
+            lines.append(current)
+            current = f"{indent}{token}"
+        else:
+            current = candidate
+    lines.append(current)
+    return lines
+
+
+def reference_lp(model):
+    """Reference for ``render_lp``: one ``repr`` per term and a token loop
+    per row, with no memo and no one-line shortcut."""
+    out = [f"\\ {note}" for note in model.notes]
+    out.append("Minimize")
+    out.extend(_reference_wrap(" obj:", _reference_terms(model.objective)))
+    out.append("Subject To")
+    for name, _family, coeffs, sense, rhs in model.rows:
+        tokens = _reference_terms(coeffs)
+        text = repr(rhs)
+        tokens += [sense, text[:-2] if text.endswith(".0") else text]
+        out.extend(_reference_wrap(f" {name}:", tokens))
+    free_vars = [name for name, kind in model.variables if kind == "free"]
+    if free_vars:
+        out.append("Bounds")
+        out.extend(f" {name} free" for name in free_vars)
+    binaries = [name for name, kind in model.variables if kind == "binary"]
+    if binaries:
+        out.append("Binaries")
+        out.extend(_reference_wrap(" ", binaries))
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
 # -- reference selection kernels ---------------------------------------------
 # The (n, n, m) dominance matrix, the front loop over it and the np.unique
 # crowding distance that the search used before its kernels went column-wise

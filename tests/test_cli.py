@@ -951,6 +951,16 @@ class TestLpExport:
         ]) == 0
         assert "weighted" in (tmp_path / "m.lp").read_text()
 
+    def test_weighted_weight_defaults_to_half(self, tmp_path, capsys):
+        save_tiny(tmp_path / "i1.json", 1)
+        assert main([
+            "lp-export", str(tmp_path / "i1.json"), "--out", str(tmp_path / "m.lp"),
+            "--objective", "weighted",
+            "--length-lo", "10", "--length-hi", "50",
+            "--energy-lo", "100", "--energy-hi", "900",
+        ]) == 0
+        assert "\\ objective: weighted blend, weight=0.5\n" in (tmp_path / "m.lp").read_text()
+
     def test_epsilon_requires_cap(self, tmp_path, capsys):
         save_tiny(tmp_path / "i1.json", 1)
         assert main([
@@ -1006,6 +1016,26 @@ class TestLpExport:
                 ["--objective", "weighted", "--length-lo", "0", "--length-hi", "100",
                  "--energy-lo", "10", "--energy-hi", "5"],
                 "--energy-hi must be >= energy_lo (10.0), got 5.0",
+            ),
+            # An objective flag that the objective never reads.
+            (["--risk-cap", "5"], "--risk-cap applies only to --objective epsilon"),
+            (
+                ["--objective", "weighted", "--risk-cap", "5", "--length-lo", "0",
+                 "--length-hi", "1", "--energy-lo", "0", "--energy-hi", "1"],
+                "--risk-cap applies only to --objective epsilon",
+            ),
+            (["--weight", "0.3"], "--weight applies only to --objective weighted"),
+            (["--length-lo", "0"], "--length-lo applies only to --objective weighted"),
+            (["--length-hi", "1"], "--length-hi applies only to --objective weighted"),
+            (["--energy-lo", "0"], "--energy-lo applies only to --objective weighted"),
+            (["--energy-hi", "1"], "--energy-hi applies only to --objective weighted"),
+            (
+                ["--objective", "epsilon", "--risk-cap", "5", "--weight", "0.3"],
+                "--weight applies only to --objective weighted",
+            ),
+            (
+                ["--objective", "epsilon", "--risk-cap", "5", "--energy-hi", "1"],
+                "--energy-hi applies only to --objective weighted",
             ),
         ],
     )

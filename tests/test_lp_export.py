@@ -47,7 +47,7 @@ from overfly.milp import (
     x_name,
 )
 
-from helpers import all_simple_paths, build_env, collections_started, generated_worlds
+from helpers import all_simple_paths, build_env, collections_started, generated_worlds, reference_lp
 
 PARAMS = DroneParams()
 
@@ -120,59 +120,6 @@ def substitution_world(name):
     names = sorted(model.baseline)
     y_names = [n for n in names if model.baseline[n] == 1.0]
     return env, model, enumerate_front(env, PARAMS).members, names, y_names
-
-
-def _reference_terms(coeffs):
-    tokens = []
-    for pos, (name, coeff) in enumerate(coeffs):
-        magnitude = repr(abs(coeff))
-        if magnitude.endswith(".0"):
-            magnitude = magnitude[:-2]
-        if pos == 0:
-            head = "-" if coeff < 0 else ""
-            tokens.append(f"{head}{magnitude} {name}")
-        else:
-            sign = "-" if coeff < 0 else "+"
-            tokens.append(f"{sign} {magnitude} {name}")
-    return tokens
-
-
-def _reference_wrap(prefix, tokens, indent="      "):
-    lines = []
-    current = prefix
-    for token in tokens:
-        candidate = f"{current} {token}"
-        if len(candidate) > 72 and current.strip():
-            lines.append(current)
-            current = f"{indent}{token}"
-        else:
-            current = candidate
-    lines.append(current)
-    return lines
-
-
-def reference_lp(model):
-    """Reference for ``render_lp``: one ``repr`` per term and a token loop
-    per row, with no memo and no one-line shortcut."""
-    out = [f"\\ {note}" for note in model.notes]
-    out.append("Minimize")
-    out.extend(_reference_wrap(" obj:", _reference_terms(model.objective)))
-    out.append("Subject To")
-    for name, _family, coeffs, sense, rhs in model.rows:
-        tokens = _reference_terms(coeffs)
-        text = repr(rhs)
-        tokens += [sense, text[:-2] if text.endswith(".0") else text]
-        out.extend(_reference_wrap(f" {name}:", tokens))
-    free_vars = [name for name, kind in model.variables if kind == "free"]
-    if free_vars:
-        out.append("Bounds")
-        out.extend(f" {name} free" for name in free_vars)
-    binaries = [name for name, kind in model.variables if kind == "binary"]
-    if binaries:
-        out.append("Binaries")
-        out.extend(_reference_wrap(" ", binaries))
-    out.append("End")
-    return "\n".join(out) + "\n"
 
 
 def reference_default_big_m(env):
@@ -867,9 +814,44 @@ class TestObjectiveVariants:
             assert abs(lhs - m.objectives.risk) <= 1e-9 * max(1.0, m.objectives.risk)
 
 
+def hand_built_model():
+    """A model whose rows reach what generated worlds rarely do: zero
+    right-hand sides of both signs in both orders, repeated nonzero ones,
+    a row whose label and first token pass 72 columns, and a token longer
+    than 72 columns."""
+    long_label = "r_" + "l" * 40
+    long_name = "v_" + "n" * 80
+    rows = [
+        ("z_pos", "t", (("a", 1.0),), "<=", 0.0),
+        ("z_neg", "t", (("a", 1.0),), "<=", -0.0),
+        ("z_neg2", "t", (("b", -1.0),), ">=", -0.0),
+        ("z_pos2", "t", (("b", -1.0),), ">=", 0.0),
+        ("half", "t", (("a", 2.5), ("b", -2.5)), "=", -2.5),
+        ("half2", "t", (("b", 0.5),), "<=", -2.5),
+        ("tiny", "t", (("a", 1e-05),), "<=", 1e-05),
+        ("tiny2", "t", (("b", -1e-05),), ">=", 1e-05),
+        ("huge", "t", (("a", 1e16),), "<=", 1e16),
+        ("huge2", "t", (("b", 1e16),), "<=", 1e16),
+        ("one", "t", (("a", 1.0), ("b", 1.0)), "=", 1.0),
+        ("empty", "t", (), ">=", -0.0),
+        (long_label, "t", (("x_" + "p" * 30, -3.0), ("a", 1.0)), "<=", 0.0),
+        ("wide", "t", (("a", 1.0), (long_name, 2.0), ("b", -1.0)), ">=", -2.5),
+    ]
+    return MilpModel(
+        variables=(("a", "nonneg"), ("b", "free"), (long_name, "nonneg"), ("c", "binary")),
+        rows=tuple(rows),
+        objective=(("a", -1.0), ("b", 0.5)),
+        big_m=1.0,
+        arcs=(),
+        notes=("hand-built",),
+    )
+
+
 class TestRenderedText:
-    @pytest.mark.parametrize("world", [0, 1, 2, 3])
+    @pytest.mark.parametrize("world", [0, 1, 2, 3, 12])
     def test_matches_reference_renderer(self, world):
+        # World 12 is T4-1 (10x10x4): its two-digit cell names give token
+        # widths and wrap points the 4x4 worlds never reach.
         _id, settings, seed = suite_settings(0)[world]
         for name, model in model_variants(generate(settings, seed)).items():
             assert render_lp(model) == reference_lp(model), name
@@ -877,6 +859,29 @@ class TestRenderedText:
     def test_tiny_world_matches_reference_renderer(self):
         model = build_model(tiny_env(), PARAMS, "z1")
         assert render_lp(model) == reference_lp(model)
+
+    def test_hand_built_model_matches_reference_renderer(self):
+        model = hand_built_model()
+        text = render_lp(model)
+        assert text == reference_lp(model)
+        lines = text.splitlines()
+        for row in (" z_pos: 1 a <= 0", " z_neg: 1 a <= -0", " z_neg2: -1 b >= -0",
+                    " z_pos2: -1 b >= 0", " half2: 0.5 b <= -2.5", " tiny: 1e-05 a <= 1e-05",
+                    " huge2: 1e+16 b <= 1e+16", " empty: >= -0"):
+            assert row in lines
+        assert lines[-3:] == ["Binaries", "  c", "End"]
+
+    def test_negative_zero_risk_cap_prints_its_sign(self):
+        model = build_model(tiny_env(), PARAMS, "epsilon", risk_cap=-0.0)
+        text = render_lp(model)
+        assert text == reference_lp(model)
+        lines = text.splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith(" risk_cap:"))
+        last = first
+        while lines[last + 1].startswith("      "):
+            last += 1
+        row = " ".join(ln.strip() for ln in lines[first:last + 1])
+        assert row.endswith(" <= -0")
 
     def test_sections_present_in_order(self):
         env = tiny_env()

@@ -166,7 +166,7 @@ def corrupt(data, env, cells, levels, weight, rule):
     elif rule == "endpoints" and n:
         t = data.draw(st.sampled_from((0, n - 1)))
         cells[t] = data.draw(st.sampled_from([c for c in grid if c != cells[t]]))
-    elif rule == "start-level" and n:
+    elif rule == "start-level" and levels:
         levels[0] = data.draw(st.sampled_from([k for k in range(-2, spec.level_count + 2) if k != levels[0]]))
     elif rule == "cell-bounds" and n:
         row = data.draw(st.integers(-3, spec.rows + 2))
