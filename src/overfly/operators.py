@@ -10,11 +10,13 @@ Mutation resamples a share of entry levels and perturbs the embedded weight.
 by binary tournament, recombines and mutates their children on plain gene
 triples, and builds a :class:`~overfly.solution.Chromosome` only for a child
 the novelty filter keeps. :func:`crossover` and :func:`mutate` are the
-one-step operators, and the tested reference for that loop: both paths
-share each variation rule (:func:`_recombine`, :func:`_splice`,
-:func:`_resample_levels`, :func:`_perturb_weight`,
-:func:`sample_entry_level`), so only the order of the mating's draws is
-written twice.
+one-step operators, and the tested reference for that loop. Mutation
+shares its rules (:func:`_resample_levels`, :func:`_perturb_weight`,
+:func:`sample_entry_level`). For speed, :func:`breed` writes out the
+tournaments and the loop-free part of :func:`_recombine` (the cut, both
+junction searches, a splice that closes no loop, the blend weights) in its
+own loop; both paths call :func:`_splice`, the one loop cut, when a head
+cell comes back in the tail.
 
 Parents must validate (:func:`~overfly.solution.validate`); then every
 operator output validates against the world too, for a spliced child keeps
@@ -386,11 +388,14 @@ def breed(
     Each parent is the winner of a binary tournament: two indices drawn as
     ``int(rng.random() * len(members))``, the member with the lower key
     wins, and a tie goes to a coin (``random() < 0.5`` takes the first).
-    ``keys`` holds one comparable key per member, and ``members`` at least
-    two. Each mating draws two parents, recombines them with probability
-    ``crossover_probability`` (as :func:`crossover`), then mutates each child
-    (as :func:`mutate`) while a slot is left and keeps it when its (cells,
-    entry levels) genotype is not in ``seen``. After ``max_barren``
+    ``keys`` holds one key per member, and ``members`` at least two. The
+    keys must be totally ordered by ``<`` (so no NaN; ``run`` never hands
+    one over): they are ranked once per call, equal keys sharing a rank,
+    and the tournaments compare ranks. Each mating draws two parents,
+    recombines them with probability ``crossover_probability`` (as
+    :func:`crossover`), then mutates each child (as :func:`mutate`) while a
+    slot is left and keeps it when its (cells, entry levels) genotype is
+    not in ``seen``. After ``max_barren``
     consecutive matings that keep no child, the next mating's children are
     kept even when they are duplicates, and the count starts again. Kept
     genotypes are added to ``seen``. The draws, children and ``stats``
@@ -408,6 +413,15 @@ def breed(
             f"breed needs at least two members and one key each, got "
             f"{n} members and {len(keys)} keys"
         )
+    # Dense ranks: equal keys share one, so ranks compare as the keys do.
+    rank = [0] * n
+    order = sorted(range(n), key=keys.__getitem__)
+    r, last = 0, keys[order[0]]
+    for i in order:
+        if last < keys[i]:
+            r += 1
+            last = keys[i]
+        rank[i] = r
     adjacency = env.adjacency
     random = rng.random
     crossover_probability = config.crossover_probability
@@ -418,25 +432,70 @@ def breed(
     left = count
     while left:
         novelty_required = barren < max_barren
-        parents = []
-        for _ in (0, 1):  # one binary tournament per parent
-            i, j = int(random() * n), int(random() * n)
-            # The lower key wins; a tie goes to a coin.
-            if keys[j] < keys[i] or (not keys[i] < keys[j] and random() >= 0.5):
-                i = j
-            parents.append(members[i])
-        parent_a, parent_b = parents
+        # One binary tournament per parent: the lower rank wins; a tie goes
+        # to a coin.
+        i, j = int(random() * n), int(random() * n)
+        if rank[j] < rank[i] or (rank[j] == rank[i] and random() >= 0.5):
+            i = j
+        k, j = int(random() * n), int(random() * n)
+        if rank[j] < rank[k] or (rank[j] == rank[k] and random() >= 0.5):
+            k = j
+        parent_a, parent_b = members[i], members[k]
         matings += 1
         if random() < crossover_probability:
-            one, two, looped = _recombine(parent_a, parent_b, adjacency, rng)
+            # _recombine written out, so that a mating makes a call only
+            # when _splice has a loop to cut.
             crossovers += 1
-            loops += looped
-            if one is None:
+            a_cells, a_levels, wa = parent_a
+            b_cells, b_levels, wb = parent_b
+            nb = len(b_cells)
+            shorter = len(a_cells) if len(a_cells) < nb else nb
+            cut = int(random() * (shorter - 1))
+            nbrs = adjacency[a_cells[cut]]
+            start = cut + 1  # both children's first tail start
+            if b_cells[start] in nbrs:
+                # Unshifted: both children are this splice, loop and all.
+                head, tail = a_cells[:start], b_cells[start:]
+                if set(head).isdisjoint(tail):
+                    cells, levels = head + tail, a_levels[:start] + b_levels[start:]
+                else:
+                    cells, levels, _ = _splice(parent_a, parent_b, cut, start)
+                    loops += 2
+                alpha = random()
+                one = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+                alpha = random()
+                two = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+            else:
+                # Child one shifts the tail start along parent_b only.
                 one = parent_a
-                failures += 1
-            if two is None:
+                for t in range(start + 1, nb):
+                    if b_cells[t] in nbrs:
+                        head, tail = a_cells[:start], b_cells[t:]
+                        if set(head).isdisjoint(tail):
+                            cells, levels = head + tail, a_levels[:start] + b_levels[t:]
+                        else:
+                            cells, levels, _ = _splice(parent_a, parent_b, cut, t)
+                            loops += 1
+                        alpha = random()
+                        one = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+                        break
+                else:
+                    failures += 1
+                # Child two shifts the head end and tail start in lockstep.
                 two = parent_b
-                failures += 1
+                for t in range(start + 1, shorter):
+                    if b_cells[t] in adjacency[a_cells[t - 1]]:
+                        head, tail = a_cells[:t], b_cells[t:]
+                        if set(head).isdisjoint(tail):
+                            cells, levels = head + tail, a_levels[:t] + b_levels[t:]
+                        else:
+                            cells, levels, _ = _splice(parent_a, parent_b, t - 1, t)
+                            loops += 1
+                        alpha = random()
+                        two = (cells, levels, alpha * wa + (1.0 - alpha) * wb)
+                        break
+                else:
+                    failures += 1
         else:
             one, two = parent_a, parent_b
         accepted = False

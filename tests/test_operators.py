@@ -406,7 +406,24 @@ def _reference_breed(pick, count, seen, max_barren, env, rng, config, stats, eve
         if rng.random() < config.crossover_probability:
             if min(len(pa.cells), len(pb.cells)) == 2:
                 events.add("two-cell parent crossed")
+            loops, failures = stats.loop_removals, stats.splice_failures
             c1, c2 = crossover(pa, pb, env, rng, stats)
+            loops = stats.loop_removals - loops
+            failed_one, failed_two = c1 is pa, c2 is pb  # a failed child is its parent
+            assert stats.splice_failures - failures == failed_one + failed_two
+            if failed_one:
+                events.add("junction search failed on child one")
+            if failed_two:
+                events.add("junction search failed on child two")
+            # An unshifted junction makes both children one splice. Otherwise
+            # one loop cut with both children spliced names neither child.
+            if loops and not (failed_one or failed_two) and c1.cells == c2.cells:
+                events.add("loop cut on an unshifted splice")
+            else:
+                if loops == 2 or (loops and failed_two):
+                    events.add("loop cut on child one")
+                if loops == 2 or (loops and failed_one):
+                    events.add("loop cut on child two")
         else:
             c1, c2 = pa, pb
         accepted = False
@@ -428,11 +445,13 @@ def _reference_breed(pick, count, seen, max_barren, env, rng, config, stats, eve
     return children
 
 
-def _assert_breed_matches_reference(env, parents, seed, count, max_barren, config):
+def _assert_breed_matches_reference(env, parents, seed, count, max_barren, config, keys=None):
     """``breed`` and the reference, each on its own source from the same
     seed, on the same pool: equal children, stats, genotype sets and next
-    draws of both streams. Returns the reference's events."""
-    keys = [float(k) for k in np.random.default_rng(seed).integers(3, size=len(parents))]
+    draws of both streams. ``keys`` defaults to floats drawn from
+    ``0..2``. Returns the reference's events."""
+    if keys is None:
+        keys = [float(k) for k in np.random.default_rng(seed).integers(3, size=len(parents))]
     seen = {(p.cells, p.entry_levels) for p in parents}
     rng, ref_rng = BlockDraws(seed), BlockDraws(seed)
     stats, ref_stats = OperatorStats(), OperatorStats()
@@ -483,6 +502,60 @@ class TestBreed:
             events |= _assert_breed_matches_reference(
                 env, parents, seed, 5, 3, OperatorConfig(crossover_probability=1.0))
         assert {"two-cell parent crossed", "last slot filled by child one"} <= events
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            # NSGA-shaped (front, -crowding): boundary members at -inf, exact
+            # ties, and (1, -inf) ranked after (0, -0.5) by its front.
+            [(0, -math.inf), (1, -math.inf), (0, -0.5), (0, -math.inf), (1, -2.0), (0, -0.5)],
+            # SPEA2-shaped fitness with ties.
+            [0.25, 1.5, 0.25, 0.0, 1.5, 0.0],
+        ],
+        ids=["nsga", "spea2"],
+    )
+    def test_tuple_and_tied_keys(self, keys):
+        env = build_env(rows=4, cols=5)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            parents = [initialize(env, rng) for _ in range(len(keys))]
+            _assert_breed_matches_reference(env, parents, seed, 7, 3, OperatorConfig(),
+                                            keys=list(keys))
+
+    @settings(max_examples=30, deadline=None)
+    @given(generated_worlds(), st.integers(0, 2**32 - 1), st.data())
+    def test_drawn_tuple_and_tied_keys(self, env, seed, data):
+        nsga = st.tuples(st.integers(0, 2), st.sampled_from([-math.inf, -1.5, -0.5, -0.0]))
+        spea2 = st.sampled_from([0.0, 0.25, 1.5, 3.0])
+        keys = data.draw(st.lists(data.draw(st.sampled_from([nsga, spea2])), min_size=5,
+                                  max_size=5))
+        rng = np.random.default_rng(seed)
+        parents = [initialize(env, rng) for _ in range(5)]
+        _assert_breed_matches_reference(env, parents, seed, 6, 2, OperatorConfig(), keys=keys)
+
+    def test_loop_cuts_and_failed_junctions_on_each_child(self):
+        # Routes picked so that crossing them cuts a loop on child one while
+        # child two's junction search fails, the other way round, and a loop
+        # on both children of one unshifted splice.
+        env = build_env(rows=3, cols=4)
+        routes = [
+            ((1, 0), (0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 3), (1, 3)),
+            ((1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 3), (1, 3)),
+            ((1, 0), (0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (1, 2), (0, 2), (0, 3), (1, 3)),
+            ((1, 0), (0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (2, 3), (1, 3)),
+            ((1, 0), (2, 0), (2, 1), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2), (2, 3), (1, 3)),
+        ]
+        parents = [Chromosome(cells, (0,) * len(cells), weight)
+                   for cells, weight in zip(routes, (0.1, 0.3, 0.5, 0.7, 0.9))]
+        assert all(validate(p, env).ok for p in parents)
+        events = set()
+        for seed in range(12):
+            events |= _assert_breed_matches_reference(
+                env, parents, seed, 8, 4, OperatorConfig(crossover_probability=1.0))
+        assert {
+            "loop cut on an unshifted splice", "loop cut on child one", "loop cut on child two",
+            "junction search failed on child one", "junction search failed on child two",
+        } <= events
 
     def test_barren_budget_runs_out(self):
         # One route at one level: every child repeats a genotype.
